@@ -162,6 +162,13 @@ def _floats(text) -> list:
         raise ConfigError(f"bad float list {text!r}") from exc
 
 
+def _trials(opts) -> int:
+    trials = int(opts.get("trials", 10))
+    if trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {trials}")
+    return trials
+
+
 def _outdir(opts) -> Path:
     out = Path(opts.require("out"))
     out.mkdir(parents=True, exist_ok=True)
@@ -175,7 +182,7 @@ def _load_prepared(opts) -> tuple:
     model = modelkit.load_model(model_path)
     ds = tasks.load_dataset(data_path)
     obs = modelkit.bin_observations(model, ds.features)
-    prep = runner.Prepared(None, model, model.transition is not None, obs, ds.labels)
+    prep = runner.Prepared(model, obs, ds.labels)
     inputs = {str(model_path): _sha256_file(model_path), str(data_path): _sha256_file(data_path)}
     return prep, inputs
 
@@ -260,7 +267,7 @@ def cmd_sim(args) -> int:
     inputs[str(image_path)] = _sha256_file(image_path)
     budget = int(opts.get("budget", 255))
     strategy = opts.get("strategy", "conventional")
-    trials = int(opts.get("trials", 10))
+    trials = _trials(opts)
     seed = int(opts.get("seed", 0))
     out = _outdir(opts)
     manifest = RunManifest("sim", opts.resolved, inputs)
@@ -286,7 +293,7 @@ def cmd_sweep(args) -> int:
     opts = Options(args, "sweep")
     kind = opts.require("kind")
     prep, inputs = _load_prepared(opts)
-    trials = int(opts.get("trials", 10))
+    trials = _trials(opts)
     seed = int(opts.get("seed", 0))
     width = int(opts.get("width", 8))
     out = _outdir(opts)
@@ -326,7 +333,7 @@ def cmd_energy(args) -> int:
     opts = Options(args, "energy")
     prep, inputs = _load_prepared(opts)
     budgets = _ints(opts.get("grid", "10,50,100,255"))
-    trials = int(opts.get("trials", 10))
+    trials = _trials(opts)
     seed = int(opts.get("seed", 0))
     width = int(opts.get("width", 8))
     cost_path = opts.get("cost")
@@ -356,7 +363,12 @@ def cmd_report(args) -> int:
     rows = []
     inputs = {}
     for csv_path in sorted(run_dir.glob("*.csv")):
-        head = csv_path.read_text().splitlines()
+        try:
+            head = csv_path.read_text().splitlines()
+        except UnicodeDecodeError:
+            inputs[str(csv_path)] = _sha256_file(csv_path)
+            rows.append((csv_path.name, "?", 0, "", "unreadable"))
+            continue
         toks = head[0].split() if head else []
         if len(toks) < 2 or toks[0] != "#" or not toks[1].startswith("bayesim"):
             continue
@@ -370,8 +382,13 @@ def cmd_report(args) -> int:
         if not side.exists():
             status = "missing-manifest"
         else:
-            doc = json.loads(side.read_text())
-            if doc.get("hash") != embedded:
+            try:
+                doc = json.loads(side.read_text())
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                doc = None
+            if not isinstance(doc, dict):
+                status = "bad-manifest"
+            elif doc.get("hash") != embedded:
                 status = "hash-mismatch"
             elif doc.get("content_sha256", content) != content:
                 status = "content-mismatch"

@@ -54,8 +54,9 @@ class CostTable:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ConfigError(f"negative cost {f.name}")
+            v = getattr(self, f.name)
+            if not math.isfinite(v) or v < 0:
+                raise ConfigError(f"cost {f.name} must be finite and non-negative, got {v!r}")
 
 
 def example_cost_table() -> CostTable:
@@ -96,7 +97,7 @@ def count_events(
     rows: int,
     cols: int,
     width: int,
-    cycles: int = 1,
+    cycles: float = 1,
     rng_mode: str = "column_shared",
 ) -> EventCounts:
     """Events for one input presentation.
@@ -106,6 +107,8 @@ def count_events(
     counter events.  Stochastic: codes are read and latched once (counted
     as register writes), then every cycle costs one compare/AND per cell,
     one RNG draw per column (or per cell), and one counter update per row.
+    ``cycles`` may be a real-valued mean (say, the measured mean cycles of
+    power-conscious runs); the per-cycle counts are then means too.
     """
     if rows < 1 or cols < 1 or cycles < 1:
         raise ConfigError("rows, cols and cycles must all be >= 1")
@@ -143,18 +146,6 @@ def energy_of(counts: EventCounts, table: CostTable) -> float:
     )
 
 
-def _stochastic_energy(config, table: CostTable, cycles: float) -> float:
-    # affine in cycles: latch once, then a fixed per-cycle cost
-    fixed = count_events("stochastic", config.rows, config.columns, config.likelihood_width,
-                         cycles=1, rng_mode=config.rng_mode)
-    per_cycle = energy_of(fixed, table) - (
-        fixed.mem_read_bits * table.mem_read_bit
-        + fixed.register_writes * table.register_write
-    )
-    latch = fixed.mem_read_bits * table.mem_read_bit + fixed.register_writes * table.register_write
-    return latch + cycles * per_cycle
-
-
 @dataclass(frozen=True)
 class CrossoverPoint:
     strategy: str  # "logarithmic", "conventional" or "power_conscious"
@@ -179,25 +170,30 @@ def crossover(
 ) -> CrossoverReport:
     """Energy-vs-budget report for one machine geometry.
 
-    ``config`` needs rows / columns / likelihood_width / rng_mode.
-    Conventional energy is exact (cycles = budget).  Power-conscious
-    energy uses measured mean cycles from ``pc_mean_cycles`` when given,
-    else the full budget as an upper bound.  ``accuracies`` maps
-    (strategy, budget) to measured accuracy; missing entries are NaN.
+    ``config`` needs rows / columns / likelihood_width / rng_mode.  Every
+    point is priced as the energy of its ``count_events``: conventional
+    runs take cycles = budget; power-conscious runs take the measured mean
+    cycles from ``pc_mean_cycles`` when given, else the full budget as an
+    upper bound.  ``accuracies`` maps (strategy, budget) to measured
+    accuracy; missing entries are NaN.
     """
     budgets = sorted(set(int(b) for b in budgets))
     if not budgets:
         raise ConfigError("need at least one budget")
     acc = accuracies or {}
-    log_counts = count_events("logarithmic", config.rows, config.columns, config.likelihood_width)
-    log_energy = energy_of(log_counts, table)
+    pc_cycles = pc_mean_cycles or {}
+
+    def priced(mode: str, cycles: float = 1) -> float:
+        return energy_of(count_events(mode, config.rows, config.columns, config.likelihood_width,
+                                      cycles=cycles, rng_mode=config.rng_mode), table)
+
+    log_energy = priced("logarithmic")
     points = [CrossoverPoint("logarithmic", 1, log_accuracy, log_energy)]
     cross = None
     for b in budgets:
-        conv = _stochastic_energy(config, table, b)
+        conv = priced("stochastic", b)
         points.append(CrossoverPoint("conventional", b, acc.get(("conventional", b), math.nan), conv))
-        pc_cycles = (pc_mean_cycles or {}).get(b, float(b))
-        pc = _stochastic_energy(config, table, pc_cycles)
+        pc = priced("stochastic", pc_cycles.get(b, float(b)))
         points.append(CrossoverPoint("power_conscious", b, acc.get(("power_conscious", b), math.nan), pc))
         if cross is None and conv > log_energy:
             cross = b

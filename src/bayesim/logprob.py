@@ -16,7 +16,6 @@ at the maximum code.  Comparison is reversed: the smaller code wins.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,15 +44,6 @@ def min_prob(width: int = 8) -> float:
     return 2.0 ** (-max_code(width) / scale(width))
 
 
-def _round_half_away(x: float, rounding: str = "half_away") -> int:
-    # x >= 0 always here, so half-away-from-zero is floor(x + 1/2)
-    if rounding == "half_away":
-        return int(math.floor(x + 0.5))
-    if rounding == "half_even":
-        return int(round(x))
-    raise DomainError(f"unknown rounding rule {rounding!r}")
-
-
 @dataclass(frozen=True)
 class LogCode:
     """An encoded probability: value n on a width-bit scale."""
@@ -71,15 +61,9 @@ class LogCode:
         return decode(self)
 
 
-def encode(p: float, width: int = 8, rounding: str = "half_away") -> LogCode:
+def encode(p: float, width: int = 8) -> LogCode:
     """Encode probability p to the nearest code; p = 0 clamps to the max code."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"probability {p} outside [0, 1]")
-    top = max_code(width)
-    if p == 0.0:
-        return LogCode(top, width)
-    n = _round_half_away(-scale(width) * math.log2(p), rounding)
-    return LogCode(min(max(n, 0), top), width)
+    return LogCode(int(encode_array(p, width)), width)
 
 
 def decode(code: LogCode) -> float:
@@ -109,14 +93,20 @@ def compare(a: LogCode, b: LogCode) -> int:
 
 
 def encode_array(p: np.ndarray, width: int = 8) -> np.ndarray:
-    """Vectorized encode for probability tables; returns uint16 codes."""
+    """Vectorized encode for probability tables; returns uint16 codes.
+
+    Half-way cases round away from zero (codes are never negative, so this
+    is floor(x + 1/2)).  Unsupported widths, and probabilities outside
+    [0, 1] or NaN, raise DomainError.
+    """
+    m = scale(width)
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise DomainError("probabilities outside [0, 1]")
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise DomainError("probabilities outside [0, 1] or not finite")
     top = max_code(width)
     out = np.full(p.shape, top, dtype=np.uint16)
     pos = p > 0.0
-    raw = np.floor(-scale(width) * np.log2(p[pos]) + 0.5)
+    raw = np.floor(-m * np.log2(p[pos]) + 0.5)
     out[pos] = np.clip(raw, 0, top).astype(np.uint16)
     return out
 

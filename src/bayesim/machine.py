@@ -44,7 +44,6 @@ class MachineConfig:
     strategy: str = "conventional"
     rng_mode: str = "column_shared"
     tie_break: str = "random"
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -132,6 +131,21 @@ class MemoryImage:
     @property
     def values_per_column(self) -> tuple:
         return tuple(b.shape[1] for b in self.blocks)
+
+    def latch(self, obs) -> np.ndarray:
+        """Read the codes addressed by ``obs``, one value address per column.
+
+        Returns the (rows, columns) latched codes.  A vector of the wrong
+        length or an address outside its column raises ConfigError.
+        """
+        addr = np.asarray(obs, dtype=np.int64)
+        if addr.shape != (self.columns,):
+            raise ConfigError(f"expected {self.columns} observation addresses, got {addr.shape}")
+        addr = addr.tolist()
+        for c, (b, v) in enumerate(zip(self.blocks, addr)):
+            if not 0 <= v < b.shape[1]:
+                raise ConfigError(f"address {v} out of range for column {c}")
+        return np.stack([b[:, v] for b, v in zip(self.blocks, addr)], axis=1)
 
     def __eq__(self, other):
         return (
@@ -227,16 +241,6 @@ class InferenceResult:
     event_counts: energy.EventCounts
 
 
-def _check_obs(image: MemoryImage, obs) -> np.ndarray:
-    obs = np.asarray(obs, dtype=np.int64)
-    if obs.shape != (image.columns,):
-        raise ConfigError(f"expected {image.columns} observation addresses, got {obs.shape}")
-    for c, v in enumerate(obs):
-        if not 0 <= v < image.blocks[c].shape[1]:
-            raise ConfigError(f"address {v} out of range for column {c}")
-    return obs
-
-
 def check_image_matches(image: MemoryImage, config: MachineConfig) -> None:
     if image.kind != config.kind:
         raise ConfigError(f"image kind {image.kind!r} does not match mode {config.mode!r}")
@@ -255,19 +259,18 @@ def infer_logarithmic(image: MemoryImage, obs) -> InferenceResult:
     """
     if image.kind != "log":
         raise ConfigError("logarithmic inference needs a log-code image")
-    obs = _check_obs(image, obs)
-    latched = np.stack([image.blocks[c][:, obs[c]] for c in range(image.columns)], axis=1)
+    latched = image.latch(obs)
     top = logprob.max_code(image.width)
     scores = np.minimum(latched.sum(axis=1, dtype=np.int64), top)
     counts = energy.count_events("logarithmic", image.rows, image.columns, image.width)
     return InferenceResult(scores, int(np.argmin(scores)), 1, counts)
 
 
-def infer_stochastic(image: MemoryImage, obs, config: MachineConfig, seed=None) -> InferenceResult:
+def infer_stochastic(image: MemoryImage, obs, config: MachineConfig, seed=0) -> InferenceResult:
     """One sampling inference under the configured strategy.
 
-    ``seed`` overrides ``config.seed`` when given; it may be a numpy
-    Generator so repeated calls can share one stream.
+    ``seed`` is an int or a numpy Generator, so repeated calls can share
+    one stream.
     """
     if config.mode != "stochastic":
         raise ConfigError("config mode must be stochastic")
@@ -278,7 +281,7 @@ def infer_stochastic(image: MemoryImage, obs, config: MachineConfig, seed=None) 
         config.cycle_budget,
         strategy=config.strategy,
         rng_mode=config.rng_mode,
-        seed=config.seed if seed is None else seed,
+        seed=seed,
         tie_break=config.tie_break,
     )
     counts = energy.count_events(
@@ -304,14 +307,16 @@ def inject_errors(image: MemoryImage, ber: float, seed=0) -> MemoryImage:
     return MemoryImage(blocks, image.width, image.kind)
 
 
-def run_filter(image: MemoryImage, feature_addresses, unknown_row: int, config: MachineConfig):
+def run_filter(image: MemoryImage, feature_addresses, unknown_row: int, config: MachineConfig,
+               seed=0):
     """Recursive inference over a sequence with hard-decision feedback.
 
     Column 0 is the transition/prior column: at step 0 it is addressed by
     ``unknown_row`` (a dedicated uniform-prior entry), afterwards by the
     previous step's winner.  ``feature_addresses`` is a (steps, columns-1)
-    table of observation addresses for the remaining columns.  Returns one
-    InferenceResult per step.
+    table of observation addresses for the remaining columns.  Stochastic
+    steps draw from one stream seeded by ``seed`` (an int or a numpy
+    Generator).  Returns one InferenceResult per step.
     """
     check_image_matches(image, config)
     v0 = image.values_per_column[0]
@@ -324,7 +329,7 @@ def run_filter(image: MemoryImage, feature_addresses, unknown_row: int, config: 
     feats = np.asarray(feature_addresses, dtype=np.int64)
     if feats.ndim != 2 or feats.shape[1] != image.columns - 1:
         raise ConfigError(f"feature addresses must be (steps, {image.columns - 1})")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     results = []
     prev = int(unknown_row)
     for t in range(feats.shape[0]):

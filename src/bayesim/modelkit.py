@@ -165,11 +165,12 @@ class BayesModel:
             if t.shape != (self.classes, self.bins[c]):
                 raise ConfigError(f"feature {c}: table shape {t.shape} != "
                                   f"({self.classes}, {self.bins[c]})")
-            if np.any(t <= 0) or np.any(t > 1):
+            if not np.all((t > 0) & (t <= 1)):  # also rejects NaN
                 raise ConfigError(f"feature {c}: likelihoods must lie in (0, 1]")
         self.prior = np.asarray(self.prior, dtype=float)
-        if self.prior.shape != (self.classes,) or np.any(self.prior < 0):
-            raise ConfigError("prior must be a non-negative vector over classes")
+        p = self.prior
+        if p.shape != (self.classes,) or not np.all(np.isfinite(p) & (p >= 0)):
+            raise ConfigError("prior must be a finite non-negative vector over classes")
         s = self.prior.sum()
         if not s > 0:
             raise ConfigError("prior must have positive mass")
@@ -178,13 +179,15 @@ class BayesModel:
             self.transition = np.asarray(self.transition, dtype=float)
             if self.transition.shape != (self.classes, self.classes):
                 raise ConfigError("transition must be (classes, classes)")
-            if np.any(self.transition < 0) or not np.allclose(self.transition.sum(axis=1), 1.0):
+            t = self.transition
+            if not np.all(np.isfinite(t) & (t >= 0)) or not np.allclose(t.sum(axis=1), 1.0):
                 raise ConfigError("transition rows must be distributions")
         self.bin_edges = [np.asarray(e, dtype=float) for e in self.bin_edges]
         for c, e in enumerate(self.bin_edges):
-            if e.shape != (self.bins[c] + 1,) or np.any(np.diff(e) <= 0):
+            if (e.shape != (self.bins[c] + 1,) or not np.all(np.isfinite(e))
+                    or np.any(np.diff(e) <= 0)):
                 raise ConfigError(f"feature {c}: edges must be {self.bins[c] + 1} "
-                                  "strictly increasing values")
+                                  "finite, strictly increasing values")
 
 
 def train_model(
@@ -350,24 +353,6 @@ def oracle_filter(model: BayesModel, obs_seq) -> list:
         winners.append(res.winner)
         weights = model.transition[res.winner]
     return winners
-
-
-def soft_filter_diagnostic(model: BayesModel, obs_seq) -> np.ndarray:
-    """Full-posterior forward recursion (no hard decisions).
-
-    Diagnostic only: no machine implements this, so do not compare its
-    output against machine runs.  Returns the (steps, classes) posterior
-    trajectory."""
-    if model.transition is None:
-        raise ConfigError("filter needs a model with transitions")
-    obs_seq = np.atleast_2d(np.asarray(obs_seq, dtype=np.int64))
-    out = np.empty((obs_seq.shape[0], model.classes))
-    weights = np.full(model.classes, 1.0 / model.classes)
-    for t in range(obs_seq.shape[0]):
-        res = _posterior(model, weights, _check_model_obs(model, obs_seq[t]))
-        out[t] = res.posterior
-        weights = model.transition.T @ res.posterior
-    return out
 
 
 def model_to_json(model: BayesModel) -> str:

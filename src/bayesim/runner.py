@@ -58,22 +58,14 @@ def _pmap(fn, items):
 class Prepared:
     """A trained task: model plus binned test observations."""
 
-    spec: tasks.SyntheticTaskSpec
     model: modelkit.BayesModel
-    filtered: bool
     test_obs: np.ndarray  # (steps, features) bin addresses
     test_labels: np.ndarray
 
-
-def machine_config_for(kind: str, mode: str, **overrides) -> machine.MachineConfig:
-    """Preset geometry per task: sleep_like runs on the small fabricated
-    machine (transition column + 3 observables, 8 values), gesture_like on
-    the scaled one (6 columns, 64 values)."""
-    if kind == "sleep_like":
-        return machine.fabricated_config(mode, **overrides)
-    if kind == "gesture_like":
-        return machine.scaled_config(mode, **overrides)
-    raise ConfigError(f"unknown task kind {kind!r}")
+    @property
+    def filtered(self) -> bool:
+        """Filter models run through machine.run_filter, step by step."""
+        return self.model.transition is not None
 
 
 def config_for_model(model: modelkit.BayesModel, mode: str, width: int = 8,
@@ -121,8 +113,7 @@ def prepare(spec: tasks.SyntheticTaskSpec, bins: int | None = None,
         with_transitions=filtered,
         alpha=alpha,
     )
-    return Prepared(spec, model, filtered,
-                    modelkit.bin_observations(model, test.features), test.labels)
+    return Prepared(model, modelkit.bin_observations(model, test.features), test.labels)
 
 
 def images_for_model(prep: Prepared, widths=(8,), prior_values: int | None = None):
@@ -165,12 +156,12 @@ class StochasticEval:
 def eval_stochastic(prep: Prepared, image: machine.MemoryImage,
                     config: machine.MachineConfig, seed: int) -> StochasticEval:
     """One stochastic pass over the test split with a fresh seeded stream."""
-    cfg = replace(config, seed=seed)
     if prep.filtered:
-        results = machine.run_filter(image, prep.test_obs, unknown_row=prep.model.classes, config=cfg)
+        results = machine.run_filter(image, prep.test_obs, unknown_row=prep.model.classes,
+                                     config=config, seed=seed)
     else:
         rng = np.random.default_rng(seed)
-        results = [machine.infer_stochastic(image, o, cfg, seed=rng) for o in prep.test_obs]
+        results = [machine.infer_stochastic(image, o, config, seed=rng) for o in prep.test_obs]
     winners = [r.winner for r in results]
     cycles = float(np.mean([r.cycles_used for r in results]))
     return StochasticEval(accuracy(winners, prep.test_labels), cycles)

@@ -49,24 +49,22 @@ class LinearCode:
         return self.v / (1 << self.k)
 
 
-def quantize_linear(p: float, k: int = 8, rounding: str = "half_away") -> LinearCode:
+def quantize_linear(p: float, k: int = 8) -> LinearCode:
     """Round p * 2**k to the nearest code; exact 1.0 clamps to 2**k - 1."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"probability {p} outside [0, 1]")
-    if rounding == "half_away":
-        v = int(np.floor(p * (1 << k) + 0.5))
-    elif rounding == "half_even":
-        v = round(p * (1 << k))
-    else:
-        raise DomainError(f"unknown rounding rule {rounding!r}")
-    return LinearCode(min(v, (1 << k) - 1), k)
+    return LinearCode(int(quantize_linear_array(p, k)), k)
 
 
 def quantize_linear_array(p: np.ndarray, k: int = 8) -> np.ndarray:
-    """Vectorized quantize for probability tables; returns uint16 codes."""
+    """Vectorized quantize for probability tables; returns uint16 codes.
+
+    Half-way cases round away from zero.  Widths other than 8 or 16 bits,
+    and probabilities outside [0, 1] or NaN, raise DomainError.
+    """
+    if k not in (8, 16):
+        raise DomainError(f"unsupported linear code width {k}")
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise DomainError("probabilities outside [0, 1]")
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise DomainError("probabilities outside [0, 1] or not finite")
     v = np.floor(p * (1 << k) + 0.5)
     return np.minimum(v, (1 << k) - 1).astype(np.uint16)
 
@@ -103,11 +101,11 @@ def run_stochastic(
 ) -> StochasticRunResult:
     """Run one stochastic inference on a linear-code memory image.
 
-    ``image`` provides ``blocks[c][r, v]`` likelihood codes, ``width`` and
-    ``kind``; ``obs`` gives one value address per column.  Memory is read
-    once up front and the latched codes are reused every cycle.  ``seed``
-    may be an int or an existing numpy Generator (so a caller stepping a
-    sequence can keep one stream across steps).
+    ``image`` is a linear-code MemoryImage; ``obs`` gives one value address
+    per column.  Memory is read once up front (``image.latch``) and the
+    latched codes are reused every cycle.  ``seed`` may be an int or an
+    existing numpy Generator (so a caller stepping a sequence can keep one
+    stream across steps).
     """
     if image.kind != "linear":
         raise ConfigError("stochastic run needs a linear-code image")
@@ -120,16 +118,7 @@ def run_stochastic(
     if tie_break not in TIE_BREAKS:
         raise ConfigError(f"unknown tie break {tie_break!r}")
 
-    obs = np.asarray(obs, dtype=np.int64)
-    if obs.shape != (len(image.blocks),):
-        raise ConfigError(f"expected {len(image.blocks)} observation addresses, got {obs.shape}")
-    for c, block in enumerate(image.blocks):
-        if not 0 <= obs[c] < block.shape[1]:
-            raise DomainError(f"column {c}: address {obs[c]} outside [0, {block.shape[1]})")
-    # latch once per presentation
-    latched = np.stack(
-        [image.blocks[c][:, obs[c]] for c in range(len(image.blocks))], axis=1
-    )  # (R, C)
+    latched = image.latch(obs)  # (R, C)
     rows, cols = latched.shape
 
     rng = np.random.default_rng(seed)

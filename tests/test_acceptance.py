@@ -162,12 +162,15 @@ def test_criterion_07_power_conscious_economy(gesture, gesture_sweep):
     _, conv, pc = gesture_sweep
     table = energy.example_cost_table()
     cfg = runner.config_from_image(lin8)
+    report = energy.crossover(cfg, table, BUDGET_GRID,
+                              pc_mean_cycles={b: pc[b].mean_cycles for b in BUDGET_GRID})
+    energy_at = {(p.strategy, p.budget): p.energy_j for p in report.points}
     ok = True
     parts = []
     for b in BUDGET_GRID:
         cycles = pc[b].mean_cycles
-        e_pc = energy._stochastic_energy(cfg, table, cycles)
-        e_conv = energy._stochastic_energy(cfg, table, float(b))
+        e_pc = energy_at[("power_conscious", b)]
+        e_conv = energy_at[("conventional", b)]
         ok = ok and cycles < b and e_pc <= e_conv
         parts.append(f"@{b}: {cycles:.1f} cyc, {e_pc / e_conv:.2f}x")
     note(7, ok, "power_conscious mean cycles < budget and energy <= conventional "

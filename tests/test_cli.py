@@ -153,6 +153,41 @@ def test_report_flags_tampering(tmp_path):
     assert statuses["test.csv"] == "missing-manifest"
 
 
+def test_report_flags_corrupt_manifest(tmp_path):
+    out = tmp_path / "r"
+    assert run("gen", "--task", "gesture_like", "--seed", 2, "--out", out) == 0
+    (out / "test.csv.manifest.json").write_text("{not json\n")
+    assert run("report", "--run", out, "--out", tmp_path / "rep") == 2
+    statuses = {r["file"]: r["status"] for r in read_rows(tmp_path / "rep" / "report.csv")}
+    assert statuses == {"test.csv": "bad-manifest", "train.csv": "ok"}
+
+
+def test_report_flags_unreadable_csv(tmp_path):
+    out = tmp_path / "r"
+    assert run("gen", "--task", "gesture_like", "--seed", 2, "--out", out) == 0
+    (out / "train.csv").write_bytes(b"# bayesim-dataset version=1\n\xff\xfe\n")
+    assert run("report", "--run", out, "--out", tmp_path / "rep") == 2
+    statuses = {r["file"]: r["status"] for r in read_rows(tmp_path / "rep" / "report.csv")}
+    assert statuses == {"test.csv": "ok", "train.csv": "unreadable"}
+
+
+def test_trials_below_one_refused(tmp_path, capsys):
+    out = tmp_path / "t"
+    assert run("gen", "--task", "gesture_like", "--seed", 3, "--out", out) == 0
+    model = out / "model.json"
+    assert run("train", "--data", out / "train.csv", "--bins", 8, "--out", model) == 0
+    assert run("compile", "--model", model, "--mode", "stochastic", "--out", out / "lin.img") == 0
+    capsys.readouterr()
+    for trials in (0, -1):
+        common = ["--model", model, "--data", out / "test.csv", "--trials", trials,
+                  "--out", out]
+        assert run("sim", "--image", out / "lin.img", *common) == 2
+        assert run("sweep", "--kind", "cycles", *common) == 2
+        assert run("energy", *common) == 2
+        assert capsys.readouterr().err.count("--trials must be >= 1") == 3
+    assert not any((out / f).exists() for f in ("sim.csv", "sweep_cycles.csv", "energy.csv"))
+
+
 def test_single_class_machine_is_always_right(tmp_path):
     rng = np.random.default_rng(0)
     out = tmp_path / "one"

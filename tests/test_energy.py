@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -73,6 +75,18 @@ def test_example_table_round_trip(tmp_path):
     assert energy.load_cost_table(path) == table
     path.write_text('{"version": 1}\n')
     with pytest.raises(FormatError):
+        energy.load_cost_table(path)
+
+
+def test_cost_table_rejects_non_finite(tmp_path):
+    costs = asdict(energy.example_cost_table())
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            energy.CostTable(**{**costs, "rng_draw": bad})
+    path = tmp_path / "cost.json"
+    path.write_text(json.dumps({"version": 1, "unit": "J",
+                                "costs": {**costs, "add_op": math.nan}}))
+    with pytest.raises(ConfigError):
         energy.load_cost_table(path)
 
 

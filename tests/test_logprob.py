@@ -39,6 +39,21 @@ def test_encode_domain():
         logprob.encode(1.0001)
 
 
+def test_encode_array_rejects_nan():
+    with pytest.raises(DomainError):
+        logprob.encode_array(np.array([0.5, np.nan]))
+    with pytest.raises(DomainError):
+        logprob.encode(float("nan"))
+
+
+def test_encode_validates_width():
+    for width in (4, 12, 32):
+        with pytest.raises(DomainError):
+            logprob.encode_array(np.array([0.5]), width=width)
+        with pytest.raises(DomainError):
+            logprob.encode(0.5, width=width)
+
+
 def test_decode_examples():
     assert logprob.decode(logprob.LogCode(0)) == 1.0
     assert logprob.decode(logprob.LogCode(8)) == 0.5
@@ -132,10 +147,9 @@ def test_array_encode_matches_scalar():
         assert logprob.encode(float(pi)).n == int(ni)
 
 
-def test_half_even_rounding_option():
-    # exactly-half code distance: -8*log2(p) = 13.5 -> 14 away, 14 even too
+def test_encode_rounds_half_away():
+    # exactly-half code distances round away from zero: 13.5 -> 14, 12.5 -> 13
     p = 2.0 ** (-13.5 / 8)
-    assert logprob.encode(p, rounding="half_away").n == 14
+    assert logprob.encode(p).n == 14
     p = 2.0 ** (-12.5 / 8)
-    assert logprob.encode(p, rounding="half_away").n == 13
-    assert logprob.encode(p, rounding="half_even").n == 12
+    assert logprob.encode(p).n == 13

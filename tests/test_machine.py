@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bayesim import machine
+from bayesim import machine, stochastic
 from bayesim.errors import ConfigError, DomainError, FormatError
 from bayesim.machine import MachineConfig, MemoryImage
 
@@ -81,6 +81,21 @@ def test_infer_log_rejects_bad_input():
         machine.infer_logarithmic(lin_image([[[4], [16]]]), [0])
 
 
+def test_image_latch_reads_one_code_per_cell():
+    img = log_image([[[1, 2], [3, 4]], [[5, 6, 7], [8, 9, 10]]])
+    assert img.latch([1, 2]).tolist() == [[2, 7], [4, 10]]
+
+
+def test_bad_address_is_config_error_on_both_datapaths():
+    log = log_image([np.zeros((2, 4), dtype=np.uint16)])
+    lin = lin_image([np.zeros((2, 4), dtype=np.uint16)])
+    for bad in ([4], [-1], [0, 0]):
+        with pytest.raises(ConfigError):
+            machine.infer_logarithmic(log, bad)
+        with pytest.raises(ConfigError):
+            stochastic.run_stochastic(lin, bad, budget=8)
+
+
 # ---- stochastic inference ----
 
 def stoch_config(**over):
@@ -93,8 +108,8 @@ def test_infer_stochastic_saturated_image():
     img = lin_image([np.full((3, 1), 255, dtype=np.uint16)] * 2)
     cfg = MachineConfig(rows=3, columns=2, values_per_column=(1, 1),
                         mode="stochastic", strategy="power_conscious",
-                        cycle_budget=16, seed=4)
-    res = machine.infer_stochastic(img, [0, 0], cfg)
+                        cycle_budget=16)
+    res = machine.infer_stochastic(img, [0, 0], cfg, seed=4)
     assert res.cycles_used == 1
     assert list(res.scores) == [1, 1, 1]  # every row fires at once
     assert 0 <= res.winner < 3
@@ -103,8 +118,8 @@ def test_infer_stochastic_saturated_image():
 def test_infer_stochastic_counts_scale_with_cycles():
     img = lin_image([np.full((4, 1), 255, dtype=np.uint16)] * 4)
     cfg = MachineConfig(rows=4, columns=4, values_per_column=(1,) * 4,
-                        mode="stochastic", cycle_budget=100, seed=1)
-    counts = machine.infer_stochastic(img, [0] * 4, cfg).event_counts
+                        mode="stochastic", cycle_budget=100)
+    counts = machine.infer_stochastic(img, [0] * 4, cfg, seed=1).event_counts
     assert counts.rng_draws == 400  # one per column per cycle
     assert counts.and_compare_ops == 1600
     assert counts.counter_increments == 400
@@ -115,8 +130,8 @@ def test_infer_stochastic_counts_scale_with_cycles():
 def test_infer_stochastic_equal_rows_balanced():
     img = lin_image([np.full((4, 1), 180, dtype=np.uint16)] * 2)
     cfg = MachineConfig(rows=4, columns=2, values_per_column=(1, 1),
-                        mode="stochastic", cycle_budget=20_000, seed=77)
-    res = machine.infer_stochastic(img, [0, 0], cfg)
+                        mode="stochastic", cycle_budget=20_000)
+    res = machine.infer_stochastic(img, [0, 0], cfg, seed=77)
     p = (180 / 256) ** 2
     bound = 3 * np.sqrt(p * (1 - p) / 20_000)
     for r in range(4):
@@ -126,9 +141,9 @@ def test_infer_stochastic_equal_rows_balanced():
 def test_infer_stochastic_deterministic():
     img = lin_image([np.arange(8, dtype=np.uint16).reshape(2, 4) * 30])
     cfg = MachineConfig(rows=2, columns=1, values_per_column=(4,),
-                        mode="stochastic", cycle_budget=64, seed=99)
-    a = machine.infer_stochastic(img, [1], cfg)
-    b = machine.infer_stochastic(img, [1], cfg)
+                        mode="stochastic", cycle_budget=64)
+    a = machine.infer_stochastic(img, [1], cfg, seed=99)
+    b = machine.infer_stochastic(img, [1], cfg, seed=99)
     assert np.array_equal(a.scores, b.scores)
     assert (a.winner, a.cycles_used) == (b.winner, b.cycles_used)
 
@@ -265,10 +280,10 @@ def test_run_filter_stochastic_deterministic_per_seed():
                      [30, 250]], dtype=np.uint16)
     img = lin_image([col0, col1])
     cfg = MachineConfig(rows=2, columns=2, values_per_column=(3, 2),
-                        mode="stochastic", cycle_budget=64, seed=21)
+                        mode="stochastic", cycle_budget=64)
     feats = [[0], [0], [1], [1]]
-    a = [r.winner for r in machine.run_filter(img, feats, unknown_row=2, config=cfg)]
-    b = [r.winner for r in machine.run_filter(img, feats, unknown_row=2, config=cfg)]
+    a = [r.winner for r in machine.run_filter(img, feats, unknown_row=2, config=cfg, seed=21)]
+    b = [r.winner for r in machine.run_filter(img, feats, unknown_row=2, config=cfg, seed=21)]
     assert a == b
 
 

@@ -125,6 +125,27 @@ def test_estimate_transitions_errors():
         modelkit.estimate_transitions([0, 5], classes=2)
 
 
+def test_model_rejects_non_finite_tables():
+    like = [np.array([[0.9, 0.2], [0.3, 0.8]])]
+    trans = np.array([[0.7, 0.3], [0.4, 0.6]])
+    toy_model(like, transition=trans)  # the clean model is accepted
+    nan_like = [np.array([[0.9, np.nan], [0.3, 0.8]])]
+    with pytest.raises(ConfigError):
+        toy_model(nan_like)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            toy_model(like, prior=np.array([bad, 1.0]))
+        t = trans.copy()
+        t[0, 0] = bad
+        with pytest.raises(ConfigError):
+            toy_model(like, transition=t)
+        m = toy_model(like)
+        edges = m.bin_edges[0].copy()
+        edges[-1] = bad
+        with pytest.raises(ConfigError):
+            BayesModel(m.classes, m.features, m.bins, m.likelihood, m.prior, None, [edges])
+
+
 # ---- training ----
 
 def test_train_model_shared_edges_and_column_peak():
@@ -295,15 +316,6 @@ def test_oracle_filter_three_step_enumeration():
     # = (0.14,0.24) -> 1; step2 (0.4,0.6)*(0.2,0.8) = (0.08,0.48) -> 1
     winners = modelkit.oracle_filter(m, obs)
     assert winners == [0, 1, 1]
-
-
-def test_soft_filter_diagnostic_shape_only():
-    like = [np.array([[0.9, 0.2], [0.3, 0.8]])]
-    trans = np.array([[0.7, 0.3], [0.4, 0.6]])
-    m = toy_model(like, transition=trans)
-    post = modelkit.soft_filter_diagnostic(m, [[0], [1]])
-    assert post.shape == (2, 2)
-    assert np.allclose(post.sum(axis=1), 1.0)
 
 
 # ---- persistence ----

@@ -38,7 +38,7 @@ def test_prepare_and_eval_paths(monkeypatch):
     assert lin[16].width == 16
     acc = runner.eval_log(prep, log_img)
     assert 0.0 <= acc <= 1.0
-    cfg = runner.config_from_image(lin[8], cycle_budget=16, seed=1)
+    cfg = runner.config_from_image(lin[8], cycle_budget=16)
     ev = runner.eval_stochastic(prep, lin[8], cfg, seed=runner.point_seed(1))
     assert 0.0 <= ev.accuracy <= 1.0
     assert 1.0 <= ev.mean_cycles <= 16.0

@@ -34,6 +34,21 @@ def test_quantize_array_matches_scalar():
         assert stochastic.quantize_linear(float(pi)).v == int(vi)
 
 
+def test_quantize_array_rejects_nan():
+    with pytest.raises(DomainError):
+        stochastic.quantize_linear_array(np.array([0.25, np.nan]))
+    with pytest.raises(DomainError):
+        stochastic.quantize_linear(float("nan"))
+
+
+def test_quantize_validates_width():
+    for k in (4, 12, 32):
+        with pytest.raises(DomainError):
+            stochastic.quantize_linear_array(np.array([0.5]), k=k)
+        with pytest.raises(DomainError):
+            stochastic.quantize_linear(0.5, k=k)
+
+
 def test_draw_bit_edges():
     zero = stochastic.LinearCode(0)
     for r in (0, 1, 128, 255):
@@ -68,7 +83,7 @@ def test_run_validations():
         stochastic.run_stochastic(img, [0], budget=8, strategy="eager")
     with pytest.raises(ConfigError):
         stochastic.run_stochastic(img, [0], budget=8, rng_mode="row_shared")
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         stochastic.run_stochastic(img, [4], budget=8)
     log_img = MemoryImage([np.zeros((2, 4), dtype=np.uint16)], width=8, kind="log")
     with pytest.raises(ConfigError):
