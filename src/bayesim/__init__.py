@@ -29,7 +29,6 @@ from .modelkit import (
     BayesModel,
     FittedDistribution,
     compile_model,
-    discretize,
     estimate_transitions,
     fit,
     load_model,

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, energy, machine, modelkit, runner, tasks
-from .errors import ConfigError, FormatError, ValidationError
+from .errors import ConfigError, FormatError, ValidationError, parse_json, read_text
 
 _CSV_VERSION = 1
 
@@ -116,13 +116,9 @@ def _write_csv(path: Path, schema: str, rows, manifest: RunManifest, comments=()
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: config must be a JSON object")
+    doc = parse_json(read_text(path), path)
+    if not isinstance(doc, dict) or not all(isinstance(v, dict) for v in doc.values()):
+        raise FormatError(f"{path}: config must be a JSON object of per-command objects")
     return doc
 
 
@@ -148,18 +144,12 @@ class Options:
         return v
 
 
-def _ints(text) -> list:
+def _numbers(text, conv) -> list:
+    """A comma list of grid values, each read by ``conv`` (int or float)."""
     try:
-        return [int(t) for t in str(text).split(",") if t != ""]
+        return [conv(t) for t in str(text).split(",") if t != ""]
     except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}") from exc
-
-
-def _floats(text) -> list:
-    try:
-        return [float(t) for t in str(text).split(",") if t != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad float list {text!r}") from exc
+        raise ConfigError(f"bad {conv.__name__} list {text!r}") from exc
 
 
 def _trials(opts) -> int:
@@ -299,7 +289,7 @@ def cmd_sweep(args) -> int:
     out = _outdir(opts)
 
     if kind == "cycles":
-        budgets = _ints(opts.get("grid", "10,50,100,255"))
+        budgets = _numbers(opts.get("grid", "10,50,100,255"), int)
         manifest = RunManifest("sweep", opts.resolved, inputs)
         _, lin = runner.images_for_model(prep, widths=(width,))
         pts = runner.sweep_cycles(prep, lin[width], budgets, trials, seed)
@@ -307,7 +297,7 @@ def cmd_sweep(args) -> int:
         _write_csv(out / "sweep_cycles.csv", "sweep_cycles", rows, manifest)
         print(f"sweep cycles: {len(rows)} points -> {out / 'sweep_cycles.csv'}")
     elif kind == "ber":
-        bers = _floats(opts.get("grid", "0,1e-4,1e-2"))
+        bers = _numbers(opts.get("grid", "0,1e-4,1e-2"), float)
         budget = int(opts.get("budget", 255))
         manifest = RunManifest("sweep", opts.resolved, inputs)
         log_img, lin = runner.images_for_model(prep, widths=(width,))
@@ -317,7 +307,7 @@ def cmd_sweep(args) -> int:
         _write_csv(out / "sweep_ber.csv", "sweep_ber", rows, manifest)
         print(f"sweep ber: {len(rows)} points -> {out / 'sweep_ber.csv'}")
     elif kind == "bits":
-        budgets = _ints(opts.get("grid", "10,50,100,255"))
+        budgets = _numbers(opts.get("grid", "10,50,100,255"), int)
         manifest = RunManifest("sweep", opts.resolved, inputs)
         _, lin = runner.images_for_model(prep, widths=(8, 16))
         pts = runner.sweep_bits(prep, lin, budgets, trials, seed)
@@ -332,7 +322,7 @@ def cmd_sweep(args) -> int:
 def cmd_energy(args) -> int:
     opts = Options(args, "energy")
     prep, inputs = _load_prepared(opts)
-    budgets = _ints(opts.get("grid", "10,50,100,255"))
+    budgets = _numbers(opts.get("grid", "10,50,100,255"), int)
     trials = _trials(opts)
     seed = int(opts.get("seed", 0))
     width = int(opts.get("width", 8))

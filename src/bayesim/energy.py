@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, asdict, fields
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, parse_json, read_text
 
 EVENT_KINDS = (
     "mem_read_bits",
@@ -28,12 +28,16 @@ EVENT_KINDS = (
 
 @dataclass(frozen=True)
 class EventCounts:
-    mem_read_bits: int = 0
-    add_ops: int = 0
-    and_compare_ops: int = 0
-    rng_draws: int = 0
-    counter_increments: int = 0
-    register_writes: int = 0
+    """Architectural events of one presentation.  When ``count_events`` is
+    given a mean cycle count, the per-cycle fields are means too, so every
+    field is a real number."""
+
+    mem_read_bits: float = 0
+    add_ops: float = 0
+    and_compare_ops: float = 0
+    rng_draws: float = 0
+    counter_increments: float = 0
+    register_writes: float = 0
 
     def __post_init__(self):
         for f in fields(self):
@@ -79,16 +83,12 @@ def save_cost_table(path, table: CostTable) -> None:
 
 
 def load_cost_table(path) -> CostTable:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    doc = parse_json(read_text(path), path)
     if not isinstance(doc, dict) or doc.get("version") != 1 or "costs" not in doc:
         raise FormatError(f"{path}: not a version-1 cost table")
     try:
         return CostTable(**doc["costs"])
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise FormatError(f"{path}: bad cost table fields ({exc})") from exc
 
 

@@ -87,12 +87,26 @@ def scaled_config(mode: str = "logarithmic", **overrides) -> MachineConfig:
     return MachineConfig(**base)
 
 
+def check_addresses(obs, sizes) -> np.ndarray:
+    """The address rule: ``obs`` is one vector (C,) or a batch (N, C) of
+    addresses with 0 <= obs[..., c] < sizes[c].  Returns them as int64; a
+    bad shape, or a bad address in any row, raises ConfigError."""
+    addr = np.asarray(obs, dtype=np.int64)
+    if addr.ndim not in (1, 2) or addr.shape[-1] != len(sizes):
+        raise ConfigError(f"expected {len(sizes)} addresses per vector, got shape {addr.shape}")
+    bad = addr.view(np.uint64) >= np.asarray(sizes, dtype=np.uint64)  # negatives wrap high
+    if bad.any():
+        ix = tuple(np.argwhere(bad)[0])
+        raise ConfigError(f"address {addr[ix]} out of range for column {ix[-1]}")
+    return addr
+
+
 class MemoryImage:
     """Programmed likelihood memory: one code table per (column, row).
 
-    ``blocks[c]`` is an (rows, V[c]) array of stored integer codes; ``kind``
-    says how to read them ("log" or "linear") and ``width`` how many bits
-    each code has.
+    ``blocks[c]`` is an (rows, V[c]) view of the stored integer codes of
+    column c; ``kind`` says how to read them ("log" or "linear") and
+    ``width`` how many bits each code has.
     """
 
     def __init__(self, blocks, width: int, kind: str):
@@ -103,20 +117,24 @@ class MemoryImage:
         if not blocks:
             raise ConfigError("image needs at least one column")
         top = (1 << width) - 1
-        norm = []
-        rows = None
-        for c, b in enumerate(blocks):
-            arr = np.asarray(b)
+        arrs = [np.asarray(b) for b in blocks]
+        for c, arr in enumerate(arrs):
             if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
                 raise ConfigError(f"column {c}: block must be a 2-d (rows, values) table")
-            if rows is None:
-                rows = arr.shape[0]
-            elif arr.shape[0] != rows:
-                raise ConfigError(f"column {c}: row count {arr.shape[0]} != {rows}")
-            if np.any(arr < 0) or np.any(arr > top):
-                raise ConfigError(f"column {c}: code out of range for width {width}")
-            norm.append(np.ascontiguousarray(arr, dtype=np.uint16))
-        self.blocks = norm
+            if arr.shape[0] != arrs[0].shape[0]:
+                raise ConfigError(f"column {c}: row count {arr.shape[0]} != {arrs[0].shape[0]}")
+        sizes = [a.shape[1] for a in arrs]
+        table = np.concatenate(arrs, axis=1)
+        bad = (table < 0) | (table > top)
+        if bad.any():
+            c = int(np.searchsorted(np.cumsum(sizes), np.nonzero(bad)[1][0], side="right"))
+            raise ConfigError(f"column {c}: code out of range for width {width}")
+        # one address-major code table: entry (offset[c] + v) holds the codes
+        # of value v of column c for every row, so a latch is one gather
+        self._codes = np.ascontiguousarray(table.T, dtype=np.uint16)
+        self._sizes = np.array(sizes, dtype=np.uint64)
+        self._offsets = np.cumsum([0] + sizes[:-1])
+        self.blocks = [self._codes[o : o + v].T for o, v in zip(self._offsets, sizes)]
         self.width = width
         self.kind = kind
 
@@ -133,19 +151,14 @@ class MemoryImage:
         return tuple(b.shape[1] for b in self.blocks)
 
     def latch(self, obs) -> np.ndarray:
-        """Read the codes addressed by ``obs``, one value address per column.
+        """Read the codes addressed by ``obs``: one address vector (C,) or a
+        batch of them (N, C), one value address per column.
 
-        Returns the (rows, columns) latched codes.  A vector of the wrong
-        length or an address outside its column raises ConfigError.
+        Returns the latched codes, (rows, C) or (N, rows, C).  Addresses
+        are checked by `check_addresses`.
         """
-        addr = np.asarray(obs, dtype=np.int64)
-        if addr.shape != (self.columns,):
-            raise ConfigError(f"expected {self.columns} observation addresses, got {addr.shape}")
-        addr = addr.tolist()
-        for c, (b, v) in enumerate(zip(self.blocks, addr)):
-            if not 0 <= v < b.shape[1]:
-                raise ConfigError(f"address {v} out of range for column {c}")
-        return np.stack([b[:, v] for b, v in zip(self.blocks, addr)], axis=1)
+        addr = check_addresses(obs, self._sizes)
+        return np.ascontiguousarray(self._codes[addr + self._offsets].swapaxes(-1, -2))
 
     def __eq__(self, other):
         return (
@@ -235,8 +248,11 @@ def load_image(path) -> MemoryImage:
 
 @dataclass
 class InferenceResult:
+    """One inference; for a batch of log inferences ``scores`` is (N, rows),
+    ``winner`` is (N,), and the other fields are per presentation."""
+
     scores: np.ndarray  # log: saturating score sums; stochastic: fire counters
-    winner: int
+    winner: int | np.ndarray
     cycles_used: int
     event_counts: energy.EventCounts
 
@@ -251,7 +267,8 @@ def check_image_matches(image: MemoryImage, config: MachineConfig) -> None:
 
 
 def infer_logarithmic(image: MemoryImage, obs) -> InferenceResult:
-    """One deterministic inference: lowest saturating code sum wins.
+    """Deterministic inference of one address vector (C,) or a batch (N, C):
+    lowest saturating code sum wins.
 
     All addends are non-negative, so clamping the final sum at the top
     code equals saturating after every intermediate add.  Ties go to the
@@ -261,9 +278,10 @@ def infer_logarithmic(image: MemoryImage, obs) -> InferenceResult:
         raise ConfigError("logarithmic inference needs a log-code image")
     latched = image.latch(obs)
     top = logprob.max_code(image.width)
-    scores = np.minimum(latched.sum(axis=1, dtype=np.int64), top)
+    scores = np.minimum(latched.sum(axis=-1, dtype=np.int64), top)
+    winner = np.argmin(scores, axis=-1)
     counts = energy.count_events("logarithmic", image.rows, image.columns, image.width)
-    return InferenceResult(scores, int(np.argmin(scores)), 1, counts)
+    return InferenceResult(scores, winner if winner.ndim else int(winner), 1, counts)
 
 
 def infer_stochastic(image: MemoryImage, obs, config: MachineConfig, seed=0) -> InferenceResult:
@@ -305,6 +323,17 @@ def inject_errors(image: MemoryImage, ber: float, seed=0) -> MemoryImage:
         mask = (flips.astype(np.uint32) * weights).sum(axis=2)
         blocks.append((b.astype(np.uint32) ^ mask).astype(np.uint16))
     return MemoryImage(blocks, image.width, image.kind)
+
+
+def walk(table, start: int) -> list:
+    """Hard-decision feedback over precomputed decisions, starting from
+    address ``start``: ``table[t][v]`` is the winner of step t when the
+    previous winner is v.  Returns every winner."""
+    path, v = [], start
+    for row in np.asarray(table).tolist():
+        v = row[v]
+        path.append(v)
+    return path
 
 
 def run_filter(image: MemoryImage, feature_addresses, unknown_row: int, config: MachineConfig,

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import logprob, stochastic
-from .errors import CompileError, ConfigError, DomainError, FormatError, TrainingError
-from .machine import MachineConfig, MemoryImage
+from .errors import (CompileError, ConfigError, DomainError, FormatError, TrainingError,
+                     ValidationError, parse_json, read_text)
+from .machine import MachineConfig, MemoryImage, check_addresses, walk
 
 KINDS = ("gaussian", "lognormal")
 
@@ -83,29 +84,6 @@ def _grid(dist: FittedDistribution, bins: int, span: float) -> np.ndarray:
     return np.linspace(lo, hi, bins + 1)
 
 
-def discretize(dist: FittedDistribution, bins: int, span: float = 4.0,
-               floor: float | None = None):
-    """Bin one distribution: edges over location +- span*scale, likelihood =
-    density at each bin center, scaled so the peak bin is 1 and floored at
-    the smallest decodable probability.
-
-    Returns (likelihoods, edges).  Edges are in the raw data domain (they
-    are exponentiated back for lognormal), so bin lookup works directly on
-    raw feature values; out-of-range values belong to the outermost bins.
-    """
-    if bins < 1:
-        raise DomainError("need at least one bin")
-    if floor is None:
-        floor = logprob.min_prob(8)
-    edges = _grid(dist, bins, span)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    dens = _density(dist, centers)
-    like = np.maximum(dens / dens.max(), floor)
-    if dist.kind == "lognormal":
-        edges = np.exp(edges)
-    return like, edges
-
-
 def bin_index(edges: np.ndarray, values) -> np.ndarray:
     """Map raw values to bin addresses; the edge bins absorb the tails."""
     ix = np.searchsorted(edges, np.asarray(values, dtype=float), side="right") - 1
@@ -127,14 +105,9 @@ def estimate_transitions(labels, classes: int, alpha: float = 1.0) -> np.ndarray
         raise TrainingError(f"labels outside [0, {classes})")
     counts = np.zeros((classes, classes), dtype=float)
     np.add.at(counts, (labels[:-1], labels[1:]), 1.0)
-    totals = counts.sum(axis=1, keepdims=True)
-    out = np.empty_like(counts)
-    for i in range(classes):
-        if totals[i, 0] + alpha * classes == 0:
-            out[i] = 1.0 / classes
-        else:
-            out[i] = (counts[i] + alpha) / (totals[i, 0] + alpha * classes)
-    return out
+    denom = counts.sum(axis=1, keepdims=True) + alpha * classes
+    unseen = denom == 0
+    return np.where(unseen, 1.0 / classes, (counts + alpha) / np.where(unseen, 1.0, denom))
 
 
 @dataclass
@@ -306,53 +279,54 @@ def compile_model(model: BayesModel, config: MachineConfig) -> MemoryImage:
 
 @dataclass
 class OracleResult:
+    """Posterior of one observation vector, or of a batch: then
+    ``posterior`` is (N, classes) and ``winner`` and ``degenerate`` are
+    (N,) arrays."""
+
     posterior: np.ndarray
-    winner: int
-    degenerate: bool  # all products were zero; posterior fell back to uniform
-
-
-def _check_model_obs(model: BayesModel, obs) -> np.ndarray:
-    obs = np.asarray(obs, dtype=np.int64)
-    if obs.shape != (model.features,):
-        raise ConfigError(f"expected {model.features} bin addresses, got {obs.shape}")
-    for c, v in enumerate(obs):
-        if not 0 <= v < model.bins[c]:
-            raise ConfigError(f"address {v} out of range for feature {c}")
-    return obs
+    winner: int | np.ndarray
+    degenerate: bool | np.ndarray  # all products were zero; posterior fell back to uniform
 
 
 def _posterior(model: BayesModel, weights: np.ndarray, obs: np.ndarray) -> OracleResult:
-    post = weights.astype(float).copy()
-    for c in range(model.features):
-        post *= model.likelihood[c][:, obs[c]]
-    s = post.sum()
-    if s == 0.0:
-        n = model.classes
-        return OracleResult(np.full(n, 1.0 / n), 0, True)
-    post /= s
-    return OracleResult(post, int(np.argmax(post)), False)
+    """Class weights times every feature's likelihood, in feature order,
+    then normalized; ``weights`` (..., classes) broadcasts against the
+    checked addresses ``obs`` (..., features)."""
+    # C order: each row is then summed exactly as a single vector would be
+    post = np.array(np.broadcast_to(weights, obs.shape[:-1] + (model.classes,)), dtype=float,
+                    order="C")
+    for c, table in enumerate(model.likelihood):
+        post *= table.T[obs[..., c]]
+    s = post.sum(axis=-1, keepdims=True)
+    degenerate = s[..., 0] == 0.0
+    post = np.divide(post, s, out=np.full_like(post, 1.0 / model.classes),
+                     where=~degenerate[..., np.newaxis])
+    winner = np.argmax(post, axis=-1)
+    if obs.ndim == 1:
+        return OracleResult(post, int(winner), bool(degenerate))
+    return OracleResult(post, winner, degenerate)
 
 
 def oracle_infer(model: BayesModel, obs) -> OracleResult:
-    """Exact float posterior over classes; ties go to the lowest index."""
-    return _posterior(model, model.prior, _check_model_obs(model, obs))
+    """Exact float posterior over classes of one bin-address vector
+    (features,) or a batch (N, features); ties go to the lowest index."""
+    return _posterior(model, model.prior, check_addresses(obs, model.bins))
 
 
 def oracle_filter(model: BayesModel, obs_seq) -> list:
     """Exact counterpart of the machine filter, with the same hard-decision
     feedback: step t weights classes by transition[winner(t-1)], not by the
-    full posterior.  Step 0 uses uniform weights (unknown state).  Returns
-    the winner sequence."""
+    full posterior.  Step 0 uses uniform weights (unknown state).  Every
+    step is scored under every previous winner and the unknown state in
+    one batch, then `machine.walk` follows the winners.  Returns the
+    winner sequence."""
     if model.transition is None:
         raise ConfigError("filter needs a model with transitions")
-    obs_seq = np.atleast_2d(np.asarray(obs_seq, dtype=np.int64))
-    winners = []
-    weights = np.full(model.classes, 1.0 / model.classes)
-    for t in range(obs_seq.shape[0]):
-        res = _posterior(model, weights, _check_model_obs(model, obs_seq[t]))
-        winners.append(res.winner)
-        weights = model.transition[res.winner]
-    return winners
+    obs = check_addresses(np.atleast_2d(obs_seq), model.bins)
+    n = model.classes
+    weights = np.vstack([model.transition, np.full(n, 1.0 / n)])  # previous winner, or unknown
+    steps = np.broadcast_to(obs[:, np.newaxis, :], (obs.shape[0], n + 1, model.features))
+    return walk(_posterior(model, weights, steps).winner, start=n)
 
 
 def model_to_json(model: BayesModel) -> str:
@@ -370,10 +344,7 @@ def model_to_json(model: BayesModel) -> str:
 
 
 def model_from_json(text: str, source: str = "<model>") -> BayesModel:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{source}:{exc.lineno}: {exc.msg}") from exc
+    doc = parse_json(text, source)
     if not isinstance(doc, dict) or doc.get("version") != _MODEL_VERSION:
         raise FormatError(f"{source}: not a version-{_MODEL_VERSION} model file")
     try:
@@ -386,7 +357,9 @@ def model_from_json(text: str, source: str = "<model>") -> BayesModel:
             transition=doc["transition"],
             bin_edges=doc["bin_edges"],
         )
-    except (KeyError, TypeError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{source}: bad model fields ({exc})") from exc
 
 
@@ -396,5 +369,4 @@ def save_model(path, model: BayesModel) -> None:
 
 
 def load_model(path) -> BayesModel:
-    with open(path) as fh:
-        return model_from_json(fh.read(), source=str(path))
+    return model_from_json(read_text(path), source=str(path))

@@ -143,7 +143,7 @@ def eval_log(prep: Prepared, image: machine.MemoryImage) -> float:
         results = machine.run_filter(image, prep.test_obs, unknown_row=prep.model.classes, config=cfg)
         winners = [r.winner for r in results]
     else:
-        winners = [machine.infer_logarithmic(image, o).winner for o in prep.test_obs]
+        winners = machine.infer_logarithmic(image, prep.test_obs).winner
     return accuracy(winners, prep.test_labels)
 
 
@@ -172,7 +172,7 @@ def eval_oracle(prep: Prepared) -> float:
     if prep.filtered:
         winners = modelkit.oracle_filter(prep.model, prep.test_obs)
     else:
-        winners = [modelkit.oracle_infer(prep.model, o).winner for o in prep.test_obs]
+        winners = modelkit.oracle_infer(prep.model, prep.test_obs).winner
     return accuracy(winners, prep.test_labels)
 
 

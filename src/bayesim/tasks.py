@@ -13,6 +13,7 @@ traces.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modelkit
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, parse_json, read_text
 
 _DATASET_VERSION = 1
 _SPEC_VERSION = 1
@@ -118,8 +119,7 @@ def select_features(features, labels, classes: int, budget: int = 6,
             cols = selected + [cand]
             model = modelkit.train_model(X[:, cols], y, classes, bins, kind=kind)
             obs = modelkit.bin_observations(model, X[:, cols])
-            hits = sum(modelkit.oracle_infer(model, o).winner == t for o, t in zip(obs, y))
-            acc = hits / len(y)
+            acc = np.sum(modelkit.oracle_infer(model, obs).winner == y) / len(y)
             if acc > best_acc:
                 best_ix, best_acc = cand, acc
         selected.append(best_ix)
@@ -287,11 +287,7 @@ def save_task_spec(path, spec: SyntheticTaskSpec) -> None:
 
 
 def load_task_spec(path) -> SyntheticTaskSpec:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    doc = parse_json(read_text(path), path)
     if not isinstance(doc, dict) or doc.get("version") != _SPEC_VERSION:
         raise FormatError(f"{path}: not a version-{_SPEC_VERSION} task spec")
     try:
@@ -306,7 +302,7 @@ def load_task_spec(path) -> SyntheticTaskSpec:
             test_size=doc["test_size"],
             seed=doc.get("seed", 0),
         )
-    except (KeyError, TypeError, DomainError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: bad task spec ({exc})") from exc
 
 
@@ -335,41 +331,65 @@ def _parse_header(line: str, path) -> dict:
     return fields
 
 
+def _header_number(header: dict, key: str, path, conv):
+    """A finite, non-negative number from the dataset header, read by ``conv``."""
+    try:
+        v = conv(header[key])
+    except (KeyError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}:1: header needs a number {key}=, "
+                          f"got {header.get(key)!r}") from exc
+    if not (math.isfinite(v) and v >= 0):
+        raise FormatError(f"{path}:1: header field {key}={v!r} out of range")
+    return v
+
+
 def load_dataset(path) -> Dataset:
     """Read a dataset CSV.  kind=features rows hold label + feature values;
     kind=sleep_signal rows hold label + eeg_len EEG + emg_len EMG samples;
     kind=gesture_signal rows hold label + interleaved x,y,z samples.  Raw
-    signal rows are reduced to features on load."""
-    with open(path, newline="") as fh:
-        header = _parse_header(fh.readline(), path)
-        kind = header.get("kind", "features")
-        feats, labels = [], []
-        for ln, row in enumerate(csv.reader(fh), start=2):
-            if not row:
-                continue
-            try:
-                label = int(row[0])
-                vals = np.array([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{ln}: {exc}") from exc
-            if kind == "features":
-                want = int(header["columns"])
-                if vals.size != want:
-                    raise FormatError(f"{path}:{ln}: expected {want} features, got {vals.size}")
-                feats.append(vals)
-            elif kind == "sleep_signal":
-                fs = float(header["fs"])
-                ne, nm = int(header["eeg_len"]), int(header["emg_len"])
-                if vals.size != ne + nm:
-                    raise FormatError(f"{path}:{ln}: expected {ne + nm} samples, got {vals.size}")
-                feats.append(sleep_features(vals[:ne], vals[ne:], fs))
-            elif kind == "gesture_signal":
-                if vals.size % 3:
-                    raise FormatError(f"{path}:{ln}: 3-axis samples must come in triples")
-                feats.append(gesture_features(vals.reshape(-1, 3), float(header["dt"])))
-            else:
-                raise FormatError(f"{path}:1: unknown dataset kind {kind!r}")
-            labels.append(label)
+    signal rows are reduced to features on load.  Header fields, labels
+    and the features of every row are checked here: malformed text, a
+    negative label or a non-finite feature raises FormatError."""
+    fh = io.StringIO(read_text(path), newline="")
+    header = _parse_header(fh.readline(), path)
+    kind = header.get("kind", "features")
+    if kind == "features":
+        want = _header_number(header, "columns", path, int)
+    elif kind == "sleep_signal":
+        fs = _header_number(header, "fs", path, float)
+        ne = _header_number(header, "eeg_len", path, int)
+        want = ne + _header_number(header, "emg_len", path, int)
+    elif kind == "gesture_signal":
+        dt = _header_number(header, "dt", path, float)
+    else:
+        raise FormatError(f"{path}:1: unknown dataset kind {kind!r}")
+    feats, labels = [], []
+    try:
+        rows = list(csv.reader(fh))
+    except csv.Error as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    for ln, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        try:
+            label = int(row[0])
+            vals = np.array([float(v) for v in row[1:]])
+        except ValueError as exc:
+            raise FormatError(f"{path}:{ln}: {exc}") from exc
+        if not 0 <= label < 2**63:
+            raise FormatError(f"{path}:{ln}: label {label} is not a class index")
+        if kind == "gesture_signal":
+            if vals.size % 3:
+                raise FormatError(f"{path}:{ln}: 3-axis samples must come in triples")
+            row_feats = gesture_features(vals.reshape(-1, 3), dt)
+        elif vals.size != want:
+            raise FormatError(f"{path}:{ln}: expected {want} values, got {vals.size}")
+        else:
+            row_feats = vals if kind == "features" else sleep_features(vals[:ne], vals[ne:], fs)
+        if not np.all(np.isfinite(row_feats)):
+            raise FormatError(f"{path}:{ln}: non-finite feature value")
+        feats.append(row_feats)
+        labels.append(label)
     if not labels:
         raise FormatError(f"{path}: no data rows")
     return Dataset(np.vstack(feats), np.asarray(labels, dtype=np.int64))

@@ -188,6 +188,55 @@ def test_trials_below_one_refused(tmp_path, capsys):
     assert not any((out / f).exists() for f in ("sim.csv", "sweep_cycles.csv", "energy.csv"))
 
 
+def test_non_finite_feature_refused(tmp_path, capsys):
+    out = tmp_path / "n"
+    assert run("gen", "--task", "gesture_like", "--seed", 3, "--out", out) == 0
+    model = out / "model.json"
+    assert run("train", "--data", out / "train.csv", "--bins", 8, "--out", model) == 0
+    assert run("compile", "--model", model, "--out", out / "log.img") == 0
+    lines = (out / "test.csv").read_text().splitlines()
+    label, _, rest = lines[2].split(",", 2)
+    lines[2] = f"{label},nan,{rest}"  # second data row, file line 3
+    bad = out / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("sim", "--model", model, "--image", out / "log.img", "--data", bad,
+               "--out", out) == 2
+    assert run("train", "--data", bad, "--out", out / "m2.json") == 2
+    assert capsys.readouterr().err.count("bad.csv:3: non-finite feature") == 2
+    assert not (out / "sim.csv").exists()
+
+
+def test_malformed_inputs_exit_two(tmp_path, capsys):
+    out = tmp_path / "m"
+    assert run("gen", "--task", "gesture_like", "--seed", 3, "--out", out) == 0
+    model = out / "model.json"
+    assert run("train", "--data", out / "train.csv", "--bins", 8, "--out", model) == 0
+    junk = tmp_path / "junk"
+    junk.write_bytes(b"\xff\xfe not UTF-8")
+    no_cols = tmp_path / "nocols.csv"
+    no_cols.write_text("# bayesim-dataset version=1 kind=features\n0,1.0\n")
+    bad_cols = tmp_path / "badcols.csv"
+    bad_cols.write_text("# bayesim-dataset version=1 kind=features columns=abc\n0,1.0\n")
+    huge = tmp_path / "huge.json"
+    doc = json.loads(model.read_text())
+    huge.write_text(json.dumps({**doc, "bins": "BINS"}).replace('"BINS"', "[1e400]"))
+    img = tmp_path / "x.img"
+    cases = [
+        ["compile", "--model", junk, "--out", img],
+        ["compile", "--model", huge, "--out", img],
+        ["train", "--data", junk, "--out", tmp_path / "x.json"],
+        ["train", "--data", no_cols, "--out", tmp_path / "x.json"],
+        ["train", "--data", bad_cols, "--out", tmp_path / "x.json"],
+        ["gen", "--spec", junk, "--out", tmp_path / "g"],
+        ["--config", junk, "gen", "--task", "gesture_like", "--out", tmp_path / "g"],
+    ]
+    capsys.readouterr()
+    for argv in cases:
+        assert run(*argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+
+
 def test_single_class_machine_is_always_right(tmp_path):
     rng = np.random.default_rng(0)
     out = tmp_path / "one"

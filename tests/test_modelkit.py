@@ -54,34 +54,43 @@ def test_fit_errors():
         FittedDistribution("gaussian", 0.0, 0.0)
 
 
-# ---- discretization ----
+# ---- train_model's grid, density, floor and edges ----
 
-def test_discretize_symmetric_two_bins():
-    like, edges = modelkit.discretize(FittedDistribution("gaussian", 0.0, 1.0), 2)
+def one_class_model(x, bins, **kw):
+    x = np.asarray(x, dtype=float).reshape(-1, 1)
+    m = modelkit.train_model(x, np.zeros(len(x), dtype=int), classes=1, bins=bins, **kw)
+    return m.likelihood[0][0], m.bin_edges[0]
+
+
+def test_train_model_symmetric_two_bins():
+    a = 1 / math.sqrt(2)  # two samples with mean 0 and sample std 1
+    like, edges = one_class_model([-a, a], 2)
     assert like[0] == pytest.approx(like[1])
     assert list(edges) == pytest.approx([-4.0, 0.0, 4.0])
 
 
-def test_discretize_density_ratio():
-    like, edges = modelkit.discretize(FittedDistribution("gaussian", 0.0, 1.0), 64)
-    centers = 0.5 * (edges[:-1] + edges[1:])
+def test_train_model_density_ratio():
+    x = np.random.default_rng(3).normal(size=200)
+    like, edges = one_class_model(x, 64)
+    d = modelkit.fit("gaussian", x)
+    z = (0.5 * (edges[:-1] + edges[1:]) - d.location) / d.scale
     # scaling cancels in the ratio, so it must match the closed form
-    want = math.exp(-0.5 * (centers[0] ** 2 - centers[32] ** 2))
-    got = like[0] / like[32]
-    assert got == pytest.approx(want, rel=1e-12)
+    want = math.exp(-0.5 * (z[0] ** 2 - z[32] ** 2))
+    assert like[0] / like[32] == pytest.approx(want, rel=1e-12)
 
 
-def test_discretize_floor_applies():
+def test_train_model_floor_applies():
     # a wide span pushes edge-bin density below the smallest decodable
     # probability; the floor must hold it there
-    like, _ = modelkit.discretize(FittedDistribution("gaussian", 0.0, 1.0), 64, span=8.0)
+    like, _ = one_class_model(np.random.default_rng(4).normal(size=200), 64, span=8.0)
     floor = logprob.min_prob(8)
     assert like.min() == pytest.approx(floor)
     assert np.all(like >= floor)
 
 
-def test_discretize_lognormal_edges_in_raw_domain():
-    like, edges = modelkit.discretize(FittedDistribution("lognormal", 0.0, 1.0), 8)
+def test_train_model_lognormal_edges_in_raw_domain():
+    a = 1 / math.sqrt(2)  # logs with mean 0 and sample std 1
+    like, edges = one_class_model([math.exp(-a), math.exp(a)], 8, kind="lognormal")
     assert np.all(edges > 0)
     assert edges[0] == pytest.approx(math.exp(-4.0))
     assert like.max() == pytest.approx(1.0)
