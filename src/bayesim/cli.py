@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -122,8 +123,33 @@ def _load_config(path) -> dict:
     return doc
 
 
+# what each option's value must be, from a flag or the config file:
+# (accepted JSON types, conversion, description, smallest value); bool is
+# accepted only by flags, and options not listed here are text
+_INT = ((int, str), int, "an integer", None)
+_OPTION_TYPES = {
+    **dict.fromkeys(("bins", "classes", "width", "prior_values", "budget"), _INT),
+    "seed": ((int, str), int, "an integer", 0),
+    "trials": ((int, str), int, "an integer", 1),
+    "alpha": ((int, float, str), float, "a finite number", None),
+    "filter": ((bool,), bool, "true or false", None),
+    "text": ((bool,), bool, "true or false", None),
+    "grid": ((str, int, float), str, "a comma list", None),
+}
+_TEXT = ((str,), str, "a string", None)
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 class Options:
-    """Flags win over the config file; the config wins over defaults."""
+    """Flags win over the config file; the config wins over defaults.
+
+    ``get`` is the one place option values are converted and checked: a
+    value of the wrong type, or below its option's minimum, is a
+    ConfigError naming the option.
+    """
 
     def __init__(self, args, command: str):
         self.args = args
@@ -135,12 +161,24 @@ class Options:
         if v is None:
             v = self.section.get(name, default)
         self.resolved[name] = v
-        return v
+        if v is None:
+            return None
+        accepted, conv, what, lo = _OPTION_TYPES.get(name, _TEXT)
+        try:
+            ok = isinstance(v, accepted) and (conv is bool or not isinstance(v, bool))
+            out = conv(v) if ok else None
+        except (ValueError, OverflowError):
+            out = None
+        if out is None or (conv is float and not math.isfinite(out)):
+            raise ConfigError(f"{_flag(name)} must be {what}, got {v!r}")
+        if lo is not None and out < lo:
+            raise ConfigError(f"{_flag(name)} must be >= {lo}, got {out}")
+        return out
 
     def require(self, name: str):
         v = self.get(name)
         if v is None:
-            raise ConfigError(f"missing required option --{name.replace('_', '-')}")
+            raise ConfigError(f"missing required option {_flag(name)}")
         return v
 
 
@@ -150,13 +188,6 @@ def _numbers(text, conv) -> list:
         return [conv(t) for t in str(text).split(",") if t != ""]
     except ValueError as exc:
         raise ConfigError(f"bad {conv.__name__} list {text!r}") from exc
-
-
-def _trials(opts) -> int:
-    trials = int(opts.get("trials", 10))
-    if trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {trials}")
-    return trials
 
 
 def _outdir(opts) -> Path:
@@ -184,7 +215,7 @@ def cmd_gen(args) -> int:
     task = opts.get("task")
     spec_path = opts.get("spec")
     seed_opt = opts.get("seed")
-    seed = 0 if seed_opt is None else int(seed_opt)
+    seed = 0 if seed_opt is None else seed_opt
     out = _outdir(opts)
     if spec_path is not None:
         spec = tasks.load_task_spec(spec_path)
@@ -212,12 +243,12 @@ def cmd_train(args) -> int:
     data_path = opts.require("data")
     out = Path(opts.require("out"))
     dist = opts.get("dist", "gaussian")
-    bins = int(opts.get("bins", 64))
-    alpha = float(opts.get("alpha", 1.0))
-    filtered = bool(opts.get("filter", False))
+    bins = opts.get("bins", 64)
+    alpha = opts.get("alpha", 1.0)
+    filtered = opts.get("filter", False)
     ds = tasks.load_dataset(data_path)
     classes = opts.get("classes")
-    classes = int(classes) if classes is not None else int(ds.labels.max()) + 1
+    classes = classes if classes is not None else int(ds.labels.max()) + 1
     model = modelkit.train_model(ds.features, ds.labels, classes, bins, kind=dist,
                                  with_transitions=filtered, alpha=alpha)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -233,15 +264,14 @@ def cmd_compile(args) -> int:
     model_path = opts.require("model")
     out = Path(opts.require("out"))
     mode = opts.get("mode", "logarithmic")
-    width = int(opts.get("width", 8))
+    width = opts.get("width", 8)
     prior_values = opts.get("prior_values")
     model = modelkit.load_model(model_path)
-    cfg = runner.config_for_model(model, mode, width,
-                                  None if prior_values is None else int(prior_values))
+    cfg = runner.config_for_model(model, mode, width, prior_values)
     image = modelkit.compile_model(model, cfg)
     out.parent.mkdir(parents=True, exist_ok=True)
     machine.save_image(out, image)
-    if bool(opts.get("text", False)):
+    if opts.get("text", False):
         out.with_suffix(out.suffix + ".txt").write_text(image.to_text())
     manifest = RunManifest("compile", opts.resolved, {str(model_path): _sha256_file(model_path)})
     manifest.write_sidecar(out)
@@ -255,10 +285,10 @@ def cmd_sim(args) -> int:
     image_path = opts.require("image")
     image = machine.load_image(image_path)
     inputs[str(image_path)] = _sha256_file(image_path)
-    budget = int(opts.get("budget", 255))
+    budget = opts.get("budget", 255)
     strategy = opts.get("strategy", "conventional")
-    trials = _trials(opts)
-    seed = int(opts.get("seed", 0))
+    trials = opts.get("trials", 10)
+    seed = opts.get("seed", 0)
     out = _outdir(opts)
     manifest = RunManifest("sim", opts.resolved, inputs)
 
@@ -283,9 +313,9 @@ def cmd_sweep(args) -> int:
     opts = Options(args, "sweep")
     kind = opts.require("kind")
     prep, inputs = _load_prepared(opts)
-    trials = _trials(opts)
-    seed = int(opts.get("seed", 0))
-    width = int(opts.get("width", 8))
+    trials = opts.get("trials", 10)
+    seed = opts.get("seed", 0)
+    width = opts.get("width", 8)
     out = _outdir(opts)
 
     if kind == "cycles":
@@ -298,7 +328,7 @@ def cmd_sweep(args) -> int:
         print(f"sweep cycles: {len(rows)} points -> {out / 'sweep_cycles.csv'}")
     elif kind == "ber":
         bers = _numbers(opts.get("grid", "0,1e-4,1e-2"), float)
-        budget = int(opts.get("budget", 255))
+        budget = opts.get("budget", 255)
         manifest = RunManifest("sweep", opts.resolved, inputs)
         log_img, lin = runner.images_for_model(prep, widths=(width,))
         cfg = runner.config_for_model(prep.model, "stochastic", width, cycle_budget=budget)
@@ -323,9 +353,9 @@ def cmd_energy(args) -> int:
     opts = Options(args, "energy")
     prep, inputs = _load_prepared(opts)
     budgets = _numbers(opts.get("grid", "10,50,100,255"), int)
-    trials = _trials(opts)
-    seed = int(opts.get("seed", 0))
-    width = int(opts.get("width", 8))
+    trials = opts.get("trials", 10)
+    seed = opts.get("seed", 0)
+    width = opts.get("width", 8)
     cost_path = opts.get("cost")
     if cost_path is None:
         table = energy.example_cost_table()

@@ -28,9 +28,9 @@ EVENT_KINDS = (
 
 @dataclass(frozen=True)
 class EventCounts:
-    """Architectural events of one presentation.  When ``count_events`` is
-    given a mean cycle count, the per-cycle fields are means too, so every
-    field is a real number."""
+    """Architectural events of one or more presentations.  When
+    ``count_events`` is given a mean cycle count, the per-cycle fields are
+    means too, so every field is a real number."""
 
     mem_read_bits: float = 0
     add_ops: float = 0
@@ -99,24 +99,27 @@ def count_events(
     width: int,
     cycles: float = 1,
     rng_mode: str = "column_shared",
+    presentations: int = 1,
 ) -> EventCounts:
-    """Events for one input presentation.
+    """Events for ``presentations`` input presentations that ran ``cycles``
+    stochastic cycles in all.
 
     Logarithmic: every addressed code is read and folded into a per-row
     saturating accumulator in a single pass, so there are no RNG, AND or
-    counter events.  Stochastic: codes are read and latched once (counted
-    as register writes), then every cycle costs one compare/AND per cell,
-    one RNG draw per column (or per cell), and one counter update per row.
-    ``cycles`` may be a real-valued mean (say, the measured mean cycles of
-    power-conscious runs); the per-cycle counts are then means too.
+    counter events.  Stochastic: codes are read and latched once per
+    presentation (counted as register writes), then every cycle costs one
+    compare/AND per cell, one RNG draw per column (or per cell), and one
+    counter update per row.  ``cycles`` may be a real-valued mean (say, the
+    measured mean cycles of power-conscious runs); the per-cycle counts are
+    then means too.
     """
-    if rows < 1 or cols < 1 or cycles < 1:
-        raise ConfigError("rows, cols and cycles must all be >= 1")
+    if rows < 1 or cols < 1 or cycles < 1 or presentations < 1:
+        raise ConfigError("rows, cols, cycles and presentations must all be >= 1")
     if mode == "logarithmic":
         return EventCounts(
-            mem_read_bits=cols * rows * width,
-            add_ops=cols * rows,
-            register_writes=rows,
+            mem_read_bits=presentations * cols * rows * width,
+            add_ops=presentations * cols * rows,
+            register_writes=presentations * rows,
         )
     if mode != "stochastic":
         raise ConfigError(f"unknown mode {mode!r}")
@@ -127,11 +130,11 @@ def count_events(
     else:
         raise ConfigError(f"unknown rng mode {rng_mode!r}")
     return EventCounts(
-        mem_read_bits=cols * rows * width,
+        mem_read_bits=presentations * cols * rows * width,
         and_compare_ops=cols * rows * cycles,
         rng_draws=draws_per_cycle * cycles,
         counter_increments=rows * cycles,
-        register_writes=cols * rows,
+        register_writes=presentations * cols * rows,
     )
 
 

@@ -248,8 +248,9 @@ def load_image(path) -> MemoryImage:
 
 @dataclass
 class InferenceResult:
-    """One inference; for a batch of log inferences ``scores`` is (N, rows),
-    ``winner`` is (N,), and the other fields are per presentation."""
+    """One call's inferences.  For a batch of N presentations ``scores`` is
+    (N, rows) and ``winner`` is (N,), one per presentation, while
+    ``cycles_used`` and ``event_counts`` are totals over the call."""
 
     scores: np.ndarray  # log: saturating score sums; stochastic: fire counters
     winner: int | np.ndarray
@@ -280,12 +281,15 @@ def infer_logarithmic(image: MemoryImage, obs) -> InferenceResult:
     top = logprob.max_code(image.width)
     scores = np.minimum(latched.sum(axis=-1, dtype=np.int64), top)
     winner = np.argmin(scores, axis=-1)
-    counts = energy.count_events("logarithmic", image.rows, image.columns, image.width)
-    return InferenceResult(scores, winner if winner.ndim else int(winner), 1, counts)
+    n = len(winner) if winner.ndim else 1
+    counts = energy.count_events("logarithmic", image.rows, image.columns, image.width,
+                                 presentations=n)
+    return InferenceResult(scores, winner if winner.ndim else int(winner), n, counts)
 
 
 def infer_stochastic(image: MemoryImage, obs, config: MachineConfig, seed=0) -> InferenceResult:
-    """One sampling inference under the configured strategy.
+    """Sampling inference of one address vector (C,) or a batch (N, C) under
+    the configured strategy, with one `stochastic.run_stochastic` call.
 
     ``seed`` is an int or a numpy Generator, so repeated calls can share
     one stream.
@@ -302,11 +306,12 @@ def infer_stochastic(image: MemoryImage, obs, config: MachineConfig, seed=0) -> 
         seed=seed,
         tie_break=config.tie_break,
     )
+    cycles = int(np.sum(res.cycles_run))
     counts = energy.count_events(
         "stochastic", image.rows, image.columns, image.width,
-        cycles=res.cycles_run, rng_mode=config.rng_mode,
+        cycles=cycles, rng_mode=config.rng_mode, presentations=np.size(res.cycles_run),
     )
-    return InferenceResult(res.counters, res.winner, res.cycles_run, counts)
+    return InferenceResult(res.counters, res.winner, cycles, counts)
 
 
 def inject_errors(image: MemoryImage, ber: float, seed=0) -> MemoryImage:

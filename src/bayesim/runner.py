@@ -155,16 +155,17 @@ class StochasticEval:
 
 def eval_stochastic(prep: Prepared, image: machine.MemoryImage,
                     config: machine.MachineConfig, seed: int) -> StochasticEval:
-    """One stochastic pass over the test split with a fresh seeded stream."""
+    """One stochastic pass over the test split with a fresh seeded stream:
+    one batched call for naive models, the step loop for filter models."""
     if prep.filtered:
         results = machine.run_filter(image, prep.test_obs, unknown_row=prep.model.classes,
                                      config=config, seed=seed)
+        winners = [r.winner for r in results]
+        cycles = sum(r.cycles_used for r in results)
     else:
-        rng = np.random.default_rng(seed)
-        results = [machine.infer_stochastic(image, o, config, seed=rng) for o in prep.test_obs]
-    winners = [r.winner for r in results]
-    cycles = float(np.mean([r.cycles_used for r in results]))
-    return StochasticEval(accuracy(winners, prep.test_labels), cycles)
+        res = machine.infer_stochastic(image, prep.test_obs, config, seed=seed)
+        winners, cycles = res.winner, res.cycles_used
+    return StochasticEval(accuracy(winners, prep.test_labels), cycles / len(prep.test_labels))
 
 
 def eval_oracle(prep: Prepared) -> float:

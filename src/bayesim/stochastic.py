@@ -1,9 +1,11 @@
-"""Stochastic (bitstream) probability codes and the sampling inference loop.
+"""Stochastic (bitstream) probability codes and the sampling inference kernel.
 
 A probability is held as a plain k-bit integer v with P = v / 2**k.  Each
 cycle every stored code is turned into one Bernoulli bit by comparing a
 fresh uniform draw against v; AND-ing the bits of a row multiplies the
 probabilities, and per-row counters accumulate the resulting fire events.
+`run_stochastic` simulates a whole batch of independent presentations with
+one block of draws.
 
 Two run strategies:
 
@@ -69,25 +71,16 @@ def quantize_linear_array(p: np.ndarray, k: int = 8) -> np.ndarray:
     return np.minimum(v, (1 << k) - 1).astype(np.uint16)
 
 
-def draw_bit(code: LinearCode, r: int) -> int:
-    """One Bernoulli bit from a uniform draw r in [0, 2**k)."""
-    if not 0 <= r < (1 << code.k):
-        raise DomainError(f"draw {r} outside [0, 2**{code.k})")
-    return 1 if r < code.v else 0
-
-
 @dataclass
 class StochasticRunResult:
+    """Per presentation: for one address vector the fields are scalars and
+    ``counters`` is (rows,); for a batch of N they are (N,) arrays and
+    ``counters`` is (N, rows)."""
+
     counters: np.ndarray  # per-row fire counts over the cycles actually run
-    cycles_run: int
-    winner: int
-    stopped_early: bool
-
-
-def _pick(rng: np.random.Generator, candidates: np.ndarray, tie_break: str) -> int:
-    if tie_break == "lowest" or len(candidates) == 1:
-        return int(candidates[0])
-    return int(candidates[rng.integers(0, len(candidates))])
+    cycles_run: int | np.ndarray
+    winner: int | np.ndarray
+    stopped_early: bool | np.ndarray
 
 
 def run_stochastic(
@@ -99,13 +92,15 @@ def run_stochastic(
     seed=0,
     tie_break: str = "random",
 ) -> StochasticRunResult:
-    """Run one stochastic inference on a linear-code memory image.
+    """Run stochastic inference of one address vector (C,) or a batch (N, C)
+    on a linear-code memory image.
 
-    ``image`` is a linear-code MemoryImage; ``obs`` gives one value address
-    per column.  Memory is read once up front (``image.latch``) and the
-    latched codes are reused every cycle.  ``seed`` may be an int or an
-    existing numpy Generator (so a caller stepping a sequence can keep one
-    stream across steps).
+    Memory is read once up front (``image.latch``) and the latched codes are
+    reused every cycle.  ``seed`` may be an int or an existing numpy
+    Generator (so a caller stepping a sequence can keep one stream across
+    steps).  A call draws, in this order: every presentation's bits, in
+    presentation, cycle, [row,] column order, one integer in [0, 2**width)
+    each; then one uniform per presentation that breaks its ties.
     """
     if image.kind != "linear":
         raise ConfigError("stochastic run needs a linear-code image")
@@ -118,28 +113,47 @@ def run_stochastic(
     if tie_break not in TIE_BREAKS:
         raise ConfigError(f"unknown tie break {tie_break!r}")
 
-    latched = image.latch(obs)  # (R, C)
-    rows, cols = latched.shape
+    latched = image.latch(obs)
+    codes = latched if latched.ndim == 3 else latched[np.newaxis]  # (N, R, C)
+    n, rows, cols = codes.shape
 
     rng = np.random.default_rng(seed)
-    span = 1 << image.width
+    dtype = np.uint8 if image.width == 8 else np.uint16
+    shape = (n, budget, cols) if rng_mode == "column_shared" else (n, budget, rows, cols)
+    draws = rng.integers(0, 1 << image.width, size=shape, dtype=dtype)
+    ties = rng.random(n)
     if rng_mode == "column_shared":
-        draws = rng.integers(0, span, size=(budget, 1, cols), dtype=np.uint32)
-    else:
-        draws = rng.integers(0, span, size=(budget, rows, cols), dtype=np.uint32)
-    row_fire = (draws < latched[np.newaxis, :, :]).all(axis=2)  # (budget, R)
+        draws = draws[:, :, np.newaxis, :]  # every row of a column sees its draw
+
+    # AND the columns into (N, budget, R) one at a time, never (N, budget, R, C)
+    fire = draws[..., 0] < codes[:, np.newaxis, :, 0]
+    col = np.empty_like(fire)
+    for c in range(1, cols):
+        np.less(draws[..., c], codes[:, np.newaxis, :, c], out=col)
+        fire &= col
 
     if strategy == "conventional":
-        counters = row_fire.sum(axis=0, dtype=np.int64)
-        best = np.flatnonzero(counters == counters.max())
-        return StochasticRunResult(counters, budget, _pick(rng, best, tie_break), False)
+        counters = fire.sum(axis=1, dtype=np.int64)
+        cycles = np.full(n, budget)
+        stopped = np.zeros(n, dtype=bool)
+        candidates = counters == counters.max(axis=1, keepdims=True)
+    else:
+        # no row fires before the stop cycle, so the counters are that
+        # cycle's fire pattern; with no fire at all every row ties
+        any_fire = fire.any(axis=2)
+        stopped = any_fire.any(axis=1)
+        first = any_fire.argmax(axis=1)
+        cycles = np.where(stopped, first + 1, budget)
+        counters = fire[np.arange(n), first].astype(np.int64) * stopped[:, np.newaxis]
+        candidates = counters.astype(bool) | ~stopped[:, np.newaxis]
 
-    fired_cycles = np.flatnonzero(row_fire.any(axis=1))
-    if fired_cycles.size == 0:
-        counters = row_fire.sum(axis=0, dtype=np.int64)  # all zero
-        winner = _pick(rng, np.arange(rows), tie_break)
-        return StochasticRunResult(counters, budget, winner, False)
-    t = int(fired_cycles[0])
-    counters = row_fire[: t + 1].sum(axis=0, dtype=np.int64)
-    winner = _pick(rng, np.flatnonzero(row_fire[t]), tie_break)
-    return StochasticRunResult(counters, t + 1, winner, True)
+    if tie_break == "lowest":
+        winner = candidates.argmax(axis=1)
+    else:
+        k = candidates.sum(axis=1)
+        pick = np.minimum((ties * k).astype(np.int64), k - 1)
+        winner = (candidates.cumsum(axis=1) > pick[:, np.newaxis]).argmax(axis=1)
+
+    if latched.ndim == 2:
+        return StochasticRunResult(counters[0], int(cycles[0]), int(winner[0]), bool(stopped[0]))
+    return StochasticRunResult(counters, cycles, winner, stopped)

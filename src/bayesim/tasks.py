@@ -153,6 +153,13 @@ class SyntheticTaskSpec:
     def __post_init__(self):
         if self.kind not in ("sleep_like", "gesture_like"):
             raise DomainError(f"unknown task kind {self.kind!r}")
+        for name in ("classes", "features", "train_size", "test_size", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         loc = np.asarray(self.locations, dtype=float)
         sc = np.asarray(self.scales, dtype=float)
         if loc.shape != (self.classes, self.features) or sc.shape != loc.shape:

@@ -3,18 +3,22 @@
 `infer_logarithmic` and the oracles score a whole batch in one call; these
 properties pin them to per-vector calls and `oracle_filter` to a per-step
 float reference.  The logarithmic filter is pinned to the brute-force
-filter of test_machine on random images.
+filter of test_machine on random images.  The stochastic sampler draws a
+whole batch at once: properties pin its counters, stop cycles, winners and
+totals, and chi-square tests on one batch of identical presentations pin
+its winner split, stop-cycle law and tie-breaks to their exact laws.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bayesim import machine, modelkit
+from bayesim import energy, machine, modelkit, stochastic
 from bayesim.errors import ConfigError
 from bayesim.machine import MachineConfig, MemoryImage
 from bayesim.modelkit import BayesModel
 from test_machine import filter_oracle
+from test_stochastic import enum_first_fire_winner
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -137,3 +141,209 @@ def test_batch_latch_with_one_bad_row_raises(data):
         img.latch(obs)
     with pytest.raises(ConfigError, match=f"column {c}"):
         machine.infer_logarithmic(img, obs)
+
+
+# ---- stochastic sampler ----
+
+@st.composite
+def linear_images(draw):
+    """A random linear image; codes lean to 0, half and top so rows both
+    fire and stay quiet."""
+    width = draw(st.sampled_from([8, 16]))
+    top = (1 << width) - 1
+    rows = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    code = st.one_of(st.integers(0, top), st.sampled_from([0, top // 2, top]))
+    blocks = [np.array(draw(st.lists(st.lists(code, min_size=v, max_size=v),
+                                      min_size=rows, max_size=rows)))
+              for v in sizes]
+    return MemoryImage(blocks, width, "linear")
+
+
+@st.composite
+def sampler_runs(draw):
+    img = draw(linear_images())
+    obs = draw(address_batches(img.values_per_column))
+    opts = dict(budget=draw(st.integers(1, 40)),
+                strategy=draw(st.sampled_from(stochastic.STRATEGIES)),
+                rng_mode=draw(st.sampled_from(stochastic.RNG_MODES)),
+                tie_break=draw(st.sampled_from(stochastic.TIE_BREAKS)),
+                seed=draw(st.integers(0, 2**32)))
+    return img, obs, opts
+
+
+def cycle_reference(img, obs, budget, strategy, rng_mode, seed, tie_break):
+    """The sampler one presentation and one cycle at a time, on the same
+    stream: one block of bit draws in presentation, cycle, [row,] column
+    order, then one tie-break uniform per presentation."""
+    rng = np.random.default_rng(seed)
+    codes = img.latch(obs).tolist()
+    n, rows, cols = len(codes), img.rows, img.columns
+    shape = (n, budget, cols) if rng_mode == "column_shared" else (n, budget, rows, cols)
+    draws = rng.integers(0, 1 << img.width, size=shape,
+                         dtype=np.uint8 if img.width == 8 else np.uint16).tolist()
+    ties = rng.random(n).tolist()
+    out = []
+    for i in range(n):
+        counters, cycles, fired = [0] * rows, budget, []
+        for t in range(budget):
+            d = draws[i][t]
+            if rng_mode == "column_shared":
+                d = [d] * rows  # every row of a column sees its one draw
+            fired = [all(d[r][c] < codes[i][r][c] for c in range(cols)) for r in range(rows)]
+            counters = [k + f for k, f in zip(counters, fired)]
+            if strategy == "power_conscious" and any(fired):
+                cycles = t + 1
+                break
+        stopped = strategy == "power_conscious" and any(fired)
+        if strategy == "conventional":
+            cand = [r for r in range(rows) if counters[r] == max(counters)]
+        else:
+            cand = [r for r in range(rows) if fired[r]] if stopped else list(range(rows))
+        pick = 0 if tie_break == "lowest" else min(int(ties[i] * len(cand)), len(cand) - 1)
+        out.append((counters, cycles, cand[pick], stopped))
+    return out
+
+
+@SETTINGS
+@given(sampler_runs())
+def test_sampler_equals_cycle_reference(run):
+    img, obs, opts = run
+    res = stochastic.run_stochastic(img, obs, **opts)
+    got = list(zip(res.counters.tolist(), res.cycles_run.tolist(), res.winner.tolist(),
+                   res.stopped_early.tolist()))
+    assert got == cycle_reference(img, obs, **opts)
+
+
+@SETTINGS
+@given(sampler_runs())
+def test_batch_of_one_is_the_single_vector_call(run):
+    img, obs, opts = run
+    one = stochastic.run_stochastic(img, obs[0], **opts)
+    batch = stochastic.run_stochastic(img, obs[:1], **opts)
+    assert np.array_equal(batch.counters, one.counters[np.newaxis])
+    assert (batch.cycles_run.tolist(), batch.winner.tolist(), batch.stopped_early.tolist()) \
+        == ([one.cycles_run], [one.winner], [one.stopped_early])
+    assert isinstance(one.winner, int) and isinstance(one.cycles_run, int)
+
+
+@SETTINGS
+@given(sampler_runs())
+def test_sampler_counters_cycles_and_winners(run):
+    img, obs, opts = run
+    res = stochastic.run_stochastic(img, obs, **opts)
+    n, budget = len(obs), opts["budget"]
+    assert res.counters.shape == (n, img.rows)
+    assert np.all((res.cycles_run >= 1) & (res.cycles_run <= budget))
+    assert np.all((res.counters >= 0) & (res.counters <= res.cycles_run[:, np.newaxis]))
+    won = res.counters[np.arange(n), res.winner]
+    if opts["strategy"] == "conventional":
+        assert np.array_equal(won, res.counters.max(axis=1))
+        assert not res.stopped_early.any() and np.all(res.cycles_run == budget)
+    else:
+        # the winner fired at its stop cycle, or nothing fired in the budget
+        quiet = ~res.stopped_early
+        assert np.all(won[res.stopped_early] == 1)
+        assert not res.counters[quiet].any() and np.all(res.cycles_run[quiet] == budget)
+    if opts["tie_break"] == "lowest":
+        best = res.counters == res.counters[np.arange(n), res.winner][:, np.newaxis]
+        assert np.array_equal(res.winner, best.argmax(axis=1))
+
+
+def event_fields(counts):
+    return np.array([getattr(counts, f) for f in energy.EVENT_KINDS])
+
+
+@SETTINGS
+@given(sampler_runs())
+def test_batch_totals_equal_per_presentation_totals(run):
+    img, obs, opts = run
+    cfg = MachineConfig(rows=img.rows, columns=img.columns,
+                        values_per_column=img.values_per_column, mode="stochastic",
+                        likelihood_width=img.width, cycle_budget=opts["budget"],
+                        strategy=opts["strategy"], rng_mode=opts["rng_mode"],
+                        tie_break=opts["tie_break"])
+    res = machine.infer_stochastic(img, obs, cfg, seed=opts["seed"])
+    ref = stochastic.run_stochastic(img, obs, **opts)
+    assert np.array_equal(res.winner, ref.winner) and np.array_equal(res.scores, ref.counters)
+    assert res.cycles_used == int(ref.cycles_run.sum())
+    each = sum(event_fields(energy.count_events("stochastic", img.rows, img.columns, img.width,
+                                                cycles=int(c), rng_mode=opts["rng_mode"]))
+               for c in ref.cycles_run)
+    assert np.array_equal(event_fields(res.event_counts), each)
+
+
+@SETTINGS
+@given(st.data())
+def test_log_batch_totals_equal_per_presentation_totals(data):
+    img = data.draw(log_images())
+    obs = data.draw(address_batches(img.values_per_column))
+    res = machine.infer_logarithmic(img, obs)
+    one = [machine.infer_logarithmic(img, o) for o in obs]
+    assert res.cycles_used == sum(r.cycles_used for r in one) == len(obs)
+    assert np.array_equal(event_fields(res.event_counts),
+                          sum(event_fields(r.event_counts) for r in one))
+
+
+# upper 0.1% points of the chi-square law by degrees of freedom
+CHI2_999 = {1: 10.828, 2: 13.816, 3: 16.266, 4: 18.467, 5: 20.515, 6: 22.458, 7: 24.322,
+            8: 26.124, 9: 27.877}
+TRIALS = 20_000
+
+
+def chi_square(observed, expected) -> float:
+    observed, expected = np.asarray(observed, float), np.asarray(expected, float)
+    assert abs(observed.sum() - expected.sum()) < 1e-6 * expected.sum()
+    return float(((observed - expected) ** 2 / expected).sum())
+
+
+def same_presentation(img, n=TRIALS):
+    return np.zeros((n, img.columns), dtype=np.int64)
+
+
+def lin(columns, width=8):
+    return MemoryImage([np.asarray(c) for c in columns], width, "linear")
+
+
+def test_power_conscious_winner_split_chi_square():
+    # per-cell fires at P = 0.5 and 0.25; quiet to the budget with P = 0.375**64
+    img = lin([[[128], [64]]])
+    res = stochastic.run_stochastic(img, same_presentation(img), budget=64,
+                                    strategy="power_conscious", rng_mode="per_cell", seed=101)
+    assert res.stopped_early.all()
+    p0 = enum_first_fire_winner(0.5, 0.25)
+    wins = np.bincount(res.winner, minlength=2)
+    assert chi_square(wins, [p0 * TRIALS, (1 - p0) * TRIALS]) < CHI2_999[1]
+
+
+@pytest.mark.parametrize("rng_mode,columns,q", [
+    # one shared draw per column: some row fires iff the draw is below the top code
+    ("column_shared", [[[64], [32]]], 64 / 256),
+    # independent cells: row r fires with the product of its codes
+    ("per_cell", [[[128], [64]], [[128], [192]]], 1 - (1 - 0.25) * (1 - 0.1875)),
+])
+def test_stop_cycle_follows_truncated_geometric_law(rng_mode, columns, q):
+    img = lin(columns)
+    budget = 6
+    res = stochastic.run_stochastic(img, same_presentation(img), budget=budget,
+                                    strategy="power_conscious", rng_mode=rng_mode, seed=202)
+    # bins: stopped at cycle 1..budget, then quiet for the whole budget
+    observed = np.bincount(res.cycles_run[res.stopped_early] - 1, minlength=budget).tolist()
+    observed.append(int((~res.stopped_early).sum()))
+    law = [(1 - q) ** (t - 1) * q for t in range(1, budget + 1)] + [(1 - q) ** budget]
+    assert np.all(res.cycles_run[~res.stopped_early] == budget)
+    assert chi_square(observed, np.array(law) * TRIALS) < CHI2_999[budget]
+
+
+@pytest.mark.parametrize("strategy,code", [
+    ("conventional", 150),  # equal rows, one shared draw: every counter ties
+    ("power_conscious", 0),  # nothing fires: the fallback ties every row
+])
+def test_random_tie_break_is_uniform(strategy, code):
+    rows = 4
+    img = lin([np.full((rows, 1), code), np.full((rows, 1), 200)])
+    res = stochastic.run_stochastic(img, same_presentation(img), budget=16,
+                                    strategy=strategy, seed=303)
+    assert (res.counters == res.counters[:, :1]).all()
+    wins = np.bincount(res.winner, minlength=rows)
+    assert chi_square(wins, np.full(rows, TRIALS / rows)) < CHI2_999[rows - 1]

@@ -222,6 +222,16 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     doc = json.loads(model.read_text())
     huge.write_text(json.dumps({**doc, "bins": "BINS"}).replace('"BINS"', "[1e400]"))
     img = tmp_path / "x.img"
+    lin = tmp_path / "lin.img"
+    assert run("compile", "--model", model, "--mode", "stochastic", "--out", lin) == 0
+    bad_seed = tmp_path / "seed.json"
+    bad_seed.write_text(json.dumps({"gen": {"seed": "x"}}))
+    bad_budget = tmp_path / "budget.json"
+    bad_budget.write_text(json.dumps({"sim": {"budget": "abc"}}))
+    bad_spec = tmp_path / "spec.json"
+    assert run("gen", "--task", "gesture_like", "--out", tmp_path / "s") == 0
+    bad_spec.write_text((tmp_path / "s" / "spec.json").read_text().replace(
+        '"seed": 0', '"seed": "abc"'))
     cases = [
         ["compile", "--model", junk, "--out", img],
         ["compile", "--model", huge, "--out", img],
@@ -229,12 +239,20 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
         ["train", "--data", no_cols, "--out", tmp_path / "x.json"],
         ["train", "--data", bad_cols, "--out", tmp_path / "x.json"],
         ["gen", "--spec", junk, "--out", tmp_path / "g"],
+        ["gen", "--spec", bad_spec, "--out", tmp_path / "g"],
         ["--config", junk, "gen", "--task", "gesture_like", "--out", tmp_path / "g"],
+        ["--config", bad_seed, "gen", "--task", "gesture_like", "--out", tmp_path / "g"],
+        ["--config", bad_budget, "sim", "--model", model, "--image", lin,
+         "--data", out / "test.csv", "--out", tmp_path / "g"],
     ]
     capsys.readouterr()
     for argv in cases:
         assert run(*argv) == 2, argv
         assert capsys.readouterr().err.startswith("error:"), argv
+    assert run("--config", bad_budget, "sim", "--model", model, "--image", lin,
+               "--data", out / "test.csv", "--out", tmp_path / "g") == 2
+    assert "--budget must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "g" / "sim.csv").exists()
 
 
 def test_single_class_machine_is_always_right(tmp_path):

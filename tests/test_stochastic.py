@@ -49,28 +49,14 @@ def test_quantize_validates_width():
             stochastic.quantize_linear(0.5, k=k)
 
 
-def test_draw_bit_edges():
-    zero = stochastic.LinearCode(0)
-    for r in (0, 1, 128, 255):
-        assert stochastic.draw_bit(zero, r) == 0
-    assert stochastic.draw_bit(stochastic.LinearCode(255), 254) == 1
-    assert stochastic.draw_bit(stochastic.LinearCode(255), 255) == 0
-
-
-def test_draw_bit_exact_rate():
-    # exhaustive over uniform r: P(bit) = v/2^k exactly
-    for v in (1, 77, 128, 200, 255):
-        code = stochastic.LinearCode(v)
-        assert sum(stochastic.draw_bit(code, r) for r in range(256)) == v
-
-
-def test_draw_bit_monte_carlo():
-    rng = np.random.default_rng(11)
-    code = stochastic.LinearCode(128)
-    draws = rng.integers(0, 256, size=1_000_000)
-    mean = np.mean([stochastic.draw_bit(code, int(r)) for r in draws[:100_000]])
-    # 3 sigma at 1e5 draws
-    assert abs(mean - 0.5) <= 3 * np.sqrt(0.25 / 100_000)
+def test_bit_rule_edges():
+    # a bit fires when its draw in [0, 2**k) is below the code: code 0 never
+    # fires, the top code fires on all but one draw value
+    for width, top in ((8, 255), (16, 65535)):
+        img = linear_image([[[0], [top]]], width=width)
+        res = stochastic.run_stochastic(img, np.zeros((50, 1), dtype=int), budget=400, seed=3)
+        assert not res.counters[:, 0].any()
+        assert res.counters[:, 1].sum() >= 50 * 400 * (1 - 32 / (top + 1))
 
 
 def test_run_validations():

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from bayesim import modelkit, tasks
-from bayesim.errors import DomainError, FormatError
+from bayesim.errors import DomainError, FormatError, ValidationError
 
 
 # ---- spectral features ----
@@ -221,6 +222,24 @@ def test_task_spec_round_trip(tmp_path):
     path = tmp_path / "spec.json"
     tasks.save_task_spec(path, spec)
     assert tasks.load_task_spec(path) == spec
+
+
+@pytest.mark.parametrize("field", ["seed", "train_size", "test_size", "classes", "features"])
+def test_task_spec_integer_fields_checked(field, tmp_path):
+    path = tmp_path / "spec.json"
+    tasks.save_task_spec(path, tasks.gesture_like_spec(seed=5, train_size=8, test_size=4))
+    doc = json.loads(path.read_text())
+    for value in ("abc", "3", 2.5, 3.0, True, None, [3]):
+        path.write_text(json.dumps({**doc, field: value}))
+        with pytest.raises(ValidationError):
+            tasks.load_task_spec(path)
+
+
+def test_task_spec_rejects_negative_seed():
+    with pytest.raises(DomainError, match="seed"):
+        tasks.gesture_like_spec(seed=-1)
+    spec = tasks.gesture_like_spec(seed=np.int64(4))
+    assert type(spec.seed) is int and spec == tasks.gesture_like_spec(seed=4)
 
 
 def test_task_spec_rejects_garbage(tmp_path):
