@@ -21,10 +21,10 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import __version__, energy, machine, modelkit, runner, tasks
 from .errors import ConfigError, FormatError, ValidationError, parse_json, read_text
@@ -41,78 +41,15 @@ SCHEMAS = {
 }
 
 
-# ---- manifests ----
+def _sha256_file(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
+
+# ---- options ----
+
+# dropped from the manifest: they say where files are, not what went in
 _LOCATION_PARAMS = ("out", "run", "model", "data", "image", "spec", "cost", "config")
 
-
-@dataclass
-class RunManifest:
-    """What went into one command: resolved parameters and input checksums.
-
-    Paths are reduced to basenames and location-only parameters are
-    dropped, so the same pipeline in a different directory produces the
-    same hash (and therefore byte-identical CSVs).  The timestamp lives
-    only in the sidecar and stays outside the hash.
-    """
-
-    command: str
-    params: dict  # resolved flag values, seed included
-    inputs: dict  # file name -> sha256 of content
-    tool_version: str = __version__
-
-    def canonical(self) -> dict:
-        params = {k: v for k, v in self.params.items() if k not in _LOCATION_PARAMS}
-        inputs = {Path(k).name: v for k, v in self.inputs.items()}
-        return {
-            "version": 1,
-            "tool_version": self.tool_version,
-            "command": self.command,
-            "params": params,
-            "inputs": inputs,
-        }
-
-    @property
-    def hash(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    def write_sidecar(self, out_path: Path) -> None:
-        doc = self.canonical()
-        doc["hash"] = self.hash
-        doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        if out_path.exists():
-            doc["content_sha256"] = _sha256_file(out_path)
-        side = out_path.with_name(out_path.name + ".manifest.json")
-        side.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _write_csv(path: Path, schema: str, rows, manifest: RunManifest, comments=()) -> None:
-    cols = SCHEMAS[schema]
-    lines = [f"# bayesim-csv version={_CSV_VERSION} schema={schema} manifest={manifest.hash}"]
-    lines.extend(f"# {c}" for c in comments)
-    lines.append(",".join(cols))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    manifest.write_sidecar(path)
-
-
-# ---- config/flag resolution ----
 
 def _load_config(path) -> dict:
     if path is None:
@@ -123,57 +60,93 @@ def _load_config(path) -> dict:
     return doc
 
 
-# what each option's value must be, from a flag or the config file:
-# (accepted JSON types, conversion, description, smallest value); bool is
-# accepted only by flags, and options not listed here are text
-_INT = ((int, str), int, "an integer", None)
-_OPTION_TYPES = {
-    **dict.fromkeys(("bins", "classes", "width", "prior_values", "budget"), _INT),
-    "seed": ((int, str), int, "an integer", 0),
-    "trials": ((int, str), int, "an integer", 1),
-    "alpha": ((int, float, str), float, "a finite number", None),
-    "filter": ((bool,), bool, "true or false", None),
-    "text": ((bool,), bool, "true or false", None),
-    "grid": ((str, int, float), str, "a comma list", None),
+# per kind of option: the JSON types a config value may have (flags give
+# text; bool only where the conversion is bool), conversion, and its name
+_KINDS = {
+    "int": ((int, str), int, "an integer"),
+    "float": ((int, float, str), float, "a finite number"),
+    "bool": ((bool,), bool, "true or false"),
+    "list": ((str, int, float), str, "a comma list"),
+    "str": ((str,), str, "a string"),
 }
-_TEXT = ((str,), str, "a string", None)
+
+
+class _Option(NamedTuple):
+    kind: str  # a key of _KINDS; a "bool" option is a switch flag
+    lo: int | None = None  # smallest value
+    allowed: tuple = ()  # the only values accepted, when not empty
+    help: str | None = None
+
+
+_OPTIONS = {
+    "task": _Option("str", allowed=("sleep_like", "gesture_like")),
+    "spec": _Option("str", help="task spec JSON (overrides --task)"),
+    **dict.fromkeys(("data", "model", "image"), _Option("str")),
+    "cost": _Option("str", help="cost table JSON (default: bundled example)"),
+    "run": _Option("str", help="directory with emitted CSVs"),
+    "out": _Option("str", help="output directory (train: model JSON path, compile: image path)"),
+    "dist": _Option("str", allowed=("gaussian", "lognormal")),
+    "mode": _Option("str", allowed=("logarithmic", "stochastic")),
+    "strategy": _Option("str", allowed=("conventional", "power_conscious")),
+    "kind": _Option("str", allowed=("cycles", "ber", "bits")),
+    "seed": _Option("int", lo=0),
+    "trials": _Option("int", lo=1),
+    "bins": _Option("int", lo=1),
+    "classes": _Option("int"),
+    "budget": _Option("int", help="stochastic cycle budget (sweep: for --kind ber)"),
+    "width": _Option("int", allowed=(8, 16),
+                     help="code width (sweep --kind bits always sweeps 8 and 16)"),
+    "prior_values": _Option("int", help="value count of the transition column (filter models)"),
+    "alpha": _Option("float"),
+    "filter": _Option("bool", help="estimate transitions for the recursive filter"),
+    "text": _Option("bool", help="also write a readable .txt dump"),
+    "grid": _Option("list", help="comma list: budgets (cycles, bits, energy) or bers"),
+}
 
 
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-class Options:
-    """Flags win over the config file; the config wins over defaults.
+def _read(name: str, v):
+    """``v`` converted and checked as option ``name``; None stays None."""
+    if v is None:
+        return None
+    opt = _OPTIONS[name]
+    accepted, conv, what = _KINDS[opt.kind]
+    try:
+        ok = isinstance(v, accepted) and (conv is bool or not isinstance(v, bool))
+        out = conv(v) if ok else None
+    except (ValueError, OverflowError):
+        out = None
+    if out is None or (conv is float and not math.isfinite(out)):
+        raise ConfigError(f"{_flag(name)} must be {what}, got {v!r}")
+    if opt.lo is not None and out < opt.lo:
+        raise ConfigError(f"{_flag(name)} must be >= {opt.lo}, got {out}")
+    if opt.allowed and out not in opt.allowed:
+        raise ConfigError(f"{_flag(name)} must be one of "
+                          f"{'|'.join(map(str, opt.allowed))}, got {out!r}")
+    return out
 
-    ``get`` is the one place option values are converted and checked: a
-    value of the wrong type, or below its option's minimum, is a
-    ConfigError naming the option.
+
+class Options:
+    """One command's options, input files and outputs.
+
+    Flags win over the config file; the config wins over defaults.  Flags
+    are read up front, so a bad flag fails before any work.  ``resolved``
+    (converted values) and ``inputs`` (file sha256s) make the manifest.
     """
 
     def __init__(self, args, command: str):
-        self.args = args
-        self.section = _load_config(args.config).get(command, {})
+        self.command = command
+        flags = {k: _read(k, v) for k, v in vars(args).items() if k in _OPTIONS and v is not None}
+        self.values = {**_load_config(args.config).get(command, {}), **flags}
         self.resolved = {}
+        self.inputs = {}
 
     def get(self, name: str, default=None):
-        v = getattr(self.args, name, None)
-        if v is None:
-            v = self.section.get(name, default)
-        self.resolved[name] = v
-        if v is None:
-            return None
-        accepted, conv, what, lo = _OPTION_TYPES.get(name, _TEXT)
-        try:
-            ok = isinstance(v, accepted) and (conv is bool or not isinstance(v, bool))
-            out = conv(v) if ok else None
-        except (ValueError, OverflowError):
-            out = None
-        if out is None or (conv is float and not math.isfinite(out)):
-            raise ConfigError(f"{_flag(name)} must be {what}, got {v!r}")
-        if lo is not None and out < lo:
-            raise ConfigError(f"{_flag(name)} must be >= {lo}, got {out}")
-        return out
+        v = self.resolved[name] = _read(name, self.values.get(name, default))
+        return v
 
     def require(self, name: str):
         v = self.get(name)
@@ -181,31 +154,74 @@ class Options:
             raise ConfigError(f"missing required option {_flag(name)}")
         return v
 
+    def path(self, name: str) -> Path:
+        """The file named by a required option, its sha256 recorded."""
+        p = Path(self.require(name))
+        if not p.is_file():
+            raise ConfigError(f"{_flag(name)}: no such file {p}")
+        self.inputs[str(p)] = _sha256_file(p)
+        return p
 
-def _numbers(text, conv) -> list:
+    def outdir(self) -> Path:
+        out = Path(self.require("out"))
+        out.mkdir(parents=True, exist_ok=True)
+        return out
+
+    def manifest(self) -> dict:
+        """What went into the command.  Paths are reduced to basenames and
+        location-only options are dropped, so the same pipeline in another
+        directory gives the same hash, and so byte-identical CSVs."""
+        params = {k: v for k, v in self.resolved.items() if k not in _LOCATION_PARAMS}
+        inputs = {Path(k).name: v for k, v in self.inputs.items()}
+        return {"version": 1, "tool_version": __version__, "command": self.command,
+                "params": params, "inputs": inputs}
+
+    @property
+    def hash(self) -> str:
+        blob = json.dumps(self.manifest(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+    def write_sidecar(self, path: Path) -> None:
+        """The manifest next to ``path``, with the hash, the sha256 of
+        ``path`` and a timestamp, which stays outside the hash."""
+        doc = {**self.manifest(), "hash": self.hash, "content_sha256": _sha256_file(path),
+               "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
+        side = path.with_name(path.name + ".manifest.json")
+        side.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+    def emit(self, out: Path, schema: str, points, summary: str, comments=()) -> None:
+        """Write ``<out>/<schema>.csv`` (a row per point, from its attributes
+        named by the schema columns) and its sidecar; print ``summary``."""
+        path = out / f"{schema}.csv"
+        cols = SCHEMAS[schema]
+        lines = [f"# bayesim-csv version={_CSV_VERSION} schema={schema} manifest={self.hash}"]
+        lines.extend(f"# {c}" for c in comments)
+        lines.append(",".join(cols))
+        for p in points:
+            vals = (getattr(p, c) for c in cols)
+            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in vals))
+        path.write_text("\n".join(lines) + "\n")
+        self.write_sidecar(path)
+        print(f"{summary} -> {path}")
+
+
+def _numbers(text: str, conv) -> list:
     """A comma list of grid values, each read by ``conv`` (int or float)."""
     try:
-        return [conv(t) for t in str(text).split(",") if t != ""]
+        values = [conv(t) for t in text.split(",") if t != ""]
     except ValueError as exc:
         raise ConfigError(f"bad {conv.__name__} list {text!r}") from exc
+    if not values:
+        raise ConfigError(f"--grid lists no values, got {text!r}")
+    return values
 
 
-def _outdir(opts) -> Path:
-    out = Path(opts.require("out"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _load_prepared(opts) -> tuple:
-    """Common sim/sweep/energy input handling: model + binned test data."""
-    model_path = opts.require("model")
-    data_path = opts.require("data")
+def _prepared(opts: Options) -> runner.Prepared:
+    """The model and the test data binned by it, for sim, sweep and energy."""
+    model_path, data_path = opts.path("model"), opts.path("data")
     model = modelkit.load_model(model_path)
     ds = tasks.load_dataset(data_path)
-    obs = modelkit.bin_observations(model, ds.features)
-    prep = runner.Prepared(model, obs, ds.labels)
-    inputs = {str(model_path): _sha256_file(model_path), str(data_path): _sha256_file(data_path)}
-    return prep, inputs
+    return runner.Prepared(model, modelkit.bin_observations(model, ds.features), ds.labels)
 
 
 # ---- commands ----
@@ -213,294 +229,206 @@ def _load_prepared(opts) -> tuple:
 def cmd_gen(args) -> int:
     opts = Options(args, "gen")
     task = opts.get("task")
-    spec_path = opts.get("spec")
-    seed_opt = opts.get("seed")
-    seed = 0 if seed_opt is None else seed_opt
-    out = _outdir(opts)
-    if spec_path is not None:
-        spec = tasks.load_task_spec(spec_path)
-        if opts.resolved.get("seed") is not None:
-            spec = replace(spec, seed=seed)
-        inputs = {str(spec_path): _sha256_file(spec_path)}
-    elif task == "sleep_like":
-        spec, inputs = tasks.sleep_like_spec(seed=seed), {}
-    elif task == "gesture_like":
-        spec, inputs = tasks.gesture_like_spec(seed=seed), {}
+    seed = opts.get("seed")
+    out = opts.outdir()
+    if opts.get("spec") is not None:
+        spec = tasks.load_task_spec(opts.path("spec"))
+        spec = spec if seed is None else replace(spec, seed=seed)
+    elif task is not None:
+        make = tasks.sleep_like_spec if task == "sleep_like" else tasks.gesture_like_spec
+        spec = make(seed=0 if seed is None else seed)
     else:
         raise ConfigError("gen needs --task sleep_like|gesture_like or --spec FILE")
     train, test = tasks.generate(spec)
-    manifest = RunManifest("gen", opts.resolved, inputs)
     tasks.save_task_spec(out / "spec.json", spec)
     for name, ds in (("train.csv", train), ("test.csv", test)):
-        tasks.save_dataset(out / name, ds, manifest=manifest.hash)
-        manifest.write_sidecar(out / name)
+        tasks.save_dataset(out / name, ds, manifest=opts.hash)
+        opts.write_sidecar(out / name)
     print(f"gen: {len(train)} train / {len(test)} test rows -> {out}")
     return 0
 
 
 def cmd_train(args) -> int:
     opts = Options(args, "train")
-    data_path = opts.require("data")
+    ds = tasks.load_dataset(opts.path("data"))
     out = Path(opts.require("out"))
     dist = opts.get("dist", "gaussian")
     bins = opts.get("bins", 64)
     alpha = opts.get("alpha", 1.0)
     filtered = opts.get("filter", False)
-    ds = tasks.load_dataset(data_path)
     classes = opts.get("classes")
     classes = classes if classes is not None else int(ds.labels.max()) + 1
     model = modelkit.train_model(ds.features, ds.labels, classes, bins, kind=dist,
                                  with_transitions=filtered, alpha=alpha)
     out.parent.mkdir(parents=True, exist_ok=True)
     modelkit.save_model(out, model)
-    manifest = RunManifest("train", opts.resolved, {str(data_path): _sha256_file(data_path)})
-    manifest.write_sidecar(out)
+    opts.write_sidecar(out)
     print(f"train: {classes} classes x {model.features} features -> {out}")
     return 0
 
 
 def cmd_compile(args) -> int:
     opts = Options(args, "compile")
-    model_path = opts.require("model")
+    model = modelkit.load_model(opts.path("model"))
     out = Path(opts.require("out"))
     mode = opts.get("mode", "logarithmic")
     width = opts.get("width", 8)
-    prior_values = opts.get("prior_values")
-    model = modelkit.load_model(model_path)
-    cfg = runner.config_for_model(model, mode, width, prior_values)
+    cfg = runner.config_for_model(model, mode, width, opts.get("prior_values"))
     image = modelkit.compile_model(model, cfg)
     out.parent.mkdir(parents=True, exist_ok=True)
     machine.save_image(out, image)
     if opts.get("text", False):
         out.with_suffix(out.suffix + ".txt").write_text(image.to_text())
-    manifest = RunManifest("compile", opts.resolved, {str(model_path): _sha256_file(model_path)})
-    manifest.write_sidecar(out)
+    opts.write_sidecar(out)
     print(f"compile: {mode} width={width} checksum=0x{image.checksum:08x} -> {out}")
     return 0
 
 
 def cmd_sim(args) -> int:
     opts = Options(args, "sim")
-    prep, inputs = _load_prepared(opts)
-    image_path = opts.require("image")
-    image = machine.load_image(image_path)
-    inputs[str(image_path)] = _sha256_file(image_path)
+    prep = _prepared(opts)
+    image = machine.load_image(opts.path("image"))
     budget = opts.get("budget", 255)
     strategy = opts.get("strategy", "conventional")
     trials = opts.get("trials", 10)
     seed = opts.get("seed", 0)
-    out = _outdir(opts)
-    manifest = RunManifest("sim", opts.resolved, inputs)
-
+    out = opts.outdir()
     if image.kind == "log":
         acc = runner.eval_log(prep, image)
-        rows = [("logarithmic", "-", 1, image.width, 1, acc, 0.0, 1.0)]
+        mode, point = "logarithmic", runner.CyclesPoint(image.width, "-", 1, acc, 0.0, 1, 1.0)
     else:
-        cfg = runner.config_from_image(image)
-        cfg = replace(cfg, cycle_budget=budget, strategy=strategy)
-        evals = [runner.eval_stochastic(prep, image, cfg, runner.point_seed(seed, 0, t))
-                 for t in range(trials)]
-        accs = [e.accuracy for e in evals]
-        rows = [("stochastic", strategy, budget, image.width, trials,
-                 float(np.mean(accs)), runner.trial_std(accs),
-                 float(np.mean([e.mean_cycles for e in evals])))]
-    _write_csv(out / "sim.csv", "sim", rows, manifest)
-    print(f"sim: acc={rows[0][5]:.4f} -> {out / 'sim.csv'}")
+        cfg = runner.config_from_image(image, cycle_budget=budget, strategy=strategy)
+        mode, point = "stochastic", runner.trials_point(prep, image, cfg, trials, (seed, 0))
+    opts.emit(out, "sim", [SimpleNamespace(mode=mode, **vars(point))],
+              f"sim: acc={point.mean_acc:.4f}")
     return 0
 
 
 def cmd_sweep(args) -> int:
     opts = Options(args, "sweep")
     kind = opts.require("kind")
-    prep, inputs = _load_prepared(opts)
+    prep = _prepared(opts)
     trials = opts.get("trials", 10)
     seed = opts.get("seed", 0)
     width = opts.get("width", 8)
-    out = _outdir(opts)
-
-    if kind == "cycles":
-        budgets = _numbers(opts.get("grid", "10,50,100,255"), int)
-        manifest = RunManifest("sweep", opts.resolved, inputs)
-        _, lin = runner.images_for_model(prep, widths=(width,))
-        pts = runner.sweep_cycles(prep, lin[width], budgets, trials, seed)
-        rows = [(p.strategy, p.budget, p.mean_acc, p.std_acc, p.trials) for p in pts]
-        _write_csv(out / "sweep_cycles.csv", "sweep_cycles", rows, manifest)
-        print(f"sweep cycles: {len(rows)} points -> {out / 'sweep_cycles.csv'}")
-    elif kind == "ber":
+    out = opts.outdir()
+    if kind == "ber":
         bers = _numbers(opts.get("grid", "0,1e-4,1e-2"), float)
-        budget = opts.get("budget", 255)
-        manifest = RunManifest("sweep", opts.resolved, inputs)
+        cfg = runner.config_for_model(prep.model, "stochastic", width,
+                                      cycle_budget=opts.get("budget", 255))
         log_img, lin = runner.images_for_model(prep, widths=(width,))
-        cfg = runner.config_for_model(prep.model, "stochastic", width, cycle_budget=budget)
-        pts = runner.sweep_ber(prep, log_img, lin[width], cfg, bers, trials, seed)
-        rows = [(p.machine, p.ber, p.mean_acc, p.std_acc, p.trials) for p in pts]
-        _write_csv(out / "sweep_ber.csv", "sweep_ber", rows, manifest)
-        print(f"sweep ber: {len(rows)} points -> {out / 'sweep_ber.csv'}")
-    elif kind == "bits":
+        points = runner.sweep_ber(prep, log_img, lin[width], cfg, bers, trials, seed)
+    else:  # a budget sweep: cycles on one width, bits on 8 and 16
         budgets = _numbers(opts.get("grid", "10,50,100,255"), int)
-        manifest = RunManifest("sweep", opts.resolved, inputs)
-        _, lin = runner.images_for_model(prep, widths=(8, 16))
-        pts = runner.sweep_bits(prep, lin, budgets, trials, seed)
-        rows = [(p.width, p.strategy, p.budget, p.mean_acc, p.std_acc, p.trials) for p in pts]
-        _write_csv(out / "sweep_bits.csv", "sweep_bits", rows, manifest)
-        print(f"sweep bits: {len(rows)} points -> {out / 'sweep_bits.csv'}")
-    else:
-        raise ConfigError(f"unknown sweep kind {kind!r}, expected cycles|ber|bits")
+        _, lin = runner.images_for_model(prep, widths=(8, 16) if kind == "bits" else (width,))
+        points = runner.sweep_bits(prep, lin, budgets, trials, seed)
+    opts.emit(out, f"sweep_{kind}", points, f"sweep {kind}: {len(points)} points")
     return 0
 
 
 def cmd_energy(args) -> int:
     opts = Options(args, "energy")
-    prep, inputs = _load_prepared(opts)
+    prep = _prepared(opts)
     budgets = _numbers(opts.get("grid", "10,50,100,255"), int)
     trials = opts.get("trials", 10)
     seed = opts.get("seed", 0)
     width = opts.get("width", 8)
-    cost_path = opts.get("cost")
-    if cost_path is None:
-        table = energy.example_cost_table()
-    else:
-        table = energy.load_cost_table(cost_path)
-        inputs[str(cost_path)] = _sha256_file(cost_path)
-    out = _outdir(opts)
-    manifest = RunManifest("energy", opts.resolved, inputs)
+    table = energy.example_cost_table()
+    if opts.get("cost") is not None:
+        table = energy.load_cost_table(opts.path("cost"))
+    out = opts.outdir()
     log_img, lin = runner.images_for_model(prep, widths=(width,))
     report = runner.energy_report(prep, log_img, lin[width], budgets, trials, seed, table)
-    rows = [(p.strategy, p.budget, p.accuracy, p.energy_j) for p in report.points]
     cross = "none" if report.crossover_budget is None else str(report.crossover_budget)
-    _write_csv(out / "energy.csv", "energy", rows, manifest,
-               comments=(f"crossover_budget={cross}",))
-    print(f"energy: crossover_budget={cross} -> {out / 'energy.csv'}")
+    opts.emit(out, "energy", report.points, f"energy: crossover_budget={cross}",
+              comments=(f"crossover_budget={cross}",))
     return 0
+
+
+def _manifest_status(csv_path: Path, embedded: str, content: str) -> str:
+    side = csv_path.with_name(csv_path.name + ".manifest.json")
+    if not side.exists():
+        return "missing-manifest"
+    try:
+        doc = parse_json(read_text(side), side)
+    except (FormatError, OSError):  # not UTF-8 JSON, or not a readable file
+        return "bad-manifest"
+    if not isinstance(doc, dict):
+        return "bad-manifest"
+    if doc.get("hash") != embedded:
+        return "hash-mismatch"
+    return "ok" if doc.get("content_sha256", content) == content else "content-mismatch"
 
 
 def cmd_report(args) -> int:
     opts = Options(args, "report")
     run_dir = Path(opts.require("run"))
-    out = _outdir(opts)
+    out = opts.outdir()
     if not run_dir.is_dir():
         raise ConfigError(f"{run_dir} is not a directory")
     rows = []
-    inputs = {}
-    for csv_path in sorted(run_dir.glob("*.csv")):
+    for csv_path in sorted(p for p in run_dir.glob("*.csv") if p.is_file()):
+        row = SimpleNamespace(file=csv_path.name, schema="?", rows=0, manifest="",
+                              status="unreadable")
         try:
-            head = csv_path.read_text().splitlines()
-        except UnicodeDecodeError:
-            inputs[str(csv_path)] = _sha256_file(csv_path)
-            rows.append((csv_path.name, "?", 0, "", "unreadable"))
-            continue
-        toks = head[0].split() if head else []
-        if len(toks) < 2 or toks[0] != "#" or not toks[1].startswith("bayesim"):
-            continue
-        fields = dict(tok.partition("=")[::2] for tok in toks[2:])
-        schema = fields.get("schema", fields.get("kind", "?"))
-        embedded = fields.get("manifest", "")
-        n_rows = sum(1 for ln in head if ln and not ln.startswith("#")) - (
-            1 if schema in SCHEMAS else 0)
-        side = csv_path.with_name(csv_path.name + ".manifest.json")
+            head = read_text(csv_path).splitlines()
+        except FormatError:
+            head = None
         content = _sha256_file(csv_path)
-        if not side.exists():
-            status = "missing-manifest"
-        else:
-            try:
-                doc = json.loads(side.read_text())
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                doc = None
-            if not isinstance(doc, dict):
-                status = "bad-manifest"
-            elif doc.get("hash") != embedded:
-                status = "hash-mismatch"
-            elif doc.get("content_sha256", content) != content:
-                status = "content-mismatch"
-            else:
-                status = "ok"
-        inputs[str(csv_path)] = content
-        rows.append((csv_path.name, schema, max(n_rows, 0), embedded, status))
+        if head is not None:
+            toks = head[0].split() if head else []
+            if len(toks) < 2 or toks[0] != "#" or not toks[1].startswith("bayesim"):
+                continue
+            fields = dict(tok.partition("=")[::2] for tok in toks[2:])
+            row.schema = fields.get("schema", fields.get("kind", "?"))
+            row.manifest = fields.get("manifest", "")
+            n_rows = sum(1 for ln in head if ln and not ln.startswith("#"))
+            row.rows = max(n_rows - (row.schema in SCHEMAS), 0)
+            row.status = _manifest_status(csv_path, row.manifest, content)
+        opts.inputs[str(csv_path)] = content
+        rows.append(row)
     if not rows:
         raise ConfigError(f"no bayesim CSVs found under {run_dir}")
-    manifest = RunManifest("report", opts.resolved, inputs)
-    _write_csv(out / "report.csv", "report", rows, manifest)
-    bad = [r for r in rows if r[4] != "ok"]
-    print(f"report: {len(rows)} files, {len(bad)} problems -> {out / 'report.csv'}")
+    bad = sum(r.status != "ok" for r in rows)
+    opts.emit(out, "report", rows, f"report: {len(rows)} files, {bad} problems")
     return 0 if not bad else 2
 
 
 # ---- parser ----
 
+# each command's function, help and options, in the order --help lists them
+_COMMANDS = {
+    "gen": (cmd_gen, "generate a synthetic dataset", "task spec seed out"),
+    "train": (cmd_train, "fit a model from a feature CSV",
+              "data dist bins classes alpha filter out"),
+    "compile": (cmd_compile, "quantize a model into a memory image",
+                "model mode width prior_values text out"),
+    "sim": (cmd_sim, "score one image on a test CSV",
+            "model image data budget strategy trials seed out"),
+    "sweep": (cmd_sweep, "accuracy sweeps over cycles, ber or code width",
+              "kind model data grid budget width trials seed out"),
+    "energy": (cmd_energy, "energy/accuracy crossover report",
+               "model data grid width cost trials seed out"),
+    "report": (cmd_report, "verify and summarize a run directory", "run out"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Flags are collected as text; ``Options`` converts and checks them."""
     p = argparse.ArgumentParser(prog="bayesim",
                                 description="Bayesian machine behavioral simulator")
     p.add_argument("--config", help="JSON config with per-command defaults")
     p.add_argument("--version", action="version", version=f"bayesim {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen", help="generate a synthetic dataset")
-    g.add_argument("--task", choices=("sleep_like", "gesture_like"))
-    g.add_argument("--spec", help="task spec JSON (overrides --task)")
-    g.add_argument("--seed", type=int)
-    g.add_argument("--out", help="output directory")
-    g.set_defaults(func=cmd_gen)
-
-    t = sub.add_parser("train", help="fit a model from a feature CSV")
-    t.add_argument("--data")
-    t.add_argument("--dist", choices=("gaussian", "lognormal"))
-    t.add_argument("--bins", type=int)
-    t.add_argument("--classes", type=int)
-    t.add_argument("--alpha", type=float)
-    t.add_argument("--filter", action="store_const", const=True,
-                   help="estimate transitions for the recursive filter")
-    t.add_argument("--out", help="model JSON path")
-    t.set_defaults(func=cmd_train)
-
-    c = sub.add_parser("compile", help="quantize a model into a memory image")
-    c.add_argument("--model")
-    c.add_argument("--mode", choices=("logarithmic", "stochastic"))
-    c.add_argument("--width", type=int, choices=(8, 16))
-    c.add_argument("--prior-values", dest="prior_values", type=int,
-                   help="value count of the transition column (filter models)")
-    c.add_argument("--text", action="store_const", const=True,
-                   help="also write a readable .txt dump")
-    c.add_argument("--out", help="image path")
-    c.set_defaults(func=cmd_compile)
-
-    s = sub.add_parser("sim", help="score one image on a test CSV")
-    s.add_argument("--model")
-    s.add_argument("--image")
-    s.add_argument("--data")
-    s.add_argument("--budget", type=int)
-    s.add_argument("--strategy", choices=("conventional", "power_conscious"))
-    s.add_argument("--trials", type=int)
-    s.add_argument("--seed", type=int)
-    s.add_argument("--out", help="output directory")
-    s.set_defaults(func=cmd_sim)
-
-    w = sub.add_parser("sweep", help="accuracy sweeps over cycles, ber or code width")
-    w.add_argument("--kind", choices=("cycles", "ber", "bits"))
-    w.add_argument("--model")
-    w.add_argument("--data")
-    w.add_argument("--grid", help="comma list: budgets (cycles/bits) or bers")
-    w.add_argument("--budget", type=int, help="stochastic budget for the ber sweep")
-    w.add_argument("--width", type=int, choices=(8, 16))
-    w.add_argument("--trials", type=int)
-    w.add_argument("--seed", type=int)
-    w.add_argument("--out", help="output directory")
-    w.set_defaults(func=cmd_sweep)
-
-    e = sub.add_parser("energy", help="energy/accuracy crossover report")
-    e.add_argument("--model")
-    e.add_argument("--data")
-    e.add_argument("--grid", help="comma list of budgets")
-    e.add_argument("--width", type=int, choices=(8, 16))
-    e.add_argument("--cost", help="cost table JSON (default: bundled example)")
-    e.add_argument("--trials", type=int)
-    e.add_argument("--seed", type=int)
-    e.add_argument("--out", help="output directory")
-    e.set_defaults(func=cmd_energy)
-
-    r = sub.add_parser("report", help="verify and summarize a run directory")
-    r.add_argument("--run", help="directory with emitted CSVs")
-    r.add_argument("--out", help="output directory")
-    r.set_defaults(func=cmd_report)
+    for command, (func, about, names) in _COMMANDS.items():
+        s = sub.add_parser(command, help=about)
+        for name in names.split():
+            opt = _OPTIONS[name]
+            allowed = "one of " + "|".join(map(str, opt.allowed)) if opt.allowed else None
+            text = "; ".join(t for t in (opt.help, allowed) if t) or None
+            switch = {"action": "store_const", "const": True} if opt.kind == "bool" else {}
+            s.add_argument(_flag(name), help=text, **switch)
+        s.set_defaults(func=func)
     return p
 
 
@@ -508,10 +436,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - last-resort runtime mapping

@@ -197,6 +197,8 @@ def train_model(
     bins = (bins,) * cols if np.isscalar(bins) else tuple(int(b) for b in bins)
     if len(bins) != cols:
         raise TrainingError("bins must be one size or one per feature")
+    if any(b < 1 for b in bins):
+        raise ConfigError(f"bins must be >= 1, got {min(bins)}")
     if floor is None:
         floor = logprob.min_prob(8)
 

@@ -43,13 +43,13 @@ def worker_count() -> int:
 
 
 def _pmap(fn, items):
-    """Order-preserving map over grid points, parallel when allowed."""
+    """Order-preserving ``fn(*item)`` over grid points, parallel when allowed."""
     items = list(items)
     workers = min(worker_count(), len(items))
     if workers <= 1:
-        return [fn(it) for it in items]
+        return [fn(*it) for it in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, *zip(*items)))
 
 
 # ---- task preparation ----
@@ -195,12 +195,11 @@ def trial_std(xs) -> float:
     return float(np.std(xs, ddof=1)) if len(xs) > 1 else 0.0
 
 
-def _cycles_point(args):
-    prep, image, cfg, trials, seed, s_ix, b_ix = args
-    evals = [
-        eval_stochastic(prep, image, cfg, point_seed(seed, 1, cfg.likelihood_width, s_ix, b_ix, t))
-        for t in range(trials)
-    ]
+def trials_point(prep: Prepared, image: machine.MemoryImage, cfg: machine.MachineConfig,
+                 trials: int, seed_parts) -> CyclesPoint:
+    """Mean and spread of ``trials`` stochastic passes; trial t runs on
+    ``point_seed(*seed_parts, t)``."""
+    evals = [eval_stochastic(prep, image, cfg, point_seed(*seed_parts, t)) for t in range(trials)]
     accs = [e.accuracy for e in evals]
     return CyclesPoint(cfg.likelihood_width, cfg.strategy, cfg.cycle_budget,
                        float(np.mean(accs)), trial_std(accs), trials,
@@ -215,8 +214,8 @@ def sweep_cycles(prep: Prepared, image: machine.MemoryImage, budgets, trials: in
     for s_ix, strat in enumerate(strategies):
         for b_ix, b in enumerate(budgets):
             cfg = replace(base, strategy=strat, cycle_budget=int(b))
-            grid.append((prep, image, cfg, trials, seed, s_ix, b_ix))
-    return _pmap(_cycles_point, grid)
+            grid.append((prep, image, cfg, trials, (seed, 1, cfg.likelihood_width, s_ix, b_ix)))
+    return _pmap(trials_point, grid)
 
 
 @dataclass
@@ -228,8 +227,7 @@ class BerPoint:
     trials: int
 
 
-def _ber_point(args):
-    prep, image, cfg, ber, trials, seed, m_ix, b_ix = args
+def _ber_point(prep, image, cfg, ber, trials, seed, m_ix, b_ix):
     accs = []
     for t in range(trials):
         corrupted = machine.inject_errors(image, ber, seed=point_seed(seed, 2, m_ix, b_ix, t))

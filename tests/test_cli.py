@@ -156,7 +156,15 @@ def test_report_flags_tampering(tmp_path):
 def test_report_flags_corrupt_manifest(tmp_path):
     out = tmp_path / "r"
     assert run("gen", "--task", "gesture_like", "--seed", 2, "--out", out) == 0
-    (out / "test.csv.manifest.json").write_text("{not json\n")
+    for text in ("{not json\n", "[" * 200_000 + "]" * 200_000):
+        (out / "test.csv.manifest.json").write_text(text)
+        assert run("report", "--run", out, "--out", tmp_path / "rep") == 2
+        statuses = {r["file"]: r["status"] for r in read_rows(tmp_path / "rep" / "report.csv")}
+        assert statuses == {"test.csv": "bad-manifest", "train.csv": "ok"}
+    # a directory is neither a manifest nor a CSV
+    (out / "test.csv.manifest.json").unlink()
+    (out / "test.csv.manifest.json").mkdir()
+    (out / "dir.csv").mkdir()
     assert run("report", "--run", out, "--out", tmp_path / "rep") == 2
     statuses = {r["file"]: r["status"] for r in read_rows(tmp_path / "rep" / "report.csv")}
     assert statuses == {"test.csv": "bad-manifest", "train.csv": "ok"}
@@ -223,11 +231,17 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     huge.write_text(json.dumps({**doc, "bins": "BINS"}).replace('"BINS"', "[1e400]"))
     img = tmp_path / "x.img"
     lin = tmp_path / "lin.img"
+    log = tmp_path / "log.img"
     assert run("compile", "--model", model, "--mode", "stochastic", "--out", lin) == 0
+    assert run("compile", "--model", model, "--out", log) == 0
     bad_seed = tmp_path / "seed.json"
     bad_seed.write_text(json.dumps({"gen": {"seed": "x"}}))
     bad_budget = tmp_path / "budget.json"
     bad_budget.write_text(json.dumps({"sim": {"budget": "abc"}}))
+    bad_width = tmp_path / "width.json"
+    bad_width.write_text(json.dumps({"sweep": {"kind": "bits", "width": 12}}))
+    bad_strategy = tmp_path / "strategy.json"
+    bad_strategy.write_text(json.dumps({"sim": {"strategy": "eager"}}))
     bad_spec = tmp_path / "spec.json"
     assert run("gen", "--task", "gesture_like", "--out", tmp_path / "s") == 0
     bad_spec.write_text((tmp_path / "s" / "spec.json").read_text().replace(
@@ -244,6 +258,18 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
         ["--config", bad_seed, "gen", "--task", "gesture_like", "--out", tmp_path / "g"],
         ["--config", bad_budget, "sim", "--model", model, "--image", lin,
          "--data", out / "test.csv", "--out", tmp_path / "g"],
+        ["train", "--data", out / "train.csv", "--bins", 0, "--out", tmp_path / "x.json"],
+        ["train", "--data", out / "train.csv", "--bins", -3, "--out", tmp_path / "x.json"],
+        ["sweep", "--kind", "cycles", "--model", model, "--data", out / "test.csv",
+         "--grid", "", "--out", tmp_path / "g"],
+        ["sweep", "--kind", "ber", "--model", model, "--data", out / "test.csv",
+         "--grid", "", "--out", tmp_path / "g"],
+        ["energy", "--model", model, "--data", out / "test.csv", "--grid", "",
+         "--out", tmp_path / "g"],
+        ["--config", bad_width, "sweep", "--model", model, "--data", out / "test.csv",
+         "--out", tmp_path / "g"],
+        ["--config", bad_strategy, "sim", "--model", model, "--image", log,
+         "--data", out / "test.csv", "--out", tmp_path / "g"],
     ]
     capsys.readouterr()
     for argv in cases:
@@ -252,7 +278,44 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     assert run("--config", bad_budget, "sim", "--model", model, "--image", lin,
                "--data", out / "test.csv", "--out", tmp_path / "g") == 2
     assert "--budget must be an integer, got 'abc'" in capsys.readouterr().err
-    assert not (tmp_path / "g" / "sim.csv").exists()
+    assert not any((tmp_path / "g" / f).exists() for f in (
+        "sim.csv", "sweep_cycles.csv", "sweep_ber.csv", "sweep_bits.csv", "energy.csv"))
+    # a flag and a config value are read by the same checker
+    seed_abc = tmp_path / "seed_abc.json"
+    seed_abc.write_text(json.dumps({"gen": {"seed": "abc"}}))
+    assert run("gen", "--task", "gesture_like", "--seed", "abc", "--out", tmp_path / "g") == 2
+    assert run("--config", seed_abc, "gen", "--task", "gesture_like", "--out", tmp_path / "g") == 2
+    errs = capsys.readouterr().err.splitlines()
+    assert errs == ["error: --seed must be an integer, got 'abc'"] * 2
+
+
+# every command's flags; --filter and --text are switches and take no value
+COMMAND_FLAGS = {
+    "gen": {"--task", "--spec", "--seed", "--out"},
+    "train": {"--data", "--dist", "--bins", "--classes", "--alpha", "--filter", "--out"},
+    "compile": {"--model", "--mode", "--width", "--prior-values", "--text", "--out"},
+    "sim": {"--model", "--image", "--data", "--budget", "--strategy", "--trials", "--seed",
+            "--out"},
+    "sweep": {"--kind", "--model", "--data", "--grid", "--budget", "--width", "--trials",
+              "--seed", "--out"},
+    "energy": {"--model", "--data", "--grid", "--width", "--cost", "--trials", "--seed",
+               "--out"},
+    "report": {"--run", "--out"},
+}
+
+
+def test_parser_accepts_exactly_each_commands_flags(capsys):
+    parser = cli.build_parser()
+    for command, flags in COMMAND_FLAGS.items():
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: bayesim {command}")
+        dests = {flag[2:].replace("-", "_") for flag in flags}
+        assert set(vars(parser.parse_args([command]))) == dests | {"command", "func", "config"}
+        for flag in flags:
+            argv = [command, flag] + ([] if flag in ("--filter", "--text") else ["v"])
+            assert getattr(parser.parse_args(argv), flag[2:].replace("-", "_")) is not None
 
 
 def test_single_class_machine_is_always_right(tmp_path):

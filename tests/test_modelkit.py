@@ -189,6 +189,15 @@ def test_train_model_label_checks():
         modelkit.train_model(X, [0, 0, 0, 1], classes=2, bins=4)  # class 1 has 1 sample
 
 
+def test_train_model_refuses_bins_below_one():
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(20, 2))
+    y = np.repeat([0, 1], 10)
+    for bins in (0, -3, (4, 0)):
+        with pytest.raises(ConfigError, match="bins must be >= 1"):
+            modelkit.train_model(X, y, classes=2, bins=bins)
+
+
 # ---- compilation ----
 
 def test_compile_code_examples():
