@@ -11,7 +11,7 @@ from .errors import (
     ValidationError,
 )
 from .logprob import LogCode, compare, decode, encode, sat_add
-from .stochastic import LinearCode, StochasticRunResult, quantize_linear, run_stochastic
+from .stochastic import LinearCode, quantize_linear, run_stochastic
 from .machine import (
     InferenceResult,
     MachineConfig,

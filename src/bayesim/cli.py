@@ -26,7 +26,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from . import __version__, energy, machine, modelkit, runner, tasks
+from . import __version__, energy, logprob, machine, modelkit, runner, stochastic, tasks
 from .errors import ConfigError, FormatError, ValidationError, parse_json, read_text
 
 _CSV_VERSION = 1
@@ -85,16 +85,16 @@ _OPTIONS = {
     "cost": _Option("str", help="cost table JSON (default: bundled example)"),
     "run": _Option("str", help="directory with emitted CSVs"),
     "out": _Option("str", help="output directory (train: model JSON path, compile: image path)"),
-    "dist": _Option("str", allowed=("gaussian", "lognormal")),
-    "mode": _Option("str", allowed=("logarithmic", "stochastic")),
-    "strategy": _Option("str", allowed=("conventional", "power_conscious")),
+    "dist": _Option("str", allowed=modelkit.KINDS),
+    "mode": _Option("str", allowed=machine.MODES),
+    "strategy": _Option("str", allowed=stochastic.STRATEGIES),
     "kind": _Option("str", allowed=("cycles", "ber", "bits")),
     "seed": _Option("int", lo=0),
     "trials": _Option("int", lo=1),
     "bins": _Option("int", lo=1),
     "classes": _Option("int"),
     "budget": _Option("int", help="stochastic cycle budget (sweep: for --kind ber)"),
-    "width": _Option("int", allowed=(8, 16),
+    "width": _Option("int", allowed=logprob.WIDTHS,
                      help="code width (sweep --kind bits always sweeps 8 and 16)"),
     "prior_values": _Option("int", help="value count of the transition column (filter models)"),
     "alpha": _Option("float"),
@@ -307,6 +307,9 @@ def cmd_sim(args) -> int:
 def cmd_sweep(args) -> int:
     opts = Options(args, "sweep")
     kind = opts.require("kind")
+    for name in {"cycles": ("budget",), "bits": ("budget", "width")}.get(kind, ()):
+        if opts.values.get(name) is not None:  # given, but this kind would ignore it
+            raise ConfigError(f"{_flag(name)} is not used by --kind {kind}")
     prep = _prepared(opts)
     trials = opts.get("trials", 10)
     seed = opts.get("seed", 0)

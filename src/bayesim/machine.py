@@ -13,6 +13,8 @@ column) pair and reduces each row to a score:
 `run_filter` chains inferences over a sequence: column 0 is a transition
 column addressed by the previous winner (or a dedicated unknown-state row
 at step 0), which is how the recursive filter feeds back hard decisions.
+Every call, on one presentation, a batch or a filtered sequence, returns
+one `InferenceResult`.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 from . import energy, logprob, stochastic
 from .errors import ConfigError, DomainError, FormatError
+from .stochastic import InferenceResult
 
 MODES = ("logarithmic", "stochastic")
 KINDS = ("log", "linear")  # code family stored in an image
@@ -43,7 +46,6 @@ class MachineConfig:
     cycle_budget: int = 255
     strategy: str = "conventional"
     rng_mode: str = "column_shared"
-    tie_break: str = "random"
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -65,8 +67,6 @@ class MachineConfig:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.rng_mode not in stochastic.RNG_MODES:
             raise ConfigError(f"unknown rng mode {self.rng_mode!r}")
-        if self.tie_break not in stochastic.TIE_BREAKS:
-            raise ConfigError(f"unknown tie break {self.tie_break!r}")
 
     @property
     def kind(self) -> str:
@@ -246,18 +246,6 @@ def load_image(path) -> MemoryImage:
         return MemoryImage.from_bytes(fh.read())
 
 
-@dataclass
-class InferenceResult:
-    """One call's inferences.  For a batch of N presentations ``scores`` is
-    (N, rows) and ``winner`` is (N,), one per presentation, while
-    ``cycles_used`` and ``event_counts`` are totals over the call."""
-
-    scores: np.ndarray  # log: saturating score sums; stochastic: fire counters
-    winner: int | np.ndarray
-    cycles_used: int
-    event_counts: energy.EventCounts
-
-
 def check_image_matches(image: MemoryImage, config: MachineConfig) -> None:
     if image.kind != config.kind:
         raise ConfigError(f"image kind {image.kind!r} does not match mode {config.mode!r}")
@@ -284,7 +272,9 @@ def infer_logarithmic(image: MemoryImage, obs) -> InferenceResult:
     n = len(winner) if winner.ndim else 1
     counts = energy.count_events("logarithmic", image.rows, image.columns, image.width,
                                  presentations=n)
-    return InferenceResult(scores, winner if winner.ndim else int(winner), n, counts)
+    if winner.ndim:
+        return InferenceResult(scores, winner, np.ones(n, dtype=np.int64), counts)
+    return InferenceResult(scores, int(winner), 1, counts)
 
 
 def infer_stochastic(image: MemoryImage, obs, config: MachineConfig, seed=0) -> InferenceResult:
@@ -297,21 +287,8 @@ def infer_stochastic(image: MemoryImage, obs, config: MachineConfig, seed=0) -> 
     if config.mode != "stochastic":
         raise ConfigError("config mode must be stochastic")
     check_image_matches(image, config)
-    res = stochastic.run_stochastic(
-        image,
-        obs,
-        config.cycle_budget,
-        strategy=config.strategy,
-        rng_mode=config.rng_mode,
-        seed=seed,
-        tie_break=config.tie_break,
-    )
-    cycles = int(np.sum(res.cycles_run))
-    counts = energy.count_events(
-        "stochastic", image.rows, image.columns, image.width,
-        cycles=cycles, rng_mode=config.rng_mode, presentations=np.size(res.cycles_run),
-    )
-    return InferenceResult(res.counters, res.winner, cycles, counts)
+    return stochastic.run_stochastic(image, obs, config.cycle_budget, strategy=config.strategy,
+                                     rng_mode=config.rng_mode, seed=seed)
 
 
 def inject_errors(image: MemoryImage, ber: float, seed=0) -> MemoryImage:
@@ -350,7 +327,7 @@ def run_filter(image: MemoryImage, feature_addresses, unknown_row: int, config: 
     previous step's winner.  ``feature_addresses`` is a (steps, columns-1)
     table of observation addresses for the remaining columns.  Stochastic
     steps draw from one stream seeded by ``seed`` (an int or a numpy
-    Generator).  Returns one InferenceResult per step.
+    Generator).  Returns one InferenceResult with one presentation per step.
     """
     check_image_matches(image, config)
     v0 = image.values_per_column[0]
@@ -361,8 +338,8 @@ def run_filter(image: MemoryImage, feature_addresses, unknown_row: int, config: 
     if not 0 <= unknown_row < v0:
         raise ConfigError(f"unknown-state address {unknown_row} out of range")
     feats = np.asarray(feature_addresses, dtype=np.int64)
-    if feats.ndim != 2 or feats.shape[1] != image.columns - 1:
-        raise ConfigError(f"feature addresses must be (steps, {image.columns - 1})")
+    if feats.ndim != 2 or feats.shape[1] != image.columns - 1 or not len(feats):
+        raise ConfigError(f"feature addresses must be (steps >= 1, {image.columns - 1})")
     rng = np.random.default_rng(seed)
     results = []
     prev = int(unknown_row)
@@ -374,4 +351,9 @@ def run_filter(image: MemoryImage, feature_addresses, unknown_row: int, config: 
             res = infer_stochastic(image, obs, config, seed=rng)
         results.append(res)
         prev = res.winner
-    return results
+    cycles = np.array([r.cycles for r in results])
+    counts = energy.count_events(config.mode, image.rows, image.columns, image.width,
+                                 cycles=int(cycles.sum()), rng_mode=config.rng_mode,
+                                 presentations=len(results))
+    return InferenceResult(np.array([r.scores for r in results]),
+                           np.array([r.winner for r in results]), cycles, counts)

@@ -74,6 +74,8 @@ def config_for_model(model: modelkit.BayesModel, mode: str, width: int = 8,
     leading transition column (padded to a power of two, so 4 classes get
     the 8-value column of the fabricated part) for filter models."""
     if model.transition is None:
+        if prior_values is not None:
+            raise ConfigError("--prior-values applies to filter models only")
         values = model.bins
     else:
         v0 = prior_values
@@ -139,12 +141,11 @@ def accuracy(winners, labels) -> float:
 def eval_log(prep: Prepared, image: machine.MemoryImage) -> float:
     """Deterministic logarithmic-machine accuracy on the test split."""
     if prep.filtered:
-        cfg = config_from_image(image)
-        results = machine.run_filter(image, prep.test_obs, unknown_row=prep.model.classes, config=cfg)
-        winners = [r.winner for r in results]
+        res = machine.run_filter(image, prep.test_obs, unknown_row=prep.model.classes,
+                                 config=config_from_image(image))
     else:
-        winners = machine.infer_logarithmic(image, prep.test_obs).winner
-    return accuracy(winners, prep.test_labels)
+        res = machine.infer_logarithmic(image, prep.test_obs)
+    return accuracy(res.winner, prep.test_labels)
 
 
 @dataclass
@@ -156,16 +157,14 @@ class StochasticEval:
 def eval_stochastic(prep: Prepared, image: machine.MemoryImage,
                     config: machine.MachineConfig, seed: int) -> StochasticEval:
     """One stochastic pass over the test split with a fresh seeded stream:
-    one batched call for naive models, the step loop for filter models."""
+    one batched call for naive models, the filter for filter models."""
     if prep.filtered:
-        results = machine.run_filter(image, prep.test_obs, unknown_row=prep.model.classes,
-                                     config=config, seed=seed)
-        winners = [r.winner for r in results]
-        cycles = sum(r.cycles_used for r in results)
+        res = machine.run_filter(image, prep.test_obs, unknown_row=prep.model.classes,
+                                 config=config, seed=seed)
     else:
         res = machine.infer_stochastic(image, prep.test_obs, config, seed=seed)
-        winners, cycles = res.winner, res.cycles_used
-    return StochasticEval(accuracy(winners, prep.test_labels), cycles / len(prep.test_labels))
+    return StochasticEval(accuracy(res.winner, prep.test_labels),
+                          res.cycles_used / len(prep.test_labels))
 
 
 def eval_oracle(prep: Prepared) -> float:

@@ -5,9 +5,10 @@ cycle every stored code is turned into one Bernoulli bit by comparing a
 fresh uniform draw against v; AND-ing the bits of a row multiplies the
 probabilities, and per-row counters accumulate the resulting fire events.
 `run_stochastic` simulates a whole batch of independent presentations with
-one block of draws.
+one block of draws and returns an `InferenceResult`, the result type of
+every machine call.
 
-Two run strategies:
+Two run strategies, both breaking ties by a uniform pick among the tied rows:
 
 * ``conventional``   run exactly ``budget`` cycles, winner is the row with
   the highest counter.
@@ -26,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import energy
 from .errors import ConfigError, DomainError
 
 STRATEGIES = ("conventional", "power_conscious")
 RNG_MODES = ("column_shared", "per_cell")
-TIE_BREAKS = ("random", "lowest")
 
 
 @dataclass(frozen=True)
@@ -72,15 +73,20 @@ def quantize_linear_array(p: np.ndarray, k: int = 8) -> np.ndarray:
 
 
 @dataclass
-class StochasticRunResult:
-    """Per presentation: for one address vector the fields are scalars and
-    ``counters`` is (rows,); for a batch of N they are (N,) arrays and
-    ``counters`` is (N, rows)."""
+class InferenceResult:
+    """One machine call's inferences.  For one presentation ``winner`` and
+    ``cycles`` are ints and ``scores`` is (rows,); for N presentations (a
+    batch, or a filter's N steps) they are (N,) and (N, rows) arrays.  A
+    logarithmic presentation runs one cycle; ``event_counts`` is the total."""
 
-    counters: np.ndarray  # per-row fire counts over the cycles actually run
-    cycles_run: int | np.ndarray
+    scores: np.ndarray  # log: saturating score sums; stochastic: fire counters
     winner: int | np.ndarray
-    stopped_early: bool | np.ndarray
+    cycles: int | np.ndarray
+    event_counts: energy.EventCounts
+
+    @property
+    def cycles_used(self) -> int:
+        return int(np.sum(self.cycles))
 
 
 def run_stochastic(
@@ -90,8 +96,7 @@ def run_stochastic(
     strategy: str = "conventional",
     rng_mode: str = "column_shared",
     seed=0,
-    tie_break: str = "random",
-) -> StochasticRunResult:
+) -> InferenceResult:
     """Run stochastic inference of one address vector (C,) or a batch (N, C)
     on a linear-code memory image.
 
@@ -100,7 +105,9 @@ def run_stochastic(
     Generator (so a caller stepping a sequence can keep one stream across
     steps).  A call draws, in this order: every presentation's bits, in
     presentation, cycle, [row,] column order, one integer in [0, 2**width)
-    each; then one uniform per presentation that breaks its ties.
+    each; then one uniform per presentation that breaks its ties.  A
+    power-conscious presentation stopped early exactly when any of its
+    scores is non-zero; a conventional one never stops early.
     """
     if image.kind != "linear":
         raise ConfigError("stochastic run needs a linear-code image")
@@ -110,8 +117,6 @@ def run_stochastic(
         raise ConfigError(f"unknown strategy {strategy!r}")
     if rng_mode not in RNG_MODES:
         raise ConfigError(f"unknown rng mode {rng_mode!r}")
-    if tie_break not in TIE_BREAKS:
-        raise ConfigError(f"unknown tie break {tie_break!r}")
 
     latched = image.latch(obs)
     codes = latched if latched.ndim == 3 else latched[np.newaxis]  # (N, R, C)
@@ -135,7 +140,6 @@ def run_stochastic(
     if strategy == "conventional":
         counters = fire.sum(axis=1, dtype=np.int64)
         cycles = np.full(n, budget)
-        stopped = np.zeros(n, dtype=bool)
         candidates = counters == counters.max(axis=1, keepdims=True)
     else:
         # no row fires before the stop cycle, so the counters are that
@@ -147,13 +151,11 @@ def run_stochastic(
         counters = fire[np.arange(n), first].astype(np.int64) * stopped[:, np.newaxis]
         candidates = counters.astype(bool) | ~stopped[:, np.newaxis]
 
-    if tie_break == "lowest":
-        winner = candidates.argmax(axis=1)
-    else:
-        k = candidates.sum(axis=1)
-        pick = np.minimum((ties * k).astype(np.int64), k - 1)
-        winner = (candidates.cumsum(axis=1) > pick[:, np.newaxis]).argmax(axis=1)
-
+    k = candidates.sum(axis=1)
+    pick = np.minimum((ties * k).astype(np.int64), k - 1)
+    winner = (candidates.cumsum(axis=1) > pick[:, np.newaxis]).argmax(axis=1)
+    counts = energy.count_events("stochastic", rows, cols, image.width, cycles=int(cycles.sum()),
+                                 rng_mode=rng_mode, presentations=n)
     if latched.ndim == 2:
-        return StochasticRunResult(counters[0], int(cycles[0]), int(winner[0]), bool(stopped[0]))
-    return StochasticRunResult(counters, cycles, winner, stopped)
+        return InferenceResult(counters[0], int(winner[0]), int(cycles[0]), counts)
+    return InferenceResult(counters, winner, cycles, counts)

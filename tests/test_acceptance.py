@@ -120,7 +120,7 @@ def test_criterion_04_stochastic_calibration():
     within = 0
     for _ in range(trials):
         res = stochastic.run_stochastic(img, [0, 0], budget=255, seed=rng)
-        within += abs(res.counters[0] / 255 - 0.25) <= bound
+        within += abs(res.scores[0] / 255 - 0.25) <= bound
     frac = within / trials
     note(4, frac >= 0.99, f"{100 * frac:.1f}% of {trials} trials within "
                           f"3 sigma = {bound:.4f} of 0.25 (need >= 99%)")

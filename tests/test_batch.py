@@ -3,10 +3,11 @@
 `infer_logarithmic` and the oracles score a whole batch in one call; these
 properties pin them to per-vector calls and `oracle_filter` to a per-step
 float reference.  The logarithmic filter is pinned to the brute-force
-filter of test_machine on random images.  The stochastic sampler draws a
-whole batch at once: properties pin its counters, stop cycles, winners and
-totals, and chi-square tests on one batch of identical presentations pin
-its winner split, stop-cycle law and tie-breaks to their exact laws.
+filter of test_machine on random images, and a filter's result to its
+per-step calls.  The stochastic sampler draws a whole batch at once:
+properties pin its counters, stop cycles, winners and totals, and
+chi-square tests on one batch of identical presentations pin its winner
+split, stop-cycle law and tie-breaks to their exact laws.
 """
 
 import numpy as np
@@ -66,12 +67,12 @@ def test_log_filter_equals_brute_force(data):
     feats = data.draw(address_batches(feat_sizes))
     unknown = data.draw(st.integers(0, v0 - 1))
     cfg = MachineConfig(rows=rows, columns=len(sizes), values_per_column=sizes)
-    results = machine.run_filter(img, feats, unknown_row=unknown, config=cfg)
+    res = machine.run_filter(img, feats, unknown_row=unknown, config=cfg)
     winners = filter_oracle(img.blocks, feats, unknown)
-    assert [r.winner for r in results] == winners
+    assert res.winner.tolist() == winners
     prev = [unknown] + winners[:-1]
-    for r, p, step in zip(results, prev, feats):
-        assert np.array_equal(r.scores, machine.infer_logarithmic(img, [p, *step]).scores)
+    for scores, p, step in zip(res.scores, prev, feats):
+        assert np.array_equal(scores, machine.infer_logarithmic(img, [p, *step]).scores)
 
 
 @st.composite
@@ -146,13 +147,15 @@ def test_batch_latch_with_one_bad_row_raises(data):
 # ---- stochastic sampler ----
 
 @st.composite
-def linear_images(draw):
+def linear_images(draw, rows=None, sizes=None):
     """A random linear image; codes lean to 0, half and top so rows both
     fire and stay quiet."""
     width = draw(st.sampled_from([8, 16]))
     top = (1 << width) - 1
-    rows = draw(st.integers(1, 4))
-    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    if rows is None:
+        rows = draw(st.integers(1, 4))
+    if sizes is None:
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     code = st.one_of(st.integers(0, top), st.sampled_from([0, top // 2, top]))
     blocks = [np.array(draw(st.lists(st.lists(code, min_size=v, max_size=v),
                                       min_size=rows, max_size=rows)))
@@ -167,12 +170,11 @@ def sampler_runs(draw):
     opts = dict(budget=draw(st.integers(1, 40)),
                 strategy=draw(st.sampled_from(stochastic.STRATEGIES)),
                 rng_mode=draw(st.sampled_from(stochastic.RNG_MODES)),
-                tie_break=draw(st.sampled_from(stochastic.TIE_BREAKS)),
                 seed=draw(st.integers(0, 2**32)))
     return img, obs, opts
 
 
-def cycle_reference(img, obs, budget, strategy, rng_mode, seed, tie_break):
+def cycle_reference(img, obs, budget, strategy, rng_mode, seed):
     """The sampler one presentation and one cycle at a time, on the same
     stream: one block of bit draws in presentation, cycle, [row,] column
     order, then one tie-break uniform per presentation."""
@@ -200,7 +202,7 @@ def cycle_reference(img, obs, budget, strategy, rng_mode, seed, tie_break):
             cand = [r for r in range(rows) if counters[r] == max(counters)]
         else:
             cand = [r for r in range(rows) if fired[r]] if stopped else list(range(rows))
-        pick = 0 if tie_break == "lowest" else min(int(ties[i] * len(cand)), len(cand) - 1)
+        pick = min(int(ties[i] * len(cand)), len(cand) - 1)
         out.append((counters, cycles, cand[pick], stopped))
     return out
 
@@ -210,8 +212,10 @@ def cycle_reference(img, obs, budget, strategy, rng_mode, seed, tie_break):
 def test_sampler_equals_cycle_reference(run):
     img, obs, opts = run
     res = stochastic.run_stochastic(img, obs, **opts)
-    got = list(zip(res.counters.tolist(), res.cycles_run.tolist(), res.winner.tolist(),
-                   res.stopped_early.tolist()))
+    # the docstring's rule: power-conscious stopped early iff any score fired
+    stopped = res.scores.any(axis=1) & (opts["strategy"] == "power_conscious")
+    got = list(zip(res.scores.tolist(), res.cycles.tolist(), res.winner.tolist(),
+                   stopped.tolist()))
     assert got == cycle_reference(img, obs, **opts)
 
 
@@ -221,10 +225,10 @@ def test_batch_of_one_is_the_single_vector_call(run):
     img, obs, opts = run
     one = stochastic.run_stochastic(img, obs[0], **opts)
     batch = stochastic.run_stochastic(img, obs[:1], **opts)
-    assert np.array_equal(batch.counters, one.counters[np.newaxis])
-    assert (batch.cycles_run.tolist(), batch.winner.tolist(), batch.stopped_early.tolist()) \
-        == ([one.cycles_run], [one.winner], [one.stopped_early])
-    assert isinstance(one.winner, int) and isinstance(one.cycles_run, int)
+    assert np.array_equal(batch.scores, one.scores[np.newaxis])
+    assert (batch.cycles.tolist(), batch.winner.tolist()) == ([one.cycles], [one.winner])
+    assert batch.event_counts == one.event_counts
+    assert isinstance(one.winner, int) and isinstance(one.cycles, int)
 
 
 @SETTINGS
@@ -233,21 +237,18 @@ def test_sampler_counters_cycles_and_winners(run):
     img, obs, opts = run
     res = stochastic.run_stochastic(img, obs, **opts)
     n, budget = len(obs), opts["budget"]
-    assert res.counters.shape == (n, img.rows)
-    assert np.all((res.cycles_run >= 1) & (res.cycles_run <= budget))
-    assert np.all((res.counters >= 0) & (res.counters <= res.cycles_run[:, np.newaxis]))
-    won = res.counters[np.arange(n), res.winner]
+    assert res.scores.shape == (n, img.rows)
+    assert np.all((res.cycles >= 1) & (res.cycles <= budget))
+    assert np.all((res.scores >= 0) & (res.scores <= res.cycles[:, np.newaxis]))
+    won = res.scores[np.arange(n), res.winner]
     if opts["strategy"] == "conventional":
-        assert np.array_equal(won, res.counters.max(axis=1))
-        assert not res.stopped_early.any() and np.all(res.cycles_run == budget)
+        assert np.array_equal(won, res.scores.max(axis=1))
+        assert np.all(res.cycles == budget)
     else:
         # the winner fired at its stop cycle, or nothing fired in the budget
-        quiet = ~res.stopped_early
-        assert np.all(won[res.stopped_early] == 1)
-        assert not res.counters[quiet].any() and np.all(res.cycles_run[quiet] == budget)
-    if opts["tie_break"] == "lowest":
-        best = res.counters == res.counters[np.arange(n), res.winner][:, np.newaxis]
-        assert np.array_equal(res.winner, best.argmax(axis=1))
+        stopped = res.scores.any(axis=1)
+        assert np.all(won[stopped] == 1)
+        assert np.all(res.cycles[~stopped] == budget)
 
 
 def event_fields(counts):
@@ -261,15 +262,15 @@ def test_batch_totals_equal_per_presentation_totals(run):
     cfg = MachineConfig(rows=img.rows, columns=img.columns,
                         values_per_column=img.values_per_column, mode="stochastic",
                         likelihood_width=img.width, cycle_budget=opts["budget"],
-                        strategy=opts["strategy"], rng_mode=opts["rng_mode"],
-                        tie_break=opts["tie_break"])
+                        strategy=opts["strategy"], rng_mode=opts["rng_mode"])
     res = machine.infer_stochastic(img, obs, cfg, seed=opts["seed"])
     ref = stochastic.run_stochastic(img, obs, **opts)
-    assert np.array_equal(res.winner, ref.winner) and np.array_equal(res.scores, ref.counters)
-    assert res.cycles_used == int(ref.cycles_run.sum())
+    assert np.array_equal(res.winner, ref.winner) and np.array_equal(res.scores, ref.scores)
+    assert np.array_equal(res.cycles, ref.cycles)
+    assert res.cycles_used == int(ref.cycles.sum())
     each = sum(event_fields(energy.count_events("stochastic", img.rows, img.columns, img.width,
                                                 cycles=int(c), rng_mode=opts["rng_mode"]))
-               for c in ref.cycles_run)
+               for c in ref.cycles)
     assert np.array_equal(event_fields(res.event_counts), each)
 
 
@@ -283,6 +284,57 @@ def test_log_batch_totals_equal_per_presentation_totals(data):
     assert res.cycles_used == sum(r.cycles_used for r in one) == len(obs)
     assert np.array_equal(event_fields(res.event_counts),
                           sum(event_fields(r.event_counts) for r in one))
+
+
+@st.composite
+def filter_runs(draw):
+    """A random filter machine of either mode, its steps and its options."""
+    mode = draw(st.sampled_from(machine.MODES))
+    rows = draw(st.integers(1, 4))
+    v0 = draw(st.integers(rows + 1, rows + 3))
+    feat_sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    sizes = [v0] + feat_sizes
+    images = log_images if mode == "logarithmic" else linear_images
+    img = draw(images(rows, sizes))
+    cfg = MachineConfig(rows=rows, columns=len(sizes), values_per_column=sizes, mode=mode,
+                        likelihood_width=img.width,
+                        cycle_budget=draw(st.integers(1, 40)),
+                        strategy=draw(st.sampled_from(stochastic.STRATEGIES)),
+                        rng_mode=draw(st.sampled_from(stochastic.RNG_MODES)))
+    feats = draw(address_batches(feat_sizes))
+    return img, cfg, feats, draw(st.integers(0, v0 - 1)), draw(st.integers(0, 2**32))
+
+
+@SETTINGS
+@given(filter_runs())
+def test_filter_totals_equal_per_step_totals(run):
+    img, cfg, feats, unknown, seed = run
+    res = machine.run_filter(img, feats, unknown_row=unknown, config=cfg, seed=seed)
+    # the same steps one call at a time, on the same stream
+    rng, prev, steps = np.random.default_rng(seed), unknown, []
+    for step in feats:
+        if cfg.mode == "logarithmic":
+            steps.append(machine.infer_logarithmic(img, [prev, *step]))
+        else:
+            steps.append(machine.infer_stochastic(img, [prev, *step], cfg, seed=rng))
+        prev = steps[-1].winner
+    assert res.scores.shape == (len(feats), img.rows)
+    assert res.winner.shape == res.cycles.shape == (len(feats),)
+    assert np.array_equal(res.scores, [r.scores for r in steps])
+    assert res.winner.tolist() == [r.winner for r in steps]
+    assert res.cycles.tolist() == [r.cycles for r in steps]
+    assert res.cycles_used == sum(r.cycles_used for r in steps)
+    assert np.array_equal(event_fields(res.event_counts),
+                          sum(event_fields(r.event_counts) for r in steps))
+
+
+@pytest.mark.parametrize("mode,kind", [("logarithmic", "log"), ("stochastic", "linear")])
+def test_empty_filter_sequence_is_refused(mode, kind):
+    img = MemoryImage([np.zeros((2, 3), dtype=np.uint16), np.zeros((2, 2), dtype=np.uint16)],
+                      8, kind)
+    cfg = MachineConfig(rows=2, columns=2, values_per_column=(3, 2), mode=mode)
+    with pytest.raises(ConfigError, match="steps >= 1"):
+        machine.run_filter(img, np.zeros((0, 1), dtype=np.int64), unknown_row=2, config=cfg)
 
 
 # upper 0.1% points of the chi-square law by degrees of freedom
@@ -310,7 +362,7 @@ def test_power_conscious_winner_split_chi_square():
     img = lin([[[128], [64]]])
     res = stochastic.run_stochastic(img, same_presentation(img), budget=64,
                                     strategy="power_conscious", rng_mode="per_cell", seed=101)
-    assert res.stopped_early.all()
+    assert res.scores.any(axis=1).all()  # every presentation stopped early
     p0 = enum_first_fire_winner(0.5, 0.25)
     wins = np.bincount(res.winner, minlength=2)
     assert chi_square(wins, [p0 * TRIALS, (1 - p0) * TRIALS]) < CHI2_999[1]
@@ -328,10 +380,11 @@ def test_stop_cycle_follows_truncated_geometric_law(rng_mode, columns, q):
     res = stochastic.run_stochastic(img, same_presentation(img), budget=budget,
                                     strategy="power_conscious", rng_mode=rng_mode, seed=202)
     # bins: stopped at cycle 1..budget, then quiet for the whole budget
-    observed = np.bincount(res.cycles_run[res.stopped_early] - 1, minlength=budget).tolist()
-    observed.append(int((~res.stopped_early).sum()))
+    stopped = res.scores.any(axis=1)
+    observed = np.bincount(res.cycles[stopped] - 1, minlength=budget).tolist()
+    observed.append(int((~stopped).sum()))
     law = [(1 - q) ** (t - 1) * q for t in range(1, budget + 1)] + [(1 - q) ** budget]
-    assert np.all(res.cycles_run[~res.stopped_early] == budget)
+    assert np.all(res.cycles[~stopped] == budget)
     assert chi_square(observed, np.array(law) * TRIALS) < CHI2_999[budget]
 
 
@@ -339,11 +392,11 @@ def test_stop_cycle_follows_truncated_geometric_law(rng_mode, columns, q):
     ("conventional", 150),  # equal rows, one shared draw: every counter ties
     ("power_conscious", 0),  # nothing fires: the fallback ties every row
 ])
-def test_random_tie_break_is_uniform(strategy, code):
+def test_random_ties_are_uniform(strategy, code):
     rows = 4
     img = lin([np.full((rows, 1), code), np.full((rows, 1), 200)])
     res = stochastic.run_stochastic(img, same_presentation(img), budget=16,
                                     strategy=strategy, seed=303)
-    assert (res.counters == res.counters[:, :1]).all()
+    assert (res.scores == res.scores[:, :1]).all()
     wins = np.bincount(res.winner, minlength=rows)
     assert chi_square(wins, np.full(rows, TRIALS / rows)) < CHI2_999[rows - 1]

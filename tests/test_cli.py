@@ -278,6 +278,19 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     assert run("--config", bad_budget, "sim", "--model", model, "--image", lin,
                "--data", out / "test.csv", "--out", tmp_path / "g") == 2
     assert "--budget must be an integer, got 'abc'" in capsys.readouterr().err
+    # a flag the command would accept and then ignore is refused by name
+    sweep = ["sweep", "--model", model, "--data", out / "test.csv", "--out", tmp_path / "g"]
+    unused = [
+        ("--prior-values", ["compile", "--model", model, "--prior-values", 3, "--out", img]),
+        ("--budget", [*sweep, "--kind", "cycles", "--budget", 16]),
+        ("--budget", [*sweep, "--kind", "bits", "--budget", 16]),
+        ("--width", [*sweep, "--kind", "bits", "--width", 16]),
+    ]
+    for flag, argv in unused:
+        assert run(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err, argv
+    assert not img.exists()
     assert not any((tmp_path / "g" / f).exists() for f in (
         "sim.csv", "sweep_cycles.csv", "sweep_ber.csv", "sweep_bits.csv", "energy.csv"))
     # a flag and a config value are read by the same checker

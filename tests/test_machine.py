@@ -239,8 +239,7 @@ def test_run_filter_three_step_toy():
     img = log_image([col0, col1])
     cfg = MachineConfig(rows=2, columns=2, values_per_column=(3, 2), mode="logarithmic")
     feats = [[0], [0], [1]]
-    results = machine.run_filter(img, feats, unknown_row=2, config=cfg)
-    got = [r.winner for r in results]
+    got = machine.run_filter(img, feats, unknown_row=2, config=cfg).winner.tolist()
     assert got == filter_oracle([col0, col1], feats, 2)
     # hand enumeration: step0 scores (16, 46) -> 0; step1 (2, 70) -> 0;
     # step2 (32, 40) -> 0 (sticky transition outweighs the observation)
@@ -255,8 +254,7 @@ def test_run_filter_feedback_switches():
     img = log_image([col0, col1])
     cfg = MachineConfig(rows=2, columns=2, values_per_column=(3, 2), mode="logarithmic")
     feats = [[0], [1], [1]]  # strong observation flips the state at step 1
-    results = machine.run_filter(img, feats, unknown_row=2, config=cfg)
-    got = [r.winner for r in results]
+    got = machine.run_filter(img, feats, unknown_row=2, config=cfg).winner.tolist()
     assert got == filter_oracle([col0, col1], feats, 2)
     assert got == [0, 1, 1]
 
@@ -269,7 +267,7 @@ def test_run_filter_sticky_absorbing():
     img = log_image([col0, col1])
     cfg = MachineConfig(rows=2, columns=2, values_per_column=(3, 4), mode="logarithmic")
     feats = [[i % 4] for i in range(10)]
-    winners = [r.winner for r in machine.run_filter(img, feats, unknown_row=2, config=cfg)]
+    winners = machine.run_filter(img, feats, unknown_row=2, config=cfg).winner
     assert len(set(winners)) == 1
 
 
@@ -282,9 +280,10 @@ def test_run_filter_stochastic_deterministic_per_seed():
     cfg = MachineConfig(rows=2, columns=2, values_per_column=(3, 2),
                         mode="stochastic", cycle_budget=64)
     feats = [[0], [0], [1], [1]]
-    a = [r.winner for r in machine.run_filter(img, feats, unknown_row=2, config=cfg, seed=21)]
-    b = [r.winner for r in machine.run_filter(img, feats, unknown_row=2, config=cfg, seed=21)]
-    assert a == b
+    a = machine.run_filter(img, feats, unknown_row=2, config=cfg, seed=21)
+    b = machine.run_filter(img, feats, unknown_row=2, config=cfg, seed=21)
+    assert np.array_equal(a.scores, b.scores)
+    assert (a.winner.tolist(), a.cycles.tolist()) == (b.winner.tolist(), b.cycles.tolist())
 
 
 # ---- image container ----

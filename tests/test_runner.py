@@ -55,3 +55,20 @@ def test_sweep_points_worker_invariant(monkeypatch):
         pts = runner.sweep_cycles(prep, lin[8], budgets=[4, 8], trials=2, seed=5)
         got.append([(p.strategy, p.budget, p.mean_acc, p.mean_cycles) for p in pts])
     assert got[0] == got[1]
+
+
+@pytest.mark.parametrize("make", [tasks.gesture_like_spec, tasks.sleep_like_spec])
+def test_empty_test_split_is_refused(make):
+    prep = runner.prepare(make(seed=8, train_size=400, test_size=20))
+    empty = runner.Prepared(prep.model, prep.test_obs[:0], prep.test_labels[:0])
+    log_img, lin = runner.images_for_model(prep)
+    with pytest.raises(ConfigError):
+        runner.eval_log(empty, log_img)
+    with pytest.raises(ConfigError):
+        runner.eval_stochastic(empty, lin[8], runner.config_from_image(lin[8]), seed=1)
+
+
+def test_prior_values_refused_for_naive_model():
+    prep = runner.prepare(tasks.gesture_like_spec(seed=8, train_size=60, test_size=20))
+    with pytest.raises(ConfigError, match="--prior-values"):
+        runner.config_for_model(prep.model, "logarithmic", prior_values=3)
