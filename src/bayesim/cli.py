@@ -154,6 +154,12 @@ class Options:
             raise ConfigError(f"missing required option {_flag(name)}")
         return v
 
+    def refuse(self, names, why: str) -> None:
+        """Refuse options given (by flag or config) that ``why`` leaves unused."""
+        for name in names:
+            if self.values.get(name) is not None:
+                raise ConfigError(f"{_flag(name)} is not used by {why}")
+
     def path(self, name: str) -> Path:
         """The file named by a required option, its sha256 recorded."""
         p = Path(self.require(name))
@@ -288,6 +294,8 @@ def cmd_sim(args) -> int:
     opts = Options(args, "sim")
     prep = _prepared(opts)
     image = machine.load_image(opts.path("image"))
+    if image.kind == "log":  # one deterministic pass: no cycles, strategy or draws
+        opts.refuse(("budget", "strategy", "trials", "seed"), "a logarithmic image")
     budget = opts.get("budget", 255)
     strategy = opts.get("strategy", "conventional")
     trials = opts.get("trials", 10)
@@ -307,9 +315,8 @@ def cmd_sim(args) -> int:
 def cmd_sweep(args) -> int:
     opts = Options(args, "sweep")
     kind = opts.require("kind")
-    for name in {"cycles": ("budget",), "bits": ("budget", "width")}.get(kind, ()):
-        if opts.values.get(name) is not None:  # given, but this kind would ignore it
-            raise ConfigError(f"{_flag(name)} is not used by --kind {kind}")
+    opts.refuse({"cycles": ("budget",), "bits": ("budget", "width")}.get(kind, ()),
+                f"--kind {kind}")
     prep = _prepared(opts)
     trials = opts.get("trials", 10)
     seed = opts.get("seed", 0)

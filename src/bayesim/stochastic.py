@@ -4,17 +4,19 @@ A probability is held as a plain k-bit integer v with P = v / 2**k.  Each
 cycle every stored code is turned into one Bernoulli bit by comparing a
 fresh uniform draw against v; AND-ing the bits of a row multiplies the
 probabilities, and per-row counters accumulate the resulting fire events.
-`run_stochastic` simulates a whole batch of independent presentations with
-one block of draws and returns an `InferenceResult`, the result type of
-every machine call.
+`run_stochastic` simulates a whole batch of independent presentations in
+one call and returns an `InferenceResult`, the result type of every
+machine call.
 
 Two run strategies, both breaking ties by a uniform pick among the tied rows:
 
-* ``conventional``   run exactly ``budget`` cycles, winner is the row with
-  the highest counter.
+* ``conventional``   run exactly ``budget`` cycles cycle by cycle, winner
+  is the row with the highest counter.
 * ``power_conscious`` stop at the first cycle in which any row fires and
   pick among the rows that fired; if nothing fires within the budget,
-  fall back to a tie over all rows.
+  fall back to a tie over all rows.  Cycles are independent, so up to
+  `LAW_MAX_ROWS` rows a run is sampled from the exact per-cycle law of the
+  fired rows (`mask_law`) instead of cycle by cycle.
 
 RNG sharing is configurable: ``column_shared`` draws one uniform per
 column per cycle (all rows of a column see the same draw, as one RNG per
@@ -32,6 +34,7 @@ from .errors import ConfigError, DomainError
 
 STRATEGIES = ("conventional", "power_conscious")
 RNG_MODES = ("column_shared", "per_cell")
+LAW_MAX_ROWS = 12  # a law has 2**rows masks; more rows run cycle by cycle
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,31 @@ class InferenceResult:
         return int(np.sum(self.cycles))
 
 
+def mask_law(codes, width: int, rng_mode: str) -> np.ndarray:
+    """The exact per-cycle row-fire law of latched codes (N, R, C): entry
+    [n, m] is P(in one cycle exactly the rows of bit mask m fire).
+
+    P(every row of S fires in column c) is the min over S of the column's
+    probabilities under ``column_shared`` (its one draw fires nested top
+    sets of rows) and their product under ``per_cell``; the product over
+    columns, then a Moebius pass per row, gives P(mask == S).
+    """
+    if rng_mode not in RNG_MODES:
+        raise ConfigError(f"unknown rng mode {rng_mode!r}")
+    n, rows, cols = codes.shape
+    p = codes / float(1 << width)
+    join = np.minimum if rng_mode == "column_shared" else np.multiply
+    law, part = np.ones((n, 1 << rows)), np.ones((n, 1 << rows))
+    for c in range(cols):
+        for r in range(rows):  # part[S] for S within rows 0..r, one row at a time
+            join(part[:, :1 << r], p[:, r, c, np.newaxis], out=part[:, 1 << r:2 << r])
+        law *= part
+    for r in range(rows):
+        both = law.reshape(n, -1, 2, 1 << r)
+        both[:, :, 0] -= both[:, :, 1]  # P(S fires, r not) = P(S fires) - P(S, r fire)
+    return np.maximum(law, 0.0, out=law)  # rounding must not leave -1e-17
+
+
 def run_stochastic(
     image,
     obs,
@@ -103,11 +131,16 @@ def run_stochastic(
     Memory is read once up front (``image.latch``) and the latched codes are
     reused every cycle.  ``seed`` may be an int or an existing numpy
     Generator (so a caller stepping a sequence can keep one stream across
-    steps).  A call draws, in this order: every presentation's bits, in
+    steps).  A conventional call draws every presentation's bits, in
     presentation, cycle, [row,] column order, one integer in [0, 2**width)
-    each; then one uniform per presentation that breaks its ties.  A
-    power-conscious presentation stopped early exactly when any of its
-    scores is non-zero; a conventional one never stops early.
+    each, then one uniform per presentation that breaks its ties.  A
+    power-conscious call draws one float64 uniform triple (stop, mask, tie)
+    per presentation: the stop cycle is truncated geometric in q = 1 -
+    P(no row fires), and the scores are one fired mask drawn from the law
+    of the non-empty masks.  Above `LAW_MAX_ROWS` rows it draws as a
+    conventional call and stops at the first fire.  A power-conscious
+    presentation stopped early exactly when any of its scores is non-zero;
+    a conventional one never stops early.
     """
     if image.kind != "linear":
         raise ConfigError("stochastic run needs a linear-code image")
@@ -123,19 +156,31 @@ def run_stochastic(
     n, rows, cols = codes.shape
 
     rng = np.random.default_rng(seed)
-    dtype = np.uint8 if image.width == 8 else np.uint16
-    shape = (n, budget, cols) if rng_mode == "column_shared" else (n, budget, rows, cols)
-    draws = rng.integers(0, 1 << image.width, size=shape, dtype=dtype)
-    ties = rng.random(n)
-    if rng_mode == "column_shared":
-        draws = draws[:, :, np.newaxis, :]  # every row of a column sees its draw
-
-    # AND the columns into (N, budget, R) one at a time, never (N, budget, R, C)
-    fire = draws[..., 0] < codes[:, np.newaxis, :, 0]
-    col = np.empty_like(fire)
-    for c in range(1, cols):
-        np.less(draws[..., c], codes[:, np.newaxis, :, c], out=col)
-        fire &= col
+    if strategy == "power_conscious" and rows <= LAW_MAX_ROWS:
+        stop_u, mask_u, ties = rng.random((n, 3)).T
+        cum = np.cumsum(mask_law(codes, image.width, rng_mode)[:, 1:], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # q = 0: no cycle ever fires
+            stop = np.floor(np.log1p(-stop_u) / np.log1p(-np.minimum(cum[:, -1], 1.0))) + 1
+        mask = 1 + (cum <= (mask_u * cum[:, -1])[:, np.newaxis]).sum(axis=1)
+        fired = (mask[:, np.newaxis] >> np.arange(rows)) & 1
+        stopped = stop <= budget
+    else:
+        dtype = np.uint8 if image.width == 8 else np.uint16
+        shape = (n, budget, cols) if rng_mode == "column_shared" else (n, budget, rows, cols)
+        draws = rng.integers(0, 1 << image.width, size=shape, dtype=dtype)
+        ties = rng.random(n)
+        if rng_mode == "column_shared":
+            draws = draws[:, :, np.newaxis, :]  # every row of a column sees its draw
+        # AND the columns into (N, budget, R) one at a time, never (N, budget, R, C)
+        fire = draws[..., 0] < codes[:, np.newaxis, :, 0]
+        col = np.empty_like(fire)
+        for c in range(1, cols):
+            np.less(draws[..., c], codes[:, np.newaxis, :, c], out=col)
+            fire &= col
+        if strategy == "power_conscious":
+            any_fire = fire.any(axis=2)
+            stopped, first = any_fire.any(axis=1), any_fire.argmax(axis=1)
+            stop, fired = first + 1, fire[np.arange(n), first]
 
     if strategy == "conventional":
         counters = fire.sum(axis=1, dtype=np.int64)
@@ -144,11 +189,8 @@ def run_stochastic(
     else:
         # no row fires before the stop cycle, so the counters are that
         # cycle's fire pattern; with no fire at all every row ties
-        any_fire = fire.any(axis=2)
-        stopped = any_fire.any(axis=1)
-        first = any_fire.argmax(axis=1)
-        cycles = np.where(stopped, first + 1, budget)
-        counters = fire[np.arange(n), first].astype(np.int64) * stopped[:, np.newaxis]
+        cycles = np.where(stopped, stop, budget).astype(np.int64)
+        counters = fired.astype(np.int64) * stopped[:, np.newaxis]
         candidates = counters.astype(bool) | ~stopped[:, np.newaxis]
 
     k = candidates.sum(axis=1)

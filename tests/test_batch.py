@@ -7,7 +7,10 @@ filter of test_machine on random images, and a filter's result to its
 per-step calls.  The stochastic sampler draws a whole batch at once:
 properties pin its counters, stop cycles, winners and totals, and
 chi-square tests on one batch of identical presentations pin its winner
-split, stop-cycle law and tie-breaks to their exact laws.
+split, stop-cycle law and tie-breaks to their exact laws.  Conventional
+runs, and power-conscious runs above the law's row cap, equal a
+cycle-by-cycle reference draw for draw; power-conscious runs sampled from
+the mask law are compared with that reference by chi-square tests.
 """
 
 import numpy as np
@@ -164,20 +167,20 @@ def linear_images(draw, rows=None, sizes=None):
 
 
 @st.composite
-def sampler_runs(draw):
-    img = draw(linear_images())
+def sampler_runs(draw, strategies=stochastic.STRATEGIES, rows=None):
+    img = draw(linear_images(rows))
     obs = draw(address_batches(img.values_per_column))
     opts = dict(budget=draw(st.integers(1, 40)),
-                strategy=draw(st.sampled_from(stochastic.STRATEGIES)),
+                strategy=draw(st.sampled_from(strategies)),
                 rng_mode=draw(st.sampled_from(stochastic.RNG_MODES)),
                 seed=draw(st.integers(0, 2**32)))
     return img, obs, opts
 
 
 def cycle_reference(img, obs, budget, strategy, rng_mode, seed):
-    """The sampler one presentation and one cycle at a time, on the same
-    stream: one block of bit draws in presentation, cycle, [row,] column
-    order, then one tie-break uniform per presentation."""
+    """The cycle kernel one presentation and one cycle at a time, on the
+    same stream: one block of bit draws in presentation, cycle, [row,]
+    column order, then one tie-break uniform per presentation."""
     rng = np.random.default_rng(seed)
     codes = img.latch(obs).tolist()
     n, rows, cols = len(codes), img.rows, img.columns
@@ -207,16 +210,25 @@ def cycle_reference(img, obs, budget, strategy, rng_mode, seed):
     return out
 
 
-@SETTINGS
-@given(sampler_runs())
-def test_sampler_equals_cycle_reference(run):
-    img, obs, opts = run
+def assert_equals_cycle_reference(img, obs, opts):
     res = stochastic.run_stochastic(img, obs, **opts)
     # the docstring's rule: power-conscious stopped early iff any score fired
     stopped = res.scores.any(axis=1) & (opts["strategy"] == "power_conscious")
     got = list(zip(res.scores.tolist(), res.cycles.tolist(), res.winner.tolist(),
                    stopped.tolist()))
     assert got == cycle_reference(img, obs, **opts)
+
+
+@SETTINGS
+@given(sampler_runs(strategies=("conventional",)))
+def test_sampler_equals_cycle_reference(run):
+    assert_equals_cycle_reference(*run)
+
+
+@SETTINGS
+@given(sampler_runs(strategies=("power_conscious",), rows=stochastic.LAW_MAX_ROWS + 1))
+def test_power_conscious_above_row_cap_equals_cycle_reference(run):
+    assert_equals_cycle_reference(*run)
 
 
 @SETTINGS
@@ -349,6 +361,15 @@ def chi_square(observed, expected) -> float:
     return float(((observed - expected) ** 2 / expected).sum())
 
 
+def two_sample_chi_square(a, b) -> tuple[float, int]:
+    """Homogeneity statistic of two equal-sized samples binned alike, and
+    its degrees of freedom; bins empty in both carry nothing."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    assert a.sum() == b.sum()
+    seen = a + b > 0
+    return float(((a - b)[seen] ** 2 / (a + b)[seen]).sum()), int(seen.sum()) - 1
+
+
 def same_presentation(img, n=TRIALS):
     return np.zeros((n, img.columns), dtype=np.int64)
 
@@ -400,3 +421,54 @@ def test_random_ties_are_uniform(strategy, code):
     assert (res.scores == res.scores[:, :1]).all()
     wins = np.bincount(res.winner, minlength=rows)
     assert chi_square(wins, np.full(rows, TRIALS / rows)) < CHI2_999[rows - 1]
+
+
+# (rng mode, width, columns): two or three rows whose masks all occur;
+# the last fires nested row sets only, which a product of row rates misses
+LAW_IMAGES = [
+    ("column_shared", 8, [[[128], [64]], [[100], [200]]]),
+    ("per_cell", 8, [[[128], [64]], [[128], [192]]]),
+    ("per_cell", 16, [[[32768], [16384]], [[40000], [52000]]]),
+    ("column_shared", 16, [[[30000], [20000], [10000]]]),
+]
+
+
+def reference_runs(img, budget, rng_mode, seed):
+    """cycle_reference on TRIALS identical power-conscious presentations, as
+    (scores, cycles, winner) arrays."""
+    ref = cycle_reference(img, same_presentation(img), budget, "power_conscious", rng_mode, seed)
+    scores, cycles, winner, _ = zip(*ref)
+    return np.array(scores), np.array(cycles), np.array(winner)
+
+
+@pytest.mark.parametrize("rng_mode,width,columns", LAW_IMAGES)
+def test_power_conscious_stop_and_mask_match_cycle_reference(rng_mode, width, columns):
+    img, budget = lin(columns, width), 4
+    res = stochastic.run_stochastic(img, same_presentation(img), budget=budget,
+                                    strategy="power_conscious", rng_mode=rng_mode, seed=404)
+    ref = reference_runs(img, budget, rng_mode, seed=505)
+
+    def joint(scores, cycles):
+        # bins: stop cycle 1, 2 or later, times the fired mask; then no fire
+        mask = scores @ (1 << np.arange(img.rows))
+        key = np.where(mask > 0, ((np.minimum(cycles, 3) - 1) << img.rows) + mask,
+                       3 << img.rows)
+        return np.bincount(key, minlength=(3 << img.rows) + 1)
+
+    assert np.all(res.cycles[~res.scores.any(axis=1)] == budget)
+    stat, df = two_sample_chi_square(joint(res.scores, res.cycles), joint(*ref[:2]))
+    assert stat < CHI2_999[df]
+
+
+@pytest.mark.parametrize("rng_mode,columns", [
+    ("column_shared", [[[200], [200], [100]]]),  # rows 0 and 1 always fire together
+    ("per_cell", [[[128], [128], [64]], [[160], [160], [255]]]),
+])
+def test_power_conscious_winner_split_matches_cycle_reference(rng_mode, columns):
+    img = lin(columns)
+    res = stochastic.run_stochastic(img, same_presentation(img), budget=8,
+                                    strategy="power_conscious", rng_mode=rng_mode, seed=606)
+    ref_winner = reference_runs(img, 8, rng_mode, seed=707)[2]
+    stat, df = two_sample_chi_square(np.bincount(res.winner, minlength=img.rows),
+                                     np.bincount(ref_winner, minlength=img.rows))
+    assert stat < CHI2_999[df]

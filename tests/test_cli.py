@@ -196,6 +196,28 @@ def test_trials_below_one_refused(tmp_path, capsys):
     assert not any((out / f).exists() for f in ("sim.csv", "sweep_cycles.csv", "energy.csv"))
 
 
+def test_sim_refuses_sampling_options_on_log_image(tmp_path, capsys):
+    out = tmp_path / "t"
+    assert run("gen", "--task", "gesture_like", "--seed", 3, "--out", out) == 0
+    model = out / "model.json"
+    assert run("train", "--data", out / "train.csv", "--bins", 8, "--out", model) == 0
+    assert run("compile", "--model", model, "--out", out / "log.img") == 0
+    sim = ["sim", "--model", model, "--image", out / "log.img", "--data", out / "test.csv",
+           "--out", out]
+    capsys.readouterr()
+    # a logarithmic machine runs one pass: none of these can change its row
+    for flag, value in (("--budget", 7), ("--strategy", "power_conscious"),
+                        ("--trials", 3), ("--seed", 5)):
+        assert run(*sim, flag, value) == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sim": {flag[2:]: value}}))
+        assert run("--config", cfg, *sim) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {flag} is not used by a logarithmic image"] * 2
+    assert not (out / "sim.csv").exists()
+    assert run(*sim) == 0
+
+
 def test_non_finite_feature_refused(tmp_path, capsys):
     out = tmp_path / "n"
     assert run("gen", "--task", "gesture_like", "--seed", 3, "--out", out) == 0

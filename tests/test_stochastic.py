@@ -203,3 +203,38 @@ def test_determinism():
     b = stochastic.run_stochastic(img, [2], budget=64, seed=1234)
     assert np.array_equal(a.scores, b.scores)
     assert (a.winner, a.cycles, a.event_counts) == (b.winner, b.cycles, b.event_counts)
+
+
+def enumerated_mask_law(codes, rng_mode):
+    """One cycle of one 8-bit presentation (R, C) over every joint draw:
+    the frequency of each fired-row mask (row r is bit r)."""
+    rows, cols = codes.shape
+    per_cycle = cols if rng_mode == "column_shared" else rows * cols
+    draws = np.stack(np.meshgrid(*[np.arange(256)] * per_cycle, indexing="ij"), axis=-1)
+    draws = draws.reshape(-1, 1, cols) if rng_mode == "column_shared" else \
+        draws.reshape(-1, rows, cols)
+    masks = (draws < codes).all(axis=2) @ (1 << np.arange(rows))
+    return np.bincount(masks, minlength=1 << rows) / len(draws)
+
+
+@pytest.mark.parametrize("rng_mode,rows,cols", [
+    ("per_cell", 1, 1), ("per_cell", 1, 2), ("per_cell", 2, 1),
+    ("column_shared", 1, 2), ("column_shared", 3, 1), ("column_shared", 2, 2),
+    ("column_shared", 4, 2),
+])
+def test_mask_law_equals_enumeration(rng_mode, rows, cols):
+    rng = np.random.default_rng(rows * 10 + cols)
+    codes = rng.integers(0, 256, size=(6, rows, cols))
+    codes[0], codes[1] = 0, 255  # never fires; fires on all but the top draw
+    codes[2] = rng.choice([0, 1, 128, 255], size=(rows, cols))
+    law = stochastic.mask_law(codes, 8, rng_mode)
+    assert law.shape == (6, 1 << rows)
+    assert np.all(law >= 0)
+    assert np.all(np.abs(law.sum(axis=1) - 1) < 1e-12)
+    for n in range(len(codes)):
+        assert np.abs(law[n] - enumerated_mask_law(codes[n], rng_mode)).max() < 1e-12
+
+
+def test_mask_law_rejects_unknown_rng_mode():
+    with pytest.raises(ConfigError, match="row_shared"):
+        stochastic.mask_law(np.zeros((1, 2, 1), dtype=np.uint16), 8, "row_shared")
