@@ -22,6 +22,7 @@ import numpy as np
 
 from . import modelkit
 from .errors import DomainError, FormatError, parse_json, read_text
+from .machine import walk
 
 _DATASET_VERSION = 1
 _SPEC_VERSION = 1
@@ -172,8 +173,9 @@ class SyntheticTaskSpec:
             if self.transition is None:
                 raise DomainError("sleep_like needs a transition matrix")
             tr = np.asarray(self.transition, dtype=float)
-            if tr.shape != (self.classes, self.classes) or np.any(tr < 0) \
-                    or not np.allclose(tr.sum(axis=1), 1.0):
+            # Generator.choice's tolerance: the chain sampler trusts these rows
+            if tr.shape != (self.classes, self.classes) or np.any(tr < 0) or not np.all(
+                    np.abs(tr.sum(axis=1) - 1.0) <= np.sqrt(np.finfo(float).eps)):
                 raise DomainError("transition rows must be distributions over classes")
             object.__setattr__(self, "transition", tuple(map(tuple, tr.tolist())))
         elif self.transition is not None:
@@ -242,13 +244,16 @@ class Dataset:
 
 
 def _gen_chain(rng: np.random.Generator, spec: SyntheticTaskSpec, steps: int) -> Dataset:
+    # Per-step rng.choice's stream in blocks: the first state, one uniform per
+    # later step, then the normals.  table[t][v] is the state after v at step t + 1.
     tr = np.asarray(spec.transition)
     loc = np.asarray(spec.locations)
     sc = np.asarray(spec.scales)
-    labels = np.empty(steps, dtype=np.int64)
-    labels[0] = rng.integers(spec.classes)
-    for t in range(1, steps):
-        labels[t] = rng.choice(spec.classes, p=tr[labels[t - 1]])
+    first = rng.integers(spec.classes)
+    u = rng.random(steps - 1)
+    cdf = tr.cumsum(axis=1)
+    table = np.stack([np.searchsorted(c / c[-1], u, side="right") for c in cdf], axis=1)
+    labels = np.array([first, *walk(table, first)], dtype=np.int64)
     feats = np.exp(rng.normal(loc[labels], sc[labels]))
     return Dataset(feats, labels)
 

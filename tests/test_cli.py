@@ -268,6 +268,11 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     assert run("gen", "--task", "gesture_like", "--out", tmp_path / "s") == 0
     bad_spec.write_text((tmp_path / "s" / "spec.json").read_text().replace(
         '"seed": 0', '"seed": "abc"'))
+    off_row = tmp_path / "offrow.json"  # a transition row summing to 1.000005
+    assert run("gen", "--task", "sleep_like", "--out", tmp_path / "sl") == 0
+    doc = json.loads((tmp_path / "sl" / "spec.json").read_text())
+    doc["transition"][0][0] += 5e-6
+    off_row.write_text(json.dumps(doc))
     cases = [
         ["compile", "--model", junk, "--out", img],
         ["compile", "--model", huge, "--out", img],
@@ -276,6 +281,7 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
         ["train", "--data", bad_cols, "--out", tmp_path / "x.json"],
         ["gen", "--spec", junk, "--out", tmp_path / "g"],
         ["gen", "--spec", bad_spec, "--out", tmp_path / "g"],
+        ["gen", "--spec", off_row, "--out", tmp_path / "g"],
         ["--config", junk, "gen", "--task", "gesture_like", "--out", tmp_path / "g"],
         ["--config", bad_seed, "gen", "--task", "gesture_like", "--out", tmp_path / "g"],
         ["--config", bad_budget, "sim", "--model", model, "--image", lin,

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bayesim import modelkit, tasks
 from bayesim.errors import DomainError, FormatError, ValidationError
@@ -163,6 +164,15 @@ def test_spec_validation():
         tasks.SyntheticTaskSpec("gesture_like", 2, 1, ((0.0,), (1.0,)),
                                 ((1.0,), (0.0,)), None, 10, 10)
 
+    def sleep(transition):
+        return tasks.SyntheticTaskSpec("sleep_like", 2, 1, ((0.0,), (1.0,)),
+                                       ((1.0,), (1.0,)), transition, 10, 10)
+    # rows are held to Generator.choice's tolerance, sqrt(float64 eps)
+    for bad in (((0.5, 0.5 + 5e-6), (0.5, 0.5)), ((1.5, -0.5), (0.5, 0.5))):
+        with pytest.raises(DomainError):
+            sleep(bad)
+    tasks.generate(sleep(((0.5, 0.5 + 1e-12), (0.5, 0.5))))
+
 
 def test_generate_deterministic():
     spec = tasks.sleep_like_spec(seed=42, train_size=50, test_size=20)
@@ -205,6 +215,93 @@ def test_generate_empirical_transition_matches_spec():
     for i in range(4):
         bound = 3 * np.sqrt(want[i] * (1 - want[i]) / counts[i])
         assert np.all(np.abs(got[i] - want[i]) <= bound)
+
+
+def chain_reference(rng, spec, steps):
+    """The per-step chain sampler: a uniform first state, one
+    ``rng.choice`` per later step, then the lognormal emissions."""
+    tr = np.asarray(spec.transition)
+    loc = np.asarray(spec.locations)
+    sc = np.asarray(spec.scales)
+    labels = np.empty(steps, dtype=np.int64)
+    labels[0] = rng.integers(spec.classes)
+    for t in range(1, steps):
+        labels[t] = rng.choice(spec.classes, p=tr[labels[t - 1]])
+    return np.exp(rng.normal(loc[labels], sc[labels])), labels
+
+
+def pinned_generator(seed, index, value):
+    """A PCG64 generator whose raw output ``index`` (from 0) is the float64
+    uniform ``value``: the state that step reaches gets a zero high word,
+    so its XSL-RR output is the low word, and the generator is stepped back
+    to ``index`` steps before it."""
+    bits = np.random.PCG64(seed)
+    state = bits.state
+    state["state"]["state"] = int(value * 2**53) << 11
+    bits.state = state
+    bits.advance(2**128 - index - 1)
+    return np.random.Generator(bits)
+
+
+def exact_uniforms(tr):
+    """0, the largest uniform below 1, and every cumulative row sum, raw or
+    normalised, that a float64 uniform can equal exactly."""
+    cdf = np.cumsum(tr, axis=1)
+    vals = {0.0, 1 - 2**-53, *cdf.ravel().tolist(), *(cdf / cdf[:, -1:]).ravel().tolist()}
+    return sorted(v for v in vals if 0 <= v < 1 and float(int(v * 2**53)) == v * 2**53)
+
+
+def chain_spec(tr, train_size, test_size, seed):
+    classes = len(tr)
+    loc = np.arange(classes * 2, dtype=float).reshape(classes, 2)
+    return tasks.SyntheticTaskSpec("sleep_like", classes, 2, loc, np.ones((classes, 2)),
+                                   tr, train_size, test_size, seed)
+
+
+@st.composite
+def chain_cases(draw):
+    """A sleep-like spec over a random stochastic matrix (zero entries and
+    absorbing rows included), and either no pin or one raw output of the
+    stream pinned to a uniform that equals a cdf entry."""
+    classes = draw(st.integers(1, 6))
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    rows = []
+    for _ in range(classes):
+        if draw(st.booleans()):
+            row = np.zeros(classes)
+            row[draw(st.integers(0, classes - 1))] = 1.0
+        else:
+            row = np.array(draw(st.lists(weight, min_size=classes, max_size=classes)
+                                .filter(lambda w: sum(w) > 0)))
+        rows.append(row / row.sum())
+    spec = chain_spec(np.array(rows), draw(st.integers(1, 300)), draw(st.integers(1, 30)),
+                      draw(st.integers(0, 2**32)))
+    pin = draw(st.none() | st.tuples(st.integers(0, spec.train_size + spec.test_size),
+                                     st.sampled_from(exact_uniforms(rows))))
+    return spec, pin
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_cases())
+# raw output 1 is the first uniform (the first state takes output 0); u = 0.5
+# on the cdf entry 0.5 picks state 1
+@example((chain_spec([[0.5, 0.5], [0.5, 0.5]], 5, 3, 7), (1, 0.5)))
+# these rows sum to 1 - 2**-53; u = 0.7 picks state 0 under the normalised cdf
+@example((chain_spec([[0.7, 0.2, 0.1]] * 3, 5, 3, 7), (1, 0.7)))
+def test_chain_generator_equals_per_step_reference(case):
+    spec, pin = case
+
+    def stream():
+        return np.random.default_rng(spec.seed) if pin is None else pinned_generator(spec.seed, *pin)
+    sizes = (spec.train_size, spec.test_size)
+    new, ref = stream(), stream()
+    got = [tasks._gen_chain(new, spec, n) for n in sizes]
+    want = [chain_reference(ref, spec, n) for n in sizes]
+    assert new.random() == ref.random()  # both leave the stream at the same place
+    if pin is None:
+        got, want = got + list(tasks.generate(spec)), want * 2
+    for ds, (feats, labels) in zip(got, want):
+        assert np.array_equal(ds.labels, labels) and np.array_equal(ds.features, feats)
 
 
 def test_gesture_labels_balanced_and_shuffled():
