@@ -40,9 +40,9 @@ class EventCounts:
     register_writes: float = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ConfigError(f"negative event count {f.name}")
+        for name in EVENT_KINDS:  # the field names, without dataclasses.fields per call
+            if getattr(self, name) < 0:
+                raise ConfigError(f"negative event count {name}")
 
 
 @dataclass(frozen=True)

@@ -54,34 +54,38 @@ def _fit_domain(kind: str, samples: np.ndarray) -> np.ndarray:
     return samples
 
 
-def fit(kind: str, samples, scale_floor: float | None = None) -> FittedDistribution:
+def _moments(w: np.ndarray, extent: np.ndarray | None = None):
+    """Moment fit of each row of ``w`` (rows, samples), in the fitting domain.
+
+    Returns the sample means and the (n-1)-normalized sample stds, each
+    floored at 1e-6 of ``extent`` (by default the row's own range), or,
+    where that is zero, at 1e-6 of max(|mean|, 1).  Rows must be C-contiguous:
+    numpy sums a contiguous row pairwise, exactly as it sums a 1-d array.
+    The steps are those of numpy's ``mean`` and ``std(ddof=1)``, with the
+    mean computed once.
+    """
+    n = w.shape[1]
+    loc = w.sum(axis=1) / n
+    dev = w - loc[:, np.newaxis]
+    dev *= dev
+    if extent is None:
+        extent = w.max(axis=1) - w.min(axis=1)
+    floor = 1e-6 * np.where(extent > 0, extent, np.maximum(np.abs(loc), 1.0))
+    return loc, np.maximum(np.sqrt(dev.sum(axis=1) / (n - 1)), floor)
+
+
+def fit(kind: str, samples) -> FittedDistribution:
     """Moment fit: sample mean and (n-1)-normalized sample std.
 
-    ``scale_floor`` keeps degenerate (near-constant) classes usable; when
-    not given it defaults to 1e-6 of the sample range in the fitting
-    domain, with an absolute fallback for exactly constant data.
+    The scale is floored at 1e-6 of the sample range in the fitting domain,
+    with an absolute fallback for exactly constant data, which keeps
+    degenerate (near-constant) classes usable.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
         raise TrainingError(f"need at least 2 samples to fit, got {x.size}")
-    x = _fit_domain(kind, x)
-    loc = float(x.mean())
-    scale = float(x.std(ddof=1))
-    if scale_floor is None:
-        span = float(x.max() - x.min())
-        scale_floor = 1e-6 * span if span > 0 else 1e-6 * max(abs(loc), 1.0)
-    return FittedDistribution(kind, loc, max(scale, float(scale_floor)))
-
-
-def _density(dist: FittedDistribution, x: np.ndarray) -> np.ndarray:
-    z = (x - dist.location) / dist.scale
-    return np.exp(-0.5 * z * z) / (dist.scale * math.sqrt(2.0 * math.pi))
-
-
-def _grid(dist: FittedDistribution, bins: int, span: float) -> np.ndarray:
-    lo = dist.location - span * dist.scale
-    hi = dist.location + span * dist.scale
-    return np.linspace(lo, hi, bins + 1)
+    loc, scale = _moments(_fit_domain(kind, x)[np.newaxis])
+    return FittedDistribution(kind, float(loc[0]), float(scale[0]))
 
 
 def bin_index(edges: np.ndarray, values) -> np.ndarray:
@@ -90,21 +94,33 @@ def bin_index(edges: np.ndarray, values) -> np.ndarray:
     return np.clip(ix, 0, len(edges) - 2).astype(np.int64)
 
 
+def _class_labels(labels, classes: int) -> np.ndarray:
+    """Labels as int64 class indices; labels outside [0, classes), and
+    fractional or non-numeric ones, raise TrainingError."""
+    y = np.asarray(labels)
+    if y.dtype.kind not in "biuf":
+        raise TrainingError(f"labels must be integers, got dtype {y.dtype}")
+    if not np.all((y >= 0) & (y < classes)):  # also rejects NaN
+        raise TrainingError(f"labels outside [0, {classes})")
+    out = y.astype(np.int64)
+    if np.any(out != y):
+        raise TrainingError("labels must be integers")
+    return out
+
+
 def estimate_transitions(labels, classes: int, alpha: float = 1.0) -> np.ndarray:
     """Additively smoothed transition frequencies from a label sequence.
 
     Row i is p(next | current = i).  With alpha = 0, rows for states that
     never occur (or never lead anywhere) fall back to uniform.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
+    if np.size(labels) == 0:
         raise TrainingError("empty label sequence")
     if alpha < 0:
         raise DomainError("alpha must be >= 0")
-    if np.any(labels < 0) or np.any(labels >= classes):
-        raise TrainingError(f"labels outside [0, {classes})")
-    counts = np.zeros((classes, classes), dtype=float)
-    np.add.at(counts, (labels[:-1], labels[1:]), 1.0)
+    labels = _class_labels(labels, classes)
+    pairs = labels[:-1] * classes + labels[1:]
+    counts = np.bincount(pairs, minlength=classes * classes).reshape(classes, classes)
     denom = counts.sum(axis=1, keepdims=True) + alpha * classes
     unseen = denom == 0
     return np.where(unseen, 1.0 / classes, (counts + alpha) / np.where(unseen, 1.0, denom))
@@ -138,8 +154,11 @@ class BayesModel:
             if t.shape != (self.classes, self.bins[c]):
                 raise ConfigError(f"feature {c}: table shape {t.shape} != "
                                   f"({self.classes}, {self.bins[c]})")
-            if not np.all((t > 0) & (t <= 1)):  # also rejects NaN
-                raise ConfigError(f"feature {c}: likelihoods must lie in (0, 1]")
+        table = np.concatenate(self.likelihood, axis=1)
+        bad = ~np.all((table > 0) & (table <= 1), axis=0)  # also rejects NaN
+        if bad.any():
+            c = int(np.searchsorted(np.cumsum(self.bins), np.argmax(bad), side="right"))
+            raise ConfigError(f"feature {c}: likelihoods must lie in (0, 1]")
         self.prior = np.asarray(self.prior, dtype=float)
         p = self.prior
         if p.shape != (self.classes,) or not np.all(np.isfinite(p) & (p >= 0)):
@@ -153,14 +172,26 @@ class BayesModel:
             if self.transition.shape != (self.classes, self.classes):
                 raise ConfigError("transition must be (classes, classes)")
             t = self.transition
-            if not np.all(np.isfinite(t) & (t >= 0)) or not np.allclose(t.sum(axis=1), 1.0):
+            # row sums within np.allclose's default tolerance of 1
+            if (not np.all(np.isfinite(t) & (t >= 0))
+                    or not np.all(np.abs(t.sum(axis=1) - 1.0) <= 1e-8 + 1e-5)):
                 raise ConfigError("transition rows must be distributions")
         self.bin_edges = [np.asarray(e, dtype=float) for e in self.bin_edges]
+
+        def edge_error(c):
+            return ConfigError(f"feature {c}: edges must be {self.bins[c] + 1} "
+                               "finite, strictly increasing values")
         for c, e in enumerate(self.bin_edges):
-            if (e.shape != (self.bins[c] + 1,) or not np.all(np.isfinite(e))
-                    or np.any(np.diff(e) <= 0)):
-                raise ConfigError(f"feature {c}: edges must be {self.bins[c] + 1} "
-                                  "finite, strictly increasing values")
+            if e.shape != (self.bins[c] + 1,):
+                raise edge_error(c)
+        edges = np.concatenate(self.bin_edges)
+        ends = np.cumsum(np.add(self.bins, 1))
+        bad = ~np.isfinite(edges)
+        rising = np.diff(edges) > 0
+        rising[ends[:-1] - 1] = True  # a feature's last edge and the next one's first
+        bad[:-1] |= ~rising
+        if bad.any():
+            raise edge_error(int(np.searchsorted(ends, np.argmax(bad), side="right")))
 
 
 def train_model(
@@ -186,14 +217,16 @@ def train_model(
     naive arrangement has no prior column.
     """
     X = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+    if X.ndim != 2 or np.ndim(labels) != 1 or X.shape[0] != len(labels):
         raise TrainingError("features must be (samples, columns) matching labels")
     if classes < 1:
         raise TrainingError("need at least one class")
-    if np.any(y < 0) or np.any(y >= classes):
-        raise TrainingError(f"labels outside [0, {classes})")
+    if kind not in KINDS:
+        raise DomainError(f"unknown distribution kind {kind!r}")
+    y = _class_labels(labels, classes)
     cols = X.shape[1]
+    if cols < 1:
+        raise TrainingError("need at least one feature")
     bins = (bins,) * cols if np.isscalar(bins) else tuple(int(b) for b in bins)
     if len(bins) != cols:
         raise TrainingError("bins must be one size or one per feature")
@@ -201,24 +234,41 @@ def train_model(
         raise ConfigError(f"bins must be >= 1, got {min(bins)}")
     if floor is None:
         floor = logprob.min_prob(8)
+    counts = np.bincount(y, minlength=classes)
+    if counts.min() < 2:
+        r = int(np.argmax(counts < 2))
+        raise TrainingError(f"class {r} has {counts[r]} samples, need >= 2")
 
-    tables, edge_list = [], []
-    for c in range(cols):
-        col = X[:, c]
-        work = _fit_domain(kind, col)
-        span_c = float(work.max() - work.min())
-        scale_floor = 1e-6 * span_c if span_c > 0 else None
-        pooled = fit(kind, col, scale_floor=scale_floor)
-        edges_fit = _grid(pooled, bins[c], span)
-        centers = 0.5 * (edges_fit[:-1] + edges_fit[1:])
-        dens = np.empty((classes, bins[c]), dtype=float)
-        for r in range(classes):
-            cls = col[y == r]
-            if cls.size < 2:
-                raise TrainingError(f"class {r} has {cls.size} samples for feature {c}, need >= 2")
-            dens[r] = _density(fit(kind, cls, scale_floor=scale_floor), centers)
-        tables.append(np.maximum(dens / dens.max(), floor))
-        edge_list.append(np.exp(edges_fit) if kind == "lognormal" else edges_fit)
+    # (features, samples) in the fitting domain; the pooled fit floors every
+    # scale, the class fits included, at 1e-6 of the feature's whole range
+    work = _fit_domain(kind, np.ascontiguousarray(X.T))
+    extent = work.max(axis=1) - work.min(axis=1)
+    loc, scale = _moments(work, extent)
+    # each class block is copied C-contiguous: numpy would sum the rows of
+    # a strided block in another order
+    cls_loc, cls_scale = map(np.array, zip(*(
+        _moments(np.ascontiguousarray(work[:, y == r]), extent) for r in range(classes))))
+    if not (np.all(scale > 0) and np.all(cls_scale > 0)):  # also rejects NaN
+        raise DomainError("scale must be positive")
+
+    # every feature's grid, back to back, with numpy.linspace's arithmetic
+    nb = np.array(bins)
+    of_bin = np.repeat(np.arange(cols), nb)
+    of_edge = np.repeat(np.arange(cols), nb + 1)
+    first_bin = np.cumsum(nb) - nb
+    first_edge = first_bin + np.arange(cols)
+    last_edge = first_edge + nb
+    lo, hi = loc - span * scale, loc + span * scale
+    edges = (np.arange(len(of_edge)) - first_edge[of_edge]) * ((hi - lo) / nb)[of_edge]
+    edges += lo[of_edge]
+    edges[last_edge] = hi
+    centers = np.delete(0.5 * (edges[:-1] + edges[1:]), last_edge[:-1])
+    s = cls_scale[:, of_bin]
+    z = (centers - cls_loc[:, of_bin]) / s
+    dens = np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
+    peak = np.maximum.reduceat(dens.max(axis=0), first_bin)  # each feature's largest
+    tables = np.split(np.maximum(dens / peak[of_bin], floor), first_bin[1:], axis=1)
+    edge_list = np.split(np.exp(edges) if kind == "lognormal" else edges, first_edge[1:])
 
     transition = estimate_transitions(y, classes, alpha) if with_transitions else None
     return BayesModel(
@@ -276,7 +326,10 @@ def compile_model(model: BayesModel, config: MachineConfig) -> MemoryImage:
         col0[:, model.classes] = 1.0 / model.classes
         prob_blocks.append(col0)
     prob_blocks.extend(model.likelihood)
-    return MemoryImage([to_codes(b) for b in prob_blocks], width, config.kind)
+    # one encode of the whole table; codes depend only on their own entry
+    sizes = np.cumsum([b.shape[1] for b in prob_blocks])[:-1]
+    codes = to_codes(np.concatenate(prob_blocks, axis=1))
+    return MemoryImage(np.split(codes, sizes, axis=1), width, config.kind)
 
 
 @dataclass

@@ -9,7 +9,6 @@ pool, and regardless of completion order.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,6 +47,8 @@ def _pmap(fn, items):
     workers = min(worker_count(), len(items))
     if workers <= 1:
         return [fn(*it) for it in items]
+    # imported here: the process pool costs a serial run about 1 MB of RSS
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*items)))
 

@@ -261,10 +261,8 @@ def _gen_chain(rng: np.random.Generator, spec: SyntheticTaskSpec, steps: int) ->
 def _gen_iid(rng: np.random.Generator, spec: SyntheticTaskSpec, per_class: int) -> Dataset:
     loc = np.asarray(spec.locations)
     sc = np.asarray(spec.scales)
-    feats = np.concatenate([
-        rng.normal(loc[r], sc[r], size=(per_class, spec.features))
-        for r in range(spec.classes)
-    ])
+    # one call draws class by class, row-major, as per-class calls would
+    feats = rng.normal(np.repeat(loc, per_class, axis=0), np.repeat(sc, per_class, axis=0))
     labels = np.repeat(np.arange(spec.classes, dtype=np.int64), per_class)
     order = rng.permutation(len(labels))
     return Dataset(feats[order], labels[order])

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -14,6 +14,14 @@ def unit_table(**over):
                 rng_draw=1.0, counter_increment=1.0, register_write=1.0)
     base.update(over)
     return energy.CostTable(**base)
+
+
+def test_event_kinds_are_the_field_names_in_order():
+    # EventCounts checks its fields by looping over EVENT_KINDS
+    assert energy.EVENT_KINDS == tuple(f.name for f in fields(energy.EventCounts))
+    for name in energy.EVENT_KINDS:
+        with pytest.raises(ConfigError, match=f"negative event count {name}"):
+            energy.EventCounts(**{name: -1})
 
 
 def test_count_events_logarithmic():

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bayesim import logprob, machine, modelkit
+from bayesim import logprob, machine, modelkit, runner, stochastic
 from bayesim.errors import CompileError, ConfigError, DomainError, TrainingError
 from bayesim.machine import MachineConfig
 from bayesim.modelkit import BayesModel, FittedDistribution
@@ -189,6 +190,31 @@ def test_train_model_label_checks():
         modelkit.train_model(X, [0, 0, 0, 1], classes=2, bins=4)  # class 1 has 1 sample
 
 
+@pytest.mark.parametrize("labels", [[0.9, 0.2, 1.7, 1.0], [0, 0, 1, float("nan")],
+                                    ["0", "0", "1", "1"]])
+def test_non_integer_labels_are_refused(labels):
+    # a cast to int64 would train [0.9, 0.2, 1.7, 1.0] as [0, 0, 1, 1]
+    X = np.arange(8.0).reshape(4, 2)
+    with pytest.raises(TrainingError):
+        modelkit.train_model(X, labels, classes=2, bins=4)
+    with pytest.raises(TrainingError):
+        modelkit.estimate_transitions(labels, classes=2)
+
+
+def test_integral_float_labels_train_as_ints():
+    X = np.random.default_rng(12).normal(size=(6, 2))
+    ints = modelkit.train_model(X, [0, 1, 0, 1, 1, 0], classes=2, bins=4, with_transitions=True)
+    floats = modelkit.train_model(X, [0.0, 1.0, 0.0, 1.0, 1.0, 0.0], classes=2, bins=4,
+                                  with_transitions=True)
+    assert modelkit.model_to_json(floats) == modelkit.model_to_json(ints)
+
+
+def test_class_count_error_names_the_class():
+    X = np.zeros((5, 2))
+    with pytest.raises(TrainingError, match="class 1 has 1 samples, need >= 2"):
+        modelkit.train_model(X, [0, 0, 1, 2, 2], classes=3, bins=4)
+
+
 def test_train_model_refuses_bins_below_one():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(20, 2))
@@ -363,6 +389,22 @@ def test_model_validation():
         toy_model([np.full((2, 2), 0.5)], transition=np.array([[0.5, 0.6], [0.5, 0.5]]))
 
 
+def test_model_value_errors_name_the_feature():
+    tables = [np.full((2, 2), 0.5), np.full((2, 3), 0.5)]
+    edges = [np.arange(3.0), np.arange(4.0)]
+
+    def model(tables=tables, edges=edges):
+        return BayesModel(2, 2, (2, 3), tables, np.ones(2), None, edges)
+    model()  # feature 1's first edge lies below feature 0's last one: allowed
+    with pytest.raises(ConfigError, match="feature 1: likelihoods"):
+        model(tables=[tables[0], np.array([[0.5, 0.5, 0.5], [0.5, np.nan, 0.5]])])
+    for bad in ([0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 2.0, np.inf], [0.0, 1.0, 1.0, 3.0]):
+        with pytest.raises(ConfigError, match="feature 1: edges"):
+            model(edges=[edges[0], np.array(bad)])
+    with pytest.raises(ConfigError, match="feature 0: edges"):
+        model(edges=[np.array([0.0, np.nan, 2.0]), edges[1]])
+
+
 # ---- machine agreement ----
 
 def test_machine_matches_oracle_under_margin():
@@ -384,3 +426,148 @@ def test_machine_matches_oracle_under_margin():
             agree += got == res.winner
     assert checked > 100  # the margin filter must leave real coverage
     assert agree == checked
+
+
+# ---- whole-array training and compiling against scalar references ----
+# train_model fits every (class, feature) in a few array passes,
+# estimate_transitions counts with one bincount and compile_model encodes one
+# concatenated table.  Each must give the bytes of the per-(class, feature)
+# loop, the np.add.at count and the per-block encode kept here.
+
+BIT_IDENTITY = settings(max_examples=60, deadline=None)
+
+
+def scalar_fit(kind, samples, scale_floor=None):
+    x = np.asarray(samples, dtype=float).ravel()
+    if kind == "lognormal":
+        x = np.log(x)
+    loc, scale = float(x.mean()), float(x.std(ddof=1))
+    if scale_floor is None:
+        span = float(x.max() - x.min())
+        scale_floor = 1e-6 * span if span > 0 else 1e-6 * max(abs(loc), 1.0)
+    return loc, max(scale, float(scale_floor))
+
+
+def scalar_train(X, y, classes, bins, kind, span=4.0, floor=logprob.min_prob(8)):
+    """One scalar fit per feature and per (class, feature); returns the
+    likelihood tables and raw-domain bin edges."""
+    tables, edges = [], []
+    for c in range(X.shape[1]):
+        col = X[:, c]
+        work = np.log(col) if kind == "lognormal" else col
+        extent = float(work.max() - work.min())
+        scale_floor = 1e-6 * extent if extent > 0 else None
+        loc, scale = scalar_fit(kind, col, scale_floor)
+        grid = np.linspace(loc - span * scale, loc + span * scale, bins[c] + 1)
+        centers = 0.5 * (grid[:-1] + grid[1:])
+        dens = np.empty((classes, bins[c]))
+        for r in range(classes):
+            loc_r, scale_r = scalar_fit(kind, col[y == r], scale_floor)
+            z = (centers - loc_r) / scale_r
+            dens[r] = np.exp(-0.5 * z * z) / (scale_r * math.sqrt(2.0 * math.pi))
+        tables.append(np.maximum(dens / dens.max(), floor))
+        edges.append(np.exp(grid) if kind == "lognormal" else grid)
+    return tables, edges
+
+
+@st.composite
+def training_sets(draw):
+    """Features of 1-4 columns, each spread, constant, or constant within
+    class 0 only; classes of 2-30 samples; one bin count per feature."""
+    kind = draw(st.sampled_from(modelkit.KINDS))
+    classes = draw(st.integers(1, 4))
+    features = draw(st.integers(1, 4))
+    counts = draw(st.lists(st.one_of(st.just(2), st.integers(2, 30)),
+                           min_size=classes, max_size=classes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    y = rng.permutation(np.repeat(np.arange(classes), counts))
+    cols = []
+    for _ in range(features):
+        shape = draw(st.sampled_from(("spread", "constant", "class_0_constant")))
+        if shape == "constant":
+            col = np.full(len(y), rng.normal(scale=5.0))
+        else:
+            col = rng.normal(rng.normal(size=classes)[y], rng.uniform(0.1, 3.0, classes)[y])
+            if shape == "class_0_constant":
+                col[y == 0] = col[np.argmax(y == 0)]
+        cols.append(np.exp(col) if kind == "lognormal" else col)
+    bins = tuple(draw(st.lists(st.integers(1, 20), min_size=features, max_size=features)))
+    return np.column_stack(cols), y, classes, bins, kind
+
+
+@BIT_IDENTITY
+@given(training_sets())
+def test_train_model_equals_scalar_fits(case):
+    X, y, classes, bins, kind = case
+    tables, edges = scalar_train(X, y, classes, bins, kind)
+    if not all(np.isfinite(t).all() for t in tables):
+        # every class density underflows to 0 at every bin centre of some
+        # feature, so its column peak is 0 and the rescale gives NaN
+        with pytest.raises(ConfigError, match="likelihoods must lie in"):
+            modelkit.train_model(X, y, classes, bins, kind=kind)
+        return
+    model = modelkit.train_model(X, y, classes, bins, kind=kind)
+    for c in range(X.shape[1]):
+        assert model.likelihood[c].tobytes() == tables[c].tobytes()
+        assert model.bin_edges[c].tobytes() == edges[c].tobytes()
+    for c in range(X.shape[1]):
+        d = modelkit.fit(kind, X[:, c])
+        assert (d.location, d.scale) == scalar_fit(kind, X[:, c])
+
+
+def scalar_transitions(labels, classes, alpha):
+    labels = np.asarray(labels, dtype=np.int64)
+    counts = np.zeros((classes, classes))
+    np.add.at(counts, (labels[:-1], labels[1:]), 1.0)
+    denom = counts.sum(axis=1, keepdims=True) + alpha * classes
+    unseen = denom == 0
+    return np.where(unseen, 1.0 / classes, (counts + alpha) / np.where(unseen, 1.0, denom))
+
+
+@BIT_IDENTITY
+@given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.integers(0, k - 1), min_size=1, max_size=80),
+    st.sampled_from((0.0, 0.25, 1.0)))))
+def test_transitions_equal_add_at_counts(case):
+    classes, labels, alpha = case  # alpha = 0 leaves unseen rows uniform
+    got = modelkit.estimate_transitions(labels, classes, alpha)
+    assert got.tobytes() == scalar_transitions(labels, classes, alpha).tobytes()
+
+
+@st.composite
+def compile_cases(draw):
+    """A model with transitions or not, tables that reach 1, values near the
+    smallest codes, and bin counts that differ by feature."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    classes = draw(st.integers(1, 5))
+    bins = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)))
+    tables = [np.clip(2.0 ** rng.uniform(-40, 0, (classes, b)), 1e-12, 1.0) for b in bins]
+    tables[0][0, 0] = 1.0
+    transition = None
+    if draw(st.booleans()):
+        transition = rng.dirichlet(np.ones(classes), size=classes)
+    model = BayesModel(classes, len(bins), bins, tables, np.ones(classes), transition,
+                       [np.arange(b + 1.0) for b in bins])
+    prior_values = None if transition is None else draw(st.sampled_from((None, classes + 3)))
+    return model, prior_values
+
+
+@BIT_IDENTITY
+@given(compile_cases())
+def test_compile_equals_per_block_encode(case):
+    model, prior_values = case
+    for mode, width, encode in (("logarithmic", 8, logprob.encode_array),
+                                ("stochastic", 8, stochastic.quantize_linear_array),
+                                ("stochastic", 16, stochastic.quantize_linear_array)):
+        cfg = runner.config_for_model(model, mode, width=width, prior_values=prior_values)
+        blocks = list(model.likelihood)
+        if model.transition is not None:
+            col0 = np.zeros((model.classes, cfg.values_per_column[0]))
+            col0[:, : model.classes] = model.transition.T
+            col0[:, model.classes] = 1.0 / model.classes
+            blocks.insert(0, col0)
+        image = modelkit.compile_model(model, cfg)
+        assert len(image.blocks) == len(blocks)
+        for got, block in zip(image.blocks, blocks):
+            want = encode(block, width)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -1,8 +1,12 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from bayesim import runner, tasks
 from bayesim.errors import ConfigError
+from child_env import child_env
 
 
 def test_point_seed_stable_and_distinct():
@@ -55,6 +59,15 @@ def test_sweep_points_worker_invariant(monkeypatch):
         pts = runner.sweep_cycles(prep, lin[8], budgets=[4, 8], trials=2, seed=5)
         got.append([(p.strategy, p.budget, p.mean_acc, p.mean_cycles) for p in pts])
     assert got[0] == got[1]
+
+
+def test_cli_import_leaves_process_pool_out():
+    # the pool is imported only when a map runs on more than one worker
+    probe = "import sys, bayesim.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("make", [tasks.gesture_like_spec, tasks.sleep_like_spec])

@@ -174,6 +174,30 @@ def test_spec_validation():
     tasks.generate(sleep(((0.5, 0.5 + 1e-12), (0.5, 0.5))))
 
 
+def iid_reference(rng, spec, per_class):
+    """The per-class draw loop that _gen_iid's one normal call replaced."""
+    loc, sc = np.asarray(spec.locations), np.asarray(spec.scales)
+    feats = np.concatenate([rng.normal(loc[r], sc[r], size=(per_class, spec.features))
+                            for r in range(spec.classes)])
+    labels = np.repeat(np.arange(spec.classes, dtype=np.int64), per_class)
+    order = rng.permutation(len(labels))
+    return feats[order], labels[order]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 40), st.integers(0, 2**32))
+def test_iid_generator_equals_per_class_draws(classes, features, per_class, seed):
+    params = np.random.default_rng(seed).uniform(0.1, 3.0, size=(2, classes, features))
+    spec = tasks.SyntheticTaskSpec("gesture_like", classes, features, params[0], params[1],
+                                   None, per_class, 1, seed)
+    new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = tasks._gen_iid(new, spec, per_class)
+    feats, labels = iid_reference(ref, spec, per_class)
+    assert got.features.tobytes() == feats.tobytes()
+    assert got.labels.tobytes() == labels.tobytes()
+    assert new.random() == ref.random()  # both leave the stream at the same place
+
+
 def test_generate_deterministic():
     spec = tasks.sleep_like_spec(seed=42, train_size=50, test_size=20)
     a_train, a_test = tasks.generate(spec)
