@@ -278,15 +278,13 @@ def infer_logarithmic(image: MemoryImage, obs) -> InferenceResult:
 
 
 def infer_stochastic(image: MemoryImage, obs, config: MachineConfig, seed=0) -> InferenceResult:
-    """Sampling inference of one address vector (C,) or a batch (N, C) under
-    the configured strategy, with one `stochastic.run_stochastic` call.
+    """Sampling inference of addresses (C,) or (N, C), or of a `stochastic.plan`
+    of them, under the configured strategy, with one `stochastic.run_stochastic` call.
 
     ``seed`` is an int or a numpy Generator, so repeated calls can share
     one stream.
     """
-    if config.mode != "stochastic":
-        raise ConfigError("config mode must be stochastic")
-    check_image_matches(image, config)
+    check_image_matches(image, config)  # and the run refuses a log-code image
     return stochastic.run_stochastic(image, obs, config.cycle_budget, strategy=config.strategy,
                                      rng_mode=config.rng_mode, seed=seed)
 

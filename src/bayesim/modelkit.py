@@ -267,7 +267,11 @@ def train_model(
     z = (centers - cls_loc[:, of_bin]) / s
     dens = np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
     peak = np.maximum.reduceat(dens.max(axis=0), first_bin)  # each feature's largest
-    tables = np.split(np.maximum(dens / peak[of_bin], floor), first_bin[1:], axis=1)
+    scaled = dens / np.where(peak > 0, peak, 1.0)[of_bin]
+    for f in np.flatnonzero(peak == 0):  # every density underflows: rescale in logs
+        log_dens = -0.5 * z[:, of_bin == f] ** 2 - np.log(s[:, of_bin == f])
+        scaled[:, of_bin == f] = np.exp(log_dens - log_dens.max())
+    tables = np.split(np.maximum(scaled, floor), first_bin[1:], axis=1)
     edge_list = np.split(np.exp(edges) if kind == "lognormal" else edges, first_edge[1:])
 
     transition = estimate_transitions(y, classes, alpha) if with_transitions else None

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import energy, machine, modelkit, tasks
+from . import energy, machine, modelkit, stochastic, tasks
 from .errors import ConfigError
 
 
@@ -155,15 +155,21 @@ class StochasticEval:
     mean_cycles: float
 
 
+def split_plan(prep: Prepared, image: machine.MemoryImage, rng_mode: str):
+    """A naive model's test split latched once on ``image``; None for filter models."""
+    return None if prep.filtered else stochastic.plan(image, prep.test_obs, rng_mode)
+
+
 def eval_stochastic(prep: Prepared, image: machine.MemoryImage,
-                    config: machine.MachineConfig, seed: int) -> StochasticEval:
+                    config: machine.MachineConfig, seed: int, plan=None) -> StochasticEval:
     """One stochastic pass over the test split with a fresh seeded stream:
-    one batched call for naive models, the filter for filter models."""
+    one batched call for naive models, from ``plan`` when given, the filter
+    for filter models."""
     if prep.filtered:
         res = machine.run_filter(image, prep.test_obs, unknown_row=prep.model.classes,
                                  config=config, seed=seed)
     else:
-        res = machine.infer_stochastic(image, prep.test_obs, config, seed=seed)
+        res = machine.infer_stochastic(image, plan or prep.test_obs, config, seed=seed)
     return StochasticEval(accuracy(res.winner, prep.test_labels),
                           res.cycles_used / len(prep.test_labels))
 
@@ -196,10 +202,12 @@ def trial_std(xs) -> float:
 
 
 def trials_point(prep: Prepared, image: machine.MemoryImage, cfg: machine.MachineConfig,
-                 trials: int, seed_parts) -> CyclesPoint:
-    """Mean and spread of ``trials`` stochastic passes; trial t runs on
-    ``point_seed(*seed_parts, t)``."""
-    evals = [eval_stochastic(prep, image, cfg, point_seed(*seed_parts, t)) for t in range(trials)]
+                 trials: int, seed_parts, plan=None) -> CyclesPoint:
+    """Mean and spread of ``trials`` stochastic passes from one `split_plan`;
+    trial t runs on ``point_seed(*seed_parts, t)``."""
+    plan = plan or split_plan(prep, image, cfg.rng_mode)
+    evals = [eval_stochastic(prep, image, cfg, point_seed(*seed_parts, t), plan)
+             for t in range(trials)]
     accs = [e.accuracy for e in evals]
     return CyclesPoint(cfg.likelihood_width, cfg.strategy, cfg.cycle_budget,
                        float(np.mean(accs)), trial_std(accs), trials,
@@ -208,13 +216,15 @@ def trials_point(prep: Prepared, image: machine.MemoryImage, cfg: machine.Machin
 
 def sweep_cycles(prep: Prepared, image: machine.MemoryImage, budgets, trials: int,
                  seed: int, strategies=("conventional", "power_conscious")) -> list:
-    """Accuracy vs cycle budget for each strategy on one linear image."""
+    """Accuracy vs cycle budget per strategy on one linear image, from one `split_plan`."""
     base = config_from_image(image)
+    plan = split_plan(prep, image, base.rng_mode)
     grid = []
     for s_ix, strat in enumerate(strategies):
         for b_ix, b in enumerate(budgets):
             cfg = replace(base, strategy=strat, cycle_budget=int(b))
-            grid.append((prep, image, cfg, trials, (seed, 1, cfg.likelihood_width, s_ix, b_ix)))
+            grid.append((prep, image, cfg, trials, (seed, 1, cfg.likelihood_width, s_ix, b_ix),
+                         plan))
     return _pmap(trials_point, grid)
 
 

@@ -16,7 +16,8 @@ Two run strategies, both breaking ties by a uniform pick among the tied rows:
   pick among the rows that fired; if nothing fires within the budget,
   fall back to a tie over all rows.  Cycles are independent, so up to
   `LAW_MAX_ROWS` rows a run is sampled from the exact per-cycle law of the
-  fired rows (`mask_law`) instead of cycle by cycle.
+  fired rows (`mask_law`) instead of cycle by cycle.  Runs over one
+  presentation set can share one `plan`: its latched codes and this law.
 
 RNG sharing is configurable: ``column_shared`` draws one uniform per
 column per cycle (all rows of a column see the same draw, as one RNG per
@@ -26,6 +27,7 @@ column would in hardware), ``per_cell`` draws independently per cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -117,6 +119,34 @@ def mask_law(codes, width: int, rng_mode: str) -> np.ndarray:
     return np.maximum(law, 0.0, out=law)  # rounding must not leave -1e-17
 
 
+@dataclass(frozen=True, eq=False)
+class RunPlan:
+    """The codes (N, R, C) of a presentation set latched from ``image`` by
+    `plan`; ``single`` marks one address vector.  ``cum_law``, the cumulative
+    law of the non-empty masks (None above `LAW_MAX_ROWS`), is built on first use."""
+
+    image: object
+    codes: np.ndarray
+    rng_mode: str
+    single: bool
+
+    @cached_property
+    def cum_law(self) -> np.ndarray | None:
+        if self.codes.shape[1] <= LAW_MAX_ROWS:
+            return np.cumsum(mask_law(self.codes, self.image.width, self.rng_mode)[:, 1:], axis=1)
+
+
+def plan(image, obs, rng_mode: str = "column_shared") -> RunPlan:
+    """Check the image kind, the addresses ``obs`` (C,) or (N, C) and the RNG
+    mode, and latch the codes once."""
+    if image.kind != "linear":
+        raise ConfigError("stochastic run needs a linear-code image")
+    if rng_mode not in RNG_MODES:
+        raise ConfigError(f"unknown rng mode {rng_mode!r}")
+    latched = image.latch(obs)
+    return RunPlan(image, latched.reshape(-1, *latched.shape[-2:]), rng_mode, latched.ndim == 2)
+
+
 def run_stochastic(
     image,
     obs,
@@ -129,7 +159,8 @@ def run_stochastic(
     on a linear-code memory image.
 
     Memory is read once up front (``image.latch``) and the latched codes are
-    reused every cycle.  ``seed`` may be an int or an existing numpy
+    reused every cycle; ``obs`` may instead be a `plan` of ``image`` for
+    ``rng_mode``.  ``seed`` may be an int or an existing numpy
     Generator (so a caller stepping a sequence can keep one stream across
     steps).  A conventional call draws every presentation's bits, in
     presentation, cycle, [row,] column order, one integer in [0, 2**width)
@@ -142,23 +173,20 @@ def run_stochastic(
     presentation stopped early exactly when any of its scores is non-zero;
     a conventional one never stops early.
     """
-    if image.kind != "linear":
-        raise ConfigError("stochastic run needs a linear-code image")
     if budget < 1:
         raise ConfigError(f"cycle budget must be >= 1, got {budget}")
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    if rng_mode not in RNG_MODES:
-        raise ConfigError(f"unknown rng mode {rng_mode!r}")
-
-    latched = image.latch(obs)
-    codes = latched if latched.ndim == 3 else latched[np.newaxis]  # (N, R, C)
+    run = obs if isinstance(obs, RunPlan) else plan(image, obs, rng_mode)
+    if run.image is not image or run.rng_mode != rng_mode:
+        raise ConfigError(f"plan was not built for this image and {rng_mode} runs")
+    codes = run.codes
     n, rows, cols = codes.shape
 
     rng = np.random.default_rng(seed)
     if strategy == "power_conscious" and rows <= LAW_MAX_ROWS:
         stop_u, mask_u, ties = rng.random((n, 3)).T
-        cum = np.cumsum(mask_law(codes, image.width, rng_mode)[:, 1:], axis=1)
+        cum = run.cum_law
         with np.errstate(divide="ignore", invalid="ignore"):  # q = 0: no cycle ever fires
             stop = np.floor(np.log1p(-stop_u) / np.log1p(-np.minimum(cum[:, -1], 1.0))) + 1
         mask = 1 + (cum <= (mask_u * cum[:, -1])[:, np.newaxis]).sum(axis=1)
@@ -198,6 +226,6 @@ def run_stochastic(
     winner = (candidates.cumsum(axis=1) > pick[:, np.newaxis]).argmax(axis=1)
     counts = energy.count_events("stochastic", rows, cols, image.width, cycles=int(cycles.sum()),
                                  rng_mode=rng_mode, presentations=n)
-    if latched.ndim == 2:
+    if run.single:
         return InferenceResult(counters[0], int(winner[0]), int(cycles[0]), counts)
     return InferenceResult(counters, winner, cycles, counts)

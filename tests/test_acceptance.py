@@ -15,6 +15,8 @@ import pytest
 from bayesim import energy, logprob, machine, modelkit, runner, stochastic, tasks
 from child_env import child_env
 
+pytestmark = pytest.mark.acceptance
+
 SEED = 7
 BUDGET_GRID = (10, 50, 100, 255)
 

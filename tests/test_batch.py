@@ -10,7 +10,8 @@ chi-square tests on one batch of identical presentations pin its winner
 split, stop-cycle law and tie-breaks to their exact laws.  Conventional
 runs, and power-conscious runs above the law's row cap, equal a
 cycle-by-cycle reference draw for draw; power-conscious runs sampled from
-the mask law are compared with that reference by chi-square tests.
+the mask law are compared with that reference by chi-square tests.  A
+call from a `stochastic.plan` equals the call that latches for itself.
 """
 
 import numpy as np
@@ -261,6 +262,54 @@ def test_sampler_counters_cycles_and_winners(run):
         stopped = res.scores.any(axis=1)
         assert np.all(won[stopped] == 1)
         assert np.all(res.cycles[~stopped] == budget)
+
+
+def assert_same_result(a, b):
+    assert type(a.winner) is type(b.winner) and type(a.cycles) is type(b.cycles)
+    assert np.array_equal(a.scores, b.scores) and np.array_equal(a.winner, b.winner)
+    assert np.array_equal(a.cycles, b.cycles) and a.event_counts == b.event_counts
+
+
+@SETTINGS
+@given(st.one_of(sampler_runs(), sampler_runs(rows=stochastic.LAW_MAX_ROWS + 1)), st.booleans())
+def test_plan_call_equals_plain_call(run, single):
+    img, obs, opts = run
+    obs = obs[0] if single else obs
+    plan = stochastic.plan(img, obs, opts["rng_mode"])
+    # conventional first: the plan's law is built by the first power-conscious
+    # call and reused by the second
+    for strategy in ("conventional", "power_conscious", "power_conscious"):
+        opts["strategy"] = strategy
+        assert_same_result(stochastic.run_stochastic(img, plan, **opts),
+                           stochastic.run_stochastic(img, obs, **opts))
+
+
+def test_plan_for_another_mode_or_image_is_refused():
+    codes = np.array([[10, 200], [128, 255]])
+    img = MemoryImage([codes], 8, "linear")
+    plan = stochastic.plan(img, [[0], [1]], "column_shared")
+    # a plan belongs to the image object it latched: an equal copy, or one
+    # with the same geometry and width, may hold other codes
+    others = [(img, "per_cell"), (MemoryImage([codes], 16, "linear"), "column_shared"),
+              (MemoryImage([np.vstack([codes, codes])], 8, "linear"), "column_shared"),
+              (machine.inject_errors(img, 0.0), "column_shared")]
+    for other, rng_mode in others:
+        for strategy in stochastic.STRATEGIES:
+            with pytest.raises(ConfigError, match="plan was not built"):
+                stochastic.run_stochastic(other, plan, 8, strategy, rng_mode)
+    cfg = MachineConfig(rows=2, columns=1, values_per_column=(2,), mode="stochastic",
+                        rng_mode="per_cell")
+    with pytest.raises(ConfigError, match="plan was not built"):
+        machine.infer_stochastic(img, plan, cfg)
+    log_cfg = MachineConfig(rows=2, columns=1, values_per_column=(2,))
+    with pytest.raises(ConfigError):
+        machine.infer_stochastic(MemoryImage([codes], 8, "log"), [0], log_cfg)
+    with pytest.raises(ConfigError):
+        stochastic.plan(img, [[0], [1]], "row_shared")
+    with pytest.raises(ConfigError):
+        stochastic.plan(MemoryImage([codes], 8, "log"), [[0]])
+    with pytest.raises(ConfigError):
+        stochastic.plan(img, [[2]])
 
 
 def event_fields(counts):

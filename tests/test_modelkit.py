@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -460,12 +461,17 @@ def scalar_train(X, y, classes, bins, kind, span=4.0, floor=logprob.min_prob(8))
         loc, scale = scalar_fit(kind, col, scale_floor)
         grid = np.linspace(loc - span * scale, loc + span * scale, bins[c] + 1)
         centers = 0.5 * (grid[:-1] + grid[1:])
-        dens = np.empty((classes, bins[c]))
+        dens, log_dens = np.empty((classes, bins[c])), np.empty((classes, bins[c]))
         for r in range(classes):
             loc_r, scale_r = scalar_fit(kind, col[y == r], scale_floor)
             z = (centers - loc_r) / scale_r
             dens[r] = np.exp(-0.5 * z * z) / (scale_r * math.sqrt(2.0 * math.pi))
-        tables.append(np.maximum(dens / dens.max(), floor))
+            log_dens[r] = -0.5 * z ** 2 - math.log(scale_r)
+        if dens.max() == 0:  # every density underflows: rescale in the log domain
+            dens = np.exp(log_dens - log_dens.max())
+        else:
+            dens = dens / dens.max()
+        tables.append(np.maximum(dens, floor))
         edges.append(np.exp(grid) if kind == "lognormal" else grid)
     return tables, edges
 
@@ -500,12 +506,6 @@ def training_sets(draw):
 def test_train_model_equals_scalar_fits(case):
     X, y, classes, bins, kind = case
     tables, edges = scalar_train(X, y, classes, bins, kind)
-    if not all(np.isfinite(t).all() for t in tables):
-        # every class density underflows to 0 at every bin centre of some
-        # feature, so its column peak is 0 and the rescale gives NaN
-        with pytest.raises(ConfigError, match="likelihoods must lie in"):
-            modelkit.train_model(X, y, classes, bins, kind=kind)
-        return
     model = modelkit.train_model(X, y, classes, bins, kind=kind)
     for c in range(X.shape[1]):
         assert model.likelihood[c].tobytes() == tables[c].tobytes()
@@ -513,6 +513,21 @@ def test_train_model_equals_scalar_fits(case):
     for c in range(X.shape[1]):
         d = modelkit.fit(kind, X[:, c])
         assert (d.location, d.scale) == scalar_fit(kind, X[:, c])
+
+
+@pytest.mark.parametrize("bins", [1, 4, 16, 64])
+def test_feature_whose_densities_all_underflow_trains(bins):
+    # constant within each class at two values: each class scale is floored
+    # at 1e-6 of the range, so every density underflows at every bin centre
+    X, y = np.array([[0.1], [0.64], [0.64], [0.1]]), [1, 0, 0, 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = modelkit.train_model(X, y, 2, bins)
+    table = model.likelihood[0]
+    assert table.max() == 1.0 and table.min() > 0
+    assert table.tobytes() == scalar_train(X, np.array(y), 2, (bins,), "gaussian")[0][0].tobytes()
+    if bins > 1:  # each class peaks at the bin that holds its own value
+        assert modelkit.oracle_infer(model, modelkit.bin_observations(model, X)).winner.tolist() == y
 
 
 def scalar_transitions(labels, classes, alpha):

@@ -1,10 +1,11 @@
+import pickle
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from bayesim import runner, tasks
+from bayesim import machine, runner, stochastic, tasks
 from bayesim.errors import ConfigError
 from child_env import child_env
 
@@ -57,8 +58,56 @@ def test_sweep_points_worker_invariant(monkeypatch):
     for workers in ("1", "2"):
         monkeypatch.setenv("BAYESIM_THREADS", workers)
         pts = runner.sweep_cycles(prep, lin[8], budgets=[4, 8], trials=2, seed=5)
-        got.append([(p.strategy, p.budget, p.mean_acc, p.mean_cycles) for p in pts])
-    assert got[0] == got[1]
+        got.append(pts)
+    assert got[0] == got[1]  # the plan is pickled to the two workers
+
+
+def count_calls(monkeypatch, owner, name):
+    calls, inner = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("strategies, law_calls", [(("conventional",), 0),
+                                                    (stochastic.STRATEGIES, 1)])
+def test_sweep_latches_once_and_builds_the_law_only_for_power_conscious(
+        monkeypatch, strategies, law_calls):
+    monkeypatch.setenv("BAYESIM_THREADS", "1")
+    prep = runner.prepare(tasks.gesture_like_spec(seed=8, train_size=60, test_size=20))
+    _, lin = runner.images_for_model(prep)
+    laws = count_calls(monkeypatch, stochastic, "mask_law")
+    latches = count_calls(monkeypatch, machine.MemoryImage, "latch")
+    pts = runner.sweep_cycles(prep, lin[8], budgets=[4, 8], trials=3, seed=5,
+                              strategies=strategies)
+    assert (len(latches), len(laws)) == (1, law_calls)
+    # trials_point given no plan (as `sim` calls it) builds one for its trials
+    cfg = runner.config_from_image(lin[8], cycle_budget=4, strategy=strategies[-1])
+    runner.trials_point(prep, lin[8], cfg, 3, (5,))
+    assert (len(latches), len(laws)) == (2, 2 * law_calls)
+    # without a plan every pass latches and builds its own law
+    monkeypatch.setattr(runner, "split_plan", lambda *args: None)
+    assert runner.sweep_cycles(prep, lin[8], budgets=[4, 8], trials=3, seed=5,
+                               strategies=strategies) == pts
+    passes = len(strategies) * 2 * 3
+    assert (len(latches), len(laws)) == (2 + passes, 2 * law_calls + 2 * 3 * law_calls)
+
+
+def test_sweep_plan_pickles_with_its_law(monkeypatch):
+    prep = runner.prepare(tasks.gesture_like_spec(seed=8, train_size=60, test_size=20))
+    _, lin = runner.images_for_model(prep)
+    plan = runner.split_plan(prep, lin[8], "column_shared")
+    cum = plan.cum_law
+    laws = count_calls(monkeypatch, stochastic, "mask_law")
+    # a pool pickles a grid point's image and plan together, so the copy
+    # still belongs to the copied image
+    image, copy = pickle.loads(pickle.dumps((lin[8], plan)))
+    assert copy.cum_law.tobytes() == cum.tobytes() and laws == []
+    assert copy.codes.tobytes() == plan.codes.tobytes() and copy.image is image
 
 
 def test_cli_import_leaves_process_pool_out():
