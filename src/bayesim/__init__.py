@@ -16,14 +16,12 @@ from .machine import (
     InferenceResult,
     MachineConfig,
     MemoryImage,
-    fabricated_config,
     infer_logarithmic,
     infer_stochastic,
     inject_errors,
     load_image,
     run_filter,
     save_image,
-    scaled_config,
 )
 from .modelkit import (
     BayesModel,

@@ -279,8 +279,7 @@ def cmd_compile(args) -> int:
     out = Path(opts.require("out"))
     mode = opts.get("mode", "logarithmic")
     width = opts.get("width", 8)
-    cfg = runner.config_for_model(model, mode, width, opts.get("prior_values"))
-    image = modelkit.compile_model(model, cfg)
+    image = modelkit.compile_model(model, mode, width, opts.get("prior_values"))
     out.parent.mkdir(parents=True, exist_ok=True)
     machine.save_image(out, image)
     if opts.get("text", False):
@@ -305,7 +304,7 @@ def cmd_sim(args) -> int:
         acc = runner.eval_log(prep, image)
         mode, point = "logarithmic", runner.CyclesPoint(image.width, "-", 1, acc, 0.0, 1, 1.0)
     else:
-        cfg = runner.config_from_image(image, cycle_budget=budget, strategy=strategy)
+        cfg = machine.MachineConfig(cycle_budget=budget, strategy=strategy)
         mode, point = "stochastic", runner.trials_point(prep, image, cfg, trials, (seed, 0))
     opts.emit(out, "sim", [SimpleNamespace(mode=mode, **vars(point))],
               f"sim: acc={point.mean_acc:.4f}")
@@ -324,8 +323,7 @@ def cmd_sweep(args) -> int:
     out = opts.outdir()
     if kind == "ber":
         bers = _numbers(opts.get("grid", "0,1e-4,1e-2"), float)
-        cfg = runner.config_for_model(prep.model, "stochastic", width,
-                                      cycle_budget=opts.get("budget", 255))
+        cfg = machine.MachineConfig(cycle_budget=opts.get("budget", 255))
         log_img, lin = runner.images_for_model(prep, widths=(width,))
         points = runner.sweep_ber(prep, log_img, lin[width], cfg, bers, trials, seed)
     else:  # a budget sweep: cycles on one width, bits on 8 and 16

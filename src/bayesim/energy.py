@@ -164,39 +164,43 @@ class CrossoverReport:
 
 
 def crossover(
-    config,
+    log_image,
+    lin_image,
     table: CostTable,
     budgets,
     pc_mean_cycles: dict | None = None,
     accuracies: dict | None = None,
     log_accuracy: float = math.nan,
 ) -> CrossoverReport:
-    """Energy-vs-budget report for one machine geometry.
+    """Energy-vs-budget report for a logarithmic and a stochastic machine.
 
-    ``config`` needs rows / columns / likelihood_width / rng_mode.  Every
-    point is priced as the energy of its ``count_events``: conventional
+    Each point is priced as the energy of its ``count_events`` on its own
+    image's rows, columns and code width: the logarithmic point on
+    ``log_image``, every stochastic point on ``lin_image``.  Conventional
     runs take cycles = budget; power-conscious runs take the measured mean
     cycles from ``pc_mean_cycles`` when given, else the full budget as an
     upper bound.  ``accuracies`` maps (strategy, budget) to measured
     accuracy; missing entries are NaN.
     """
+    if (log_image.kind, lin_image.kind) != ("log", "linear"):
+        raise ConfigError("crossover needs a log-code image and a linear-code image")
     budgets = sorted(set(int(b) for b in budgets))
     if not budgets:
         raise ConfigError("need at least one budget")
     acc = accuracies or {}
     pc_cycles = pc_mean_cycles or {}
 
-    def priced(mode: str, cycles: float = 1) -> float:
-        return energy_of(count_events(mode, config.rows, config.columns, config.likelihood_width,
-                                      cycles=cycles, rng_mode=config.rng_mode), table)
+    def priced(image, cycles: float = 1) -> float:
+        return energy_of(count_events(image.mode, image.rows, image.columns, image.width,
+                                      cycles=cycles), table)
 
-    log_energy = priced("logarithmic")
+    log_energy = priced(log_image)
     points = [CrossoverPoint("logarithmic", 1, log_accuracy, log_energy)]
     cross = None
     for b in budgets:
-        conv = priced("stochastic", b)
+        conv = priced(lin_image, b)
         points.append(CrossoverPoint("conventional", b, acc.get(("conventional", b), math.nan), conv))
-        pc = priced("stochastic", pc_cycles.get(b, float(b)))
+        pc = priced(lin_image, pc_cycles.get(b, float(b)))
         points.append(CrossoverPoint("power_conscious", b, acc.get(("power_conscious", b), math.nan), pc))
         if cross is None and conv > log_energy:
             cross = b

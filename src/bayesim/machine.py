@@ -30,7 +30,7 @@ from .errors import ConfigError, DomainError, FormatError
 from .stochastic import InferenceResult
 
 MODES = ("logarithmic", "stochastic")
-KINDS = ("log", "linear")  # code family stored in an image
+KINDS = ("log", "linear")  # code family stored in an image; a MODES[i] machine reads KINDS[i]
 
 _MAGIC = b"BIMG"
 _VERSION = 1
@@ -38,53 +38,21 @@ _VERSION = 1
 
 @dataclass(frozen=True)
 class MachineConfig:
-    rows: int
-    columns: int
-    values_per_column: tuple
-    mode: str = "logarithmic"
-    likelihood_width: int = 8
+    """Run parameters of a stochastic machine.  Rows, columns, values per
+    column, code width and code family are fixed when the memory is
+    compiled, so they are read from the `MemoryImage`."""
+
     cycle_budget: int = 255
     strategy: str = "conventional"
     rng_mode: str = "column_shared"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.likelihood_width not in (8, 16):
-            raise ConfigError(f"unsupported code width {self.likelihood_width}")
-        if self.mode == "logarithmic" and self.likelihood_width != 8:
-            # 16-bit log codes exist in the code layer but no machine uses them
-            raise ConfigError("logarithmic machines are 8-bit only")
-        if self.rows < 1 or self.columns < 1:
-            raise ConfigError("need at least one row and one column")
-        vals = tuple(int(v) for v in self.values_per_column)
-        if len(vals) != self.columns or any(v < 1 for v in vals):
-            raise ConfigError("values_per_column must list one positive size per column")
-        object.__setattr__(self, "values_per_column", vals)
         if self.cycle_budget < 1:
             raise ConfigError("cycle budget must be >= 1")
         if self.strategy not in stochastic.STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.rng_mode not in stochastic.RNG_MODES:
             raise ConfigError(f"unknown rng mode {self.rng_mode!r}")
-
-    @property
-    def kind(self) -> str:
-        return "log" if self.mode == "logarithmic" else "linear"
-
-
-def fabricated_config(mode: str = "logarithmic", **overrides) -> MachineConfig:
-    """Geometry of the small fabricated machine: 4 rows, 4 columns, 8 values."""
-    base = dict(rows=4, columns=4, values_per_column=(8,) * 4, mode=mode)
-    base.update(overrides)
-    return MachineConfig(**base)
-
-
-def scaled_config(mode: str = "logarithmic", **overrides) -> MachineConfig:
-    """Geometry of the scaled-up machine: 4 rows, 6 columns, 64 values."""
-    base = dict(rows=4, columns=6, values_per_column=(64,) * 6, mode=mode)
-    base.update(overrides)
-    return MachineConfig(**base)
 
 
 def check_addresses(obs, sizes) -> np.ndarray:
@@ -114,6 +82,9 @@ class MemoryImage:
             raise ConfigError(f"unknown code kind {kind!r}")
         if width not in (8, 16):
             raise ConfigError(f"unsupported code width {width}")
+        if kind == "log" and width != 8:
+            # 16-bit log codes exist in the code layer but no machine uses them
+            raise ConfigError("logarithmic machines are 8-bit only")
         if not blocks:
             raise ConfigError("image needs at least one column")
         top = (1 << width) - 1
@@ -137,6 +108,11 @@ class MemoryImage:
         self.blocks = [self._codes[o : o + v].T for o, v in zip(self._offsets, sizes)]
         self.width = width
         self.kind = kind
+
+    @property
+    def mode(self) -> str:
+        """The machine that reads this image's codes."""
+        return MODES[KINDS.index(self.kind)]
 
     @property
     def rows(self) -> int:
@@ -246,15 +222,6 @@ def load_image(path) -> MemoryImage:
         return MemoryImage.from_bytes(fh.read())
 
 
-def check_image_matches(image: MemoryImage, config: MachineConfig) -> None:
-    if image.kind != config.kind:
-        raise ConfigError(f"image kind {image.kind!r} does not match mode {config.mode!r}")
-    if image.width != config.likelihood_width:
-        raise ConfigError(f"image width {image.width} != config width {config.likelihood_width}")
-    if image.rows != config.rows or image.values_per_column != config.values_per_column:
-        raise ConfigError("image geometry does not match machine config")
-
-
 def infer_logarithmic(image: MemoryImage, obs) -> InferenceResult:
     """Deterministic inference of one address vector (C,) or a batch (N, C):
     lowest saturating code sum wins.
@@ -282,9 +249,8 @@ def infer_stochastic(image: MemoryImage, obs, config: MachineConfig, seed=0) -> 
     of them, under the configured strategy, with one `stochastic.run_stochastic` call.
 
     ``seed`` is an int or a numpy Generator, so repeated calls can share
-    one stream.
+    one stream.  The run refuses a log-code image.
     """
-    check_image_matches(image, config)  # and the run refuses a log-code image
     return stochastic.run_stochastic(image, obs, config.cycle_budget, strategy=config.strategy,
                                      rng_mode=config.rng_mode, seed=seed)
 
@@ -316,8 +282,8 @@ def walk(table, start: int) -> list:
     return path
 
 
-def run_filter(image: MemoryImage, feature_addresses, unknown_row: int, config: MachineConfig,
-               seed=0):
+def run_filter(image: MemoryImage, feature_addresses, unknown_row: int,
+               config: MachineConfig = MachineConfig(), seed=0):
     """Recursive inference over a sequence with hard-decision feedback.
 
     Column 0 is the transition/prior column: at step 0 it is addressed by
@@ -325,9 +291,9 @@ def run_filter(image: MemoryImage, feature_addresses, unknown_row: int, config: 
     previous step's winner.  ``feature_addresses`` is a (steps, columns-1)
     table of observation addresses for the remaining columns.  Stochastic
     steps draw from one stream seeded by ``seed`` (an int or a numpy
-    Generator).  Returns one InferenceResult with one presentation per step.
+    Generator) under ``config``; the image's kind picks the machine.
+    Returns one InferenceResult with one presentation per step.
     """
-    check_image_matches(image, config)
     v0 = image.values_per_column[0]
     if v0 < image.rows + 1:
         raise ConfigError(
@@ -343,14 +309,14 @@ def run_filter(image: MemoryImage, feature_addresses, unknown_row: int, config: 
     prev = int(unknown_row)
     for t in range(feats.shape[0]):
         obs = np.concatenate(([prev], feats[t]))
-        if config.mode == "logarithmic":
+        if image.kind == "log":
             res = infer_logarithmic(image, obs)
         else:
             res = infer_stochastic(image, obs, config, seed=rng)
         results.append(res)
         prev = res.winner
     cycles = np.array([r.cycles for r in results])
-    counts = energy.count_events(config.mode, image.rows, image.columns, image.width,
+    counts = energy.count_events(image.mode, image.rows, image.columns, image.width,
                                  cycles=int(cycles.sum()), rng_mode=config.rng_mode,
                                  presentations=len(results))
     return InferenceResult(np.array([r.scores for r in results]),

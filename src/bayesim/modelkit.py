@@ -20,7 +20,7 @@ import numpy as np
 from . import logprob, stochastic
 from .errors import (CompileError, ConfigError, DomainError, FormatError, TrainingError,
                      ValidationError, parse_json, read_text)
-from .machine import MachineConfig, MemoryImage, check_addresses, walk
+from .machine import KINDS as CODE_KINDS, MODES, MemoryImage, check_addresses, walk
 
 KINDS = ("gaussian", "lognormal")
 
@@ -294,34 +294,30 @@ def bin_observations(model: BayesModel, features) -> np.ndarray:
     return np.stack([bin_index(model.bin_edges[c], X[:, c]) for c in range(model.features)], axis=1)
 
 
-def compile_model(model: BayesModel, config: MachineConfig) -> MemoryImage:
-    """Quantize the model's tables into a machine memory image.
+def compile_model(model: BayesModel, mode: str, width: int = 8,
+                  prior_values: int | None = None) -> MemoryImage:
+    """Quantize the model's tables into the memory image of a ``mode``
+    machine with ``width``-bit codes.
 
-    Naive models need one machine column per feature.  Filter models (a
-    transition matrix is present) put the transition tables into column 0:
-    address v < classes holds p(class row | previous class v), address
-    ``classes`` is the uniform unknown-state entry, and any remaining
-    addresses are parked at probability zero since they are never driven.
+    The layout follows from the model: one row per class and one column
+    per feature.  Filter models (a transition matrix is present) put the
+    transition tables into a leading column 0: address v < classes holds
+    p(class row | previous class v), address ``classes`` is the uniform
+    unknown-state entry, and any remaining addresses are parked at
+    probability zero since they are never driven.  Column 0 holds
+    ``prior_values`` addresses, by default the smallest power of two above
+    ``classes`` (so 4 classes get the 8-value column of the fabricated
+    part); naive models have no such column and refuse ``prior_values``.
     """
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}")
     filtered = model.transition is not None
-    expected_cols = model.features + 1 if filtered else model.features
-    if config.columns != expected_cols:
-        raise CompileError(f"machine has {config.columns} columns, model needs {expected_cols}")
-    if config.rows != model.classes:
-        raise CompileError(f"machine has {config.rows} rows, model has {model.classes} classes")
-    obs_values = config.values_per_column[1:] if filtered else config.values_per_column
-    if tuple(obs_values) != model.bins:
-        raise CompileError(f"machine value counts {obs_values} != model bins {model.bins}")
-
-    width = config.likelihood_width
-    if config.mode == "logarithmic":
-        to_codes = lambda p: logprob.encode_array(p, width)
-    else:
-        to_codes = lambda p: stochastic.quantize_linear_array(p, width)
+    if not filtered and prior_values is not None:
+        raise ConfigError("--prior-values applies to filter models only")
 
     prob_blocks = []
     if filtered:
-        v0 = config.values_per_column[0]
+        v0 = 1 << int(model.classes).bit_length() if prior_values is None else prior_values
         if v0 < model.classes + 1:
             raise CompileError(f"transition column holds {v0} values, "
                                f"needs >= classes+1 = {model.classes + 1}")
@@ -332,8 +328,12 @@ def compile_model(model: BayesModel, config: MachineConfig) -> MemoryImage:
     prob_blocks.extend(model.likelihood)
     # one encode of the whole table; codes depend only on their own entry
     sizes = np.cumsum([b.shape[1] for b in prob_blocks])[:-1]
-    codes = to_codes(np.concatenate(prob_blocks, axis=1))
-    return MemoryImage(np.split(codes, sizes, axis=1), width, config.kind)
+    table = np.concatenate(prob_blocks, axis=1)
+    if mode == "logarithmic":
+        codes = logprob.encode_array(table, width)
+    else:
+        codes = stochastic.quantize_linear_array(table, width)
+    return MemoryImage(np.split(codes, sizes, axis=1), width, CODE_KINDS[MODES.index(mode)])
 
 
 @dataclass

@@ -69,34 +69,10 @@ class Prepared:
         return self.model.transition is not None
 
 
-def config_for_model(model: modelkit.BayesModel, mode: str, width: int = 8,
-                     prior_values: int | None = None, **overrides) -> machine.MachineConfig:
-    """Machine geometry implied by a model: one column per feature, plus a
-    leading transition column (padded to a power of two, so 4 classes get
-    the 8-value column of the fabricated part) for filter models."""
-    if model.transition is None:
-        if prior_values is not None:
-            raise ConfigError("--prior-values applies to filter models only")
-        values = model.bins
-    else:
-        v0 = prior_values
-        if v0 is None:
-            v0 = 1
-            while v0 < model.classes + 1:
-                v0 *= 2
-        values = (v0,) + model.bins
-    return machine.MachineConfig(
-        rows=model.classes, columns=len(values), values_per_column=values,
-        mode=mode, likelihood_width=width, **overrides,
-    )
-
-
 def config_from_image(image: machine.MemoryImage, **overrides) -> machine.MachineConfig:
-    mode = "logarithmic" if image.kind == "log" else "stochastic"
-    return machine.MachineConfig(
-        rows=image.rows, columns=image.columns, values_per_column=image.values_per_column,
-        mode=mode, likelihood_width=image.width, **overrides,
-    )
+    """``MachineConfig(**overrides)``: the image holds the geometry, so it
+    adds nothing.  Kept for the benchmark harness, its last caller."""
+    return machine.MachineConfig(**overrides)
 
 
 def default_bins(kind: str) -> int:
@@ -121,14 +97,9 @@ def prepare(spec: tasks.SyntheticTaskSpec, bins: int | None = None,
 
 def images_for_model(prep: Prepared, widths=(8,), prior_values: int | None = None):
     """Compile the log image and one linear image per requested width."""
-    log_image = modelkit.compile_model(
-        prep.model, config_for_model(prep.model, "logarithmic", prior_values=prior_values))
-    linear = {
-        w: modelkit.compile_model(
-            prep.model, config_for_model(prep.model, "stochastic", width=w,
-                                         prior_values=prior_values))
-        for w in widths
-    }
+    log_image = modelkit.compile_model(prep.model, "logarithmic", prior_values=prior_values)
+    linear = {w: modelkit.compile_model(prep.model, "stochastic", w, prior_values)
+              for w in widths}
     return log_image, linear
 
 
@@ -142,8 +113,7 @@ def accuracy(winners, labels) -> float:
 def eval_log(prep: Prepared, image: machine.MemoryImage) -> float:
     """Deterministic logarithmic-machine accuracy on the test split."""
     if prep.filtered:
-        res = machine.run_filter(image, prep.test_obs, unknown_row=prep.model.classes,
-                                 config=config_from_image(image))
+        res = machine.run_filter(image, prep.test_obs, unknown_row=prep.model.classes)
     else:
         res = machine.infer_logarithmic(image, prep.test_obs)
     return accuracy(res.winner, prep.test_labels)
@@ -209,7 +179,7 @@ def trials_point(prep: Prepared, image: machine.MemoryImage, cfg: machine.Machin
     evals = [eval_stochastic(prep, image, cfg, point_seed(*seed_parts, t), plan)
              for t in range(trials)]
     accs = [e.accuracy for e in evals]
-    return CyclesPoint(cfg.likelihood_width, cfg.strategy, cfg.cycle_budget,
+    return CyclesPoint(image.width, cfg.strategy, cfg.cycle_budget,
                        float(np.mean(accs)), trial_std(accs), trials,
                        float(np.mean([e.mean_cycles for e in evals])))
 
@@ -217,13 +187,13 @@ def trials_point(prep: Prepared, image: machine.MemoryImage, cfg: machine.Machin
 def sweep_cycles(prep: Prepared, image: machine.MemoryImage, budgets, trials: int,
                  seed: int, strategies=("conventional", "power_conscious")) -> list:
     """Accuracy vs cycle budget per strategy on one linear image, from one `split_plan`."""
-    base = config_from_image(image)
+    base = machine.MachineConfig()
     plan = split_plan(prep, image, base.rng_mode)
     grid = []
     for s_ix, strat in enumerate(strategies):
         for b_ix, b in enumerate(budgets):
             cfg = replace(base, strategy=strat, cycle_budget=int(b))
-            grid.append((prep, image, cfg, trials, (seed, 1, cfg.likelihood_width, s_ix, b_ix),
+            grid.append((prep, image, cfg, trials, (seed, 1, image.width, s_ix, b_ix),
                          plan))
     return _pmap(trials_point, grid)
 
@@ -283,6 +253,5 @@ def energy_report(prep: Prepared, log_image: machine.MemoryImage,
     points = sweep_cycles(prep, lin_image, budgets, trials, seed)
     accs = {(p.strategy, p.budget): p.mean_acc for p in points}
     pc_cycles = {p.budget: p.mean_cycles for p in points if p.strategy == "power_conscious"}
-    cfg = config_from_image(lin_image)
-    return energy.crossover(cfg, table, budgets, pc_mean_cycles=pc_cycles,
+    return energy.crossover(log_image, lin_image, table, budgets, pc_mean_cycles=pc_cycles,
                             accuracies=accs, log_accuracy=eval_log(prep, log_image))

@@ -89,8 +89,6 @@ def test_criterion_02_saturation_exhaustive():
 
 def test_criterion_03_oracle_agreement_with_margin():
     rng = np.random.default_rng(SEED)
-    cfg = machine.MachineConfig(rows=4, columns=4, values_per_column=(1,) * 4,
-                                mode="logarithmic")
     edges = [np.array([0.0, 1.0])] * 4
     agree_margin = margin_n = agree_all = 0
     n_models = 10_000
@@ -98,7 +96,7 @@ def test_criterion_03_oracle_agreement_with_margin():
         like = [2.0 ** rng.uniform(-10.0, 0.0, size=(4, 1)) for _ in range(4)]
         like = [t / t.max() for t in like]
         m = modelkit.BayesModel(4, 4, (1,) * 4, like, np.full(4, 0.25), None, edges)
-        img = modelkit.compile_model(m, cfg)
+        img = modelkit.compile_model(m, "logarithmic")
         oracle = modelkit.oracle_infer(m, [0, 0, 0, 0])
         got = machine.infer_logarithmic(img, [0, 0, 0, 0]).winner
         hit = got == oracle.winner
@@ -146,10 +144,10 @@ def test_criterion_06_sleep_width_gap(sleep):
     trials = 20
     acc8, acc16 = [], []
     for t in range(trials):
-        cfg8 = runner.config_from_image(lin[8], cycle_budget=255)
+        cfg8 = machine.MachineConfig(cycle_budget=255)
         acc8.append(runner.eval_stochastic(
             prep, lin[8], cfg8, seed=runner.point_seed(SEED, 6, 8, t)).accuracy)
-        cfg16 = runner.config_from_image(lin[16], cycle_budget=4096)
+        cfg16 = machine.MachineConfig(cycle_budget=4096)
         acc16.append(runner.eval_stochastic(
             prep, lin[16], cfg16, seed=runner.point_seed(SEED, 6, 16, t)).accuracy)
     gap8 = log_acc - float(np.mean(acc8))
@@ -160,11 +158,10 @@ def test_criterion_06_sleep_width_gap(sleep):
 
 
 def test_criterion_07_power_conscious_economy(gesture, gesture_sweep):
-    prep, _, lin8 = gesture
+    prep, log_img, lin8 = gesture
     _, conv, pc = gesture_sweep
     table = energy.example_cost_table()
-    cfg = runner.config_from_image(lin8)
-    report = energy.crossover(cfg, table, BUDGET_GRID,
+    report = energy.crossover(log_img, lin8, table, BUDGET_GRID,
                               pc_mean_cycles={b: pc[b].mean_cycles for b in BUDGET_GRID})
     energy_at = {(p.strategy, p.budget): p.energy_j for p in report.points}
     ok = True
@@ -186,11 +183,11 @@ def test_criterion_08_bit_error_robustness(gesture, sleep):
     runs = {
         "gesture": runner.sweep_ber(
             gprep, glog, glin8,
-            runner.config_from_image(glin8, cycle_budget=100),
+            machine.MachineConfig(cycle_budget=100),
             bers=bers, trials=50, seed=SEED),
         "sleep": runner.sweep_ber(
             sprep, slog, slin[16],
-            runner.config_from_image(slin[16], cycle_budget=4096),
+            machine.MachineConfig(cycle_budget=4096),
             bers=bers, trials=50, seed=SEED),
     }
     ok = True

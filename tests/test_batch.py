@@ -70,8 +70,7 @@ def test_log_filter_equals_brute_force(data):
     img = data.draw(log_images(rows, sizes))
     feats = data.draw(address_batches(feat_sizes))
     unknown = data.draw(st.integers(0, v0 - 1))
-    cfg = MachineConfig(rows=rows, columns=len(sizes), values_per_column=sizes)
-    res = machine.run_filter(img, feats, unknown_row=unknown, config=cfg)
+    res = machine.run_filter(img, feats, unknown_row=unknown)
     winners = filter_oracle(img.blocks, feats, unknown)
     assert res.winner.tolist() == winners
     prev = [unknown] + winners[:-1]
@@ -297,13 +296,11 @@ def test_plan_for_another_mode_or_image_is_refused():
         for strategy in stochastic.STRATEGIES:
             with pytest.raises(ConfigError, match="plan was not built"):
                 stochastic.run_stochastic(other, plan, 8, strategy, rng_mode)
-    cfg = MachineConfig(rows=2, columns=1, values_per_column=(2,), mode="stochastic",
-                        rng_mode="per_cell")
+    cfg = MachineConfig(rng_mode="per_cell")
     with pytest.raises(ConfigError, match="plan was not built"):
         machine.infer_stochastic(img, plan, cfg)
-    log_cfg = MachineConfig(rows=2, columns=1, values_per_column=(2,))
     with pytest.raises(ConfigError):
-        machine.infer_stochastic(MemoryImage([codes], 8, "log"), [0], log_cfg)
+        machine.infer_stochastic(MemoryImage([codes], 8, "log"), [0], MachineConfig())
     with pytest.raises(ConfigError):
         stochastic.plan(img, [[0], [1]], "row_shared")
     with pytest.raises(ConfigError):
@@ -320,10 +317,8 @@ def event_fields(counts):
 @given(sampler_runs())
 def test_batch_totals_equal_per_presentation_totals(run):
     img, obs, opts = run
-    cfg = MachineConfig(rows=img.rows, columns=img.columns,
-                        values_per_column=img.values_per_column, mode="stochastic",
-                        likelihood_width=img.width, cycle_budget=opts["budget"],
-                        strategy=opts["strategy"], rng_mode=opts["rng_mode"])
+    cfg = MachineConfig(cycle_budget=opts["budget"], strategy=opts["strategy"],
+                        rng_mode=opts["rng_mode"])
     res = machine.infer_stochastic(img, obs, cfg, seed=opts["seed"])
     ref = stochastic.run_stochastic(img, obs, **opts)
     assert np.array_equal(res.winner, ref.winner) and np.array_equal(res.scores, ref.scores)
@@ -357,9 +352,7 @@ def filter_runs(draw):
     sizes = [v0] + feat_sizes
     images = log_images if mode == "logarithmic" else linear_images
     img = draw(images(rows, sizes))
-    cfg = MachineConfig(rows=rows, columns=len(sizes), values_per_column=sizes, mode=mode,
-                        likelihood_width=img.width,
-                        cycle_budget=draw(st.integers(1, 40)),
+    cfg = MachineConfig(cycle_budget=draw(st.integers(1, 40)),
                         strategy=draw(st.sampled_from(stochastic.STRATEGIES)),
                         rng_mode=draw(st.sampled_from(stochastic.RNG_MODES)))
     feats = draw(address_batches(feat_sizes))
@@ -374,7 +367,7 @@ def test_filter_totals_equal_per_step_totals(run):
     # the same steps one call at a time, on the same stream
     rng, prev, steps = np.random.default_rng(seed), unknown, []
     for step in feats:
-        if cfg.mode == "logarithmic":
+        if img.kind == "log":
             steps.append(machine.infer_logarithmic(img, [prev, *step]))
         else:
             steps.append(machine.infer_stochastic(img, [prev, *step], cfg, seed=rng))
@@ -393,9 +386,9 @@ def test_filter_totals_equal_per_step_totals(run):
 def test_empty_filter_sequence_is_refused(mode, kind):
     img = MemoryImage([np.zeros((2, 3), dtype=np.uint16), np.zeros((2, 2), dtype=np.uint16)],
                       8, kind)
-    cfg = MachineConfig(rows=2, columns=2, values_per_column=(3, 2), mode=mode)
+    assert img.mode == mode
     with pytest.raises(ConfigError, match="steps >= 1"):
-        machine.run_filter(img, np.zeros((0, 1), dtype=np.int64), unknown_row=2, config=cfg)
+        machine.run_filter(img, np.zeros((0, 1), dtype=np.int64), unknown_row=2)
 
 
 # upper 0.1% points of the chi-square law by degrees of freedom

@@ -2,11 +2,19 @@ import json
 import math
 from dataclasses import asdict, fields
 
+import numpy as np
 import pytest
 
 from bayesim import energy
 from bayesim.errors import ConfigError, FormatError
-from bayesim.machine import fabricated_config, scaled_config
+from bayesim.machine import MemoryImage
+
+
+def images(rows=4, columns=6, values=64):
+    """A log and a linear image of one geometry, by default that of the
+    scaled-up machine: 4 rows, 6 columns, 64 values."""
+    blocks = [np.zeros((rows, values), dtype=np.uint16)] * columns
+    return MemoryImage(blocks, 8, "log"), MemoryImage(blocks, 8, "linear")
 
 
 def unit_table(**over):
@@ -99,8 +107,7 @@ def test_cost_table_rejects_non_finite(tmp_path):
 
 
 def test_conventional_energy_affine_in_budget():
-    cfg = scaled_config("stochastic")
-    rep = energy.crossover(cfg, energy.example_cost_table(), [10, 20, 40, 80])
+    rep = energy.crossover(*images(), energy.example_cost_table(), [10, 20, 40, 80])
     conv = {p.budget: p.energy_j for p in rep.points if p.strategy == "conventional"}
     slope = (conv[20] - conv[10]) / 10
     for b1, b2 in [(10, 20), (20, 40), (40, 80)]:
@@ -110,17 +117,16 @@ def test_conventional_energy_affine_in_budget():
 
 
 def test_log_energy_budget_independent():
-    cfg = fabricated_config()
-    rep = energy.crossover(cfg, energy.example_cost_table(), [1, 100, 4096])
+    # the small fabricated machine: 4 rows, 4 columns, 8 values
+    rep = energy.crossover(*images(4, 4, 8), energy.example_cost_table(), [1, 100, 4096])
     log_points = [p for p in rep.points if p.strategy == "logarithmic"]
     assert len(log_points) == 1
 
 
 def test_power_conscious_cheaper_with_measured_cycles():
-    cfg = scaled_config("stochastic")
     table = energy.example_cost_table()
     budgets = [32, 255]
-    rep = energy.crossover(cfg, table, budgets,
+    rep = energy.crossover(*images(), table, budgets,
                            pc_mean_cycles={32: 6.5, 255: 31.0})
     by = {(p.strategy, p.budget): p.energy_j for p in rep.points}
     for b in budgets:
@@ -128,26 +134,25 @@ def test_power_conscious_cheaper_with_measured_cycles():
 
 
 def test_crossover_limit_cases():
-    cfg = scaled_config("stochastic")
+    pair = images()
     # free stochastic-side events: stochastic never exceeds the log point
     free_stoch = unit_table(and_compare_op=0.0, rng_draw=0.0,
                             counter_increment=0.0, add_op=100.0)
-    rep = energy.crossover(cfg, free_stoch, [1, 10, 10_000])
+    rep = energy.crossover(*pair, free_stoch, [1, 10, 10_000])
     assert rep.crossover_budget is None
     # free adds: the log machine wins immediately
     free_adds = unit_table(add_op=0.0, and_compare_op=5.0, rng_draw=5.0)
-    rep = energy.crossover(cfg, free_adds, [1, 10, 100])
+    rep = energy.crossover(*pair, free_adds, [1, 10, 100])
     assert rep.crossover_budget == 1
 
 
 def test_crossover_monotone_in_and_cost():
-    cfg = scaled_config("stochastic")
     crossings = []
     for and_cost in (0.05e-12, 0.1e-12, 0.5e-12, 2e-12):
         t = energy.example_cost_table()
         t = energy.CostTable(t.mem_read_bit, t.add_op, and_cost,
                              t.rng_draw, t.counter_increment, t.register_write)
-        rep = energy.crossover(cfg, t, list(range(1, 400)))
+        rep = energy.crossover(*images(), t, list(range(1, 400)))
         assert rep.crossover_budget is not None
         crossings.append(rep.crossover_budget)
     assert crossings == sorted(crossings, reverse=True)
@@ -155,12 +160,14 @@ def test_crossover_monotone_in_and_cost():
 
 def test_crossover_needs_budgets():
     with pytest.raises(ConfigError):
-        energy.crossover(scaled_config("stochastic"), energy.example_cost_table(), [])
+        energy.crossover(*images(), energy.example_cost_table(), [])
+    log_image, lin_image = images()
+    with pytest.raises(ConfigError, match="log-code image and a linear-code image"):
+        energy.crossover(lin_image, log_image, energy.example_cost_table(), [10])
 
 
 def test_crossover_accuracy_passthrough():
-    cfg = scaled_config("stochastic")
-    rep = energy.crossover(cfg, energy.example_cost_table(), [10],
+    rep = energy.crossover(*images(), energy.example_cost_table(), [10],
                            accuracies={("conventional", 10): 0.5},
                            log_accuracy=0.9)
     by = {(p.strategy, p.budget): p.accuracy for p in rep.points}

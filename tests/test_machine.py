@@ -1,3 +1,7 @@
+import dataclasses
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -16,28 +20,27 @@ def lin_image(columns, width=8):
 
 # ---- config ----
 
-def test_config_presets():
-    fab = machine.fabricated_config()
-    assert (fab.rows, fab.columns) == (4, 4)
-    assert fab.values_per_column == (8, 8, 8, 8)
-    big = machine.scaled_config("stochastic", likelihood_width=16)
-    assert (big.rows, big.columns) == (4, 6)
-    assert big.values_per_column == (64,) * 6
-    assert big.kind == "linear"
-
-
-def test_config_rejects_wide_log():
-    with pytest.raises(ConfigError):
-        machine.fabricated_config("logarithmic", likelihood_width=16)
+def test_image_rejects_wide_log():
+    # a 16-bit log image is refused where it is built, whatever model it serves
+    with pytest.raises(ConfigError, match="8-bit only"):
+        log_image([np.zeros((2, 3), dtype=np.uint16)], width=16)
+    # ... and where it is loaded: a 16-bit linear image relabelled as log
+    raw = bytearray(lin_image([np.zeros((2, 3), dtype=np.uint16)], width=16).to_bytes())
+    raw[6] = machine.KINDS.index("log")  # the kind byte after magic and version
+    raw[-4:] = struct.pack("<I", zlib.crc32(raw[:-4]) & 0xFFFFFFFF)
+    with pytest.raises(ConfigError, match="8-bit only"):
+        MemoryImage.from_bytes(bytes(raw))
 
 
 def test_config_rejects_bad_fields():
     with pytest.raises(ConfigError):
-        machine.fabricated_config(mode="analog")
+        MachineConfig(cycle_budget=0)
     with pytest.raises(ConfigError):
-        machine.fabricated_config(cycle_budget=0)
+        MachineConfig(strategy="fastest")
     with pytest.raises(ConfigError):
-        machine.fabricated_config(strategy="fastest")
+        MachineConfig(rng_mode="row_shared")
+    assert [f.name for f in dataclasses.fields(MachineConfig)] == [
+        "cycle_budget", "strategy", "rng_mode"]
 
 
 # ---- logarithmic inference ----
@@ -98,17 +101,9 @@ def test_bad_address_is_config_error_on_both_datapaths():
 
 # ---- stochastic inference ----
 
-def stoch_config(**over):
-    base = dict(rows=2, columns=2, values_per_column=(1, 1), mode="stochastic")
-    base.update(over)
-    return MachineConfig(**base)
-
-
 def test_infer_stochastic_saturated_image():
     img = lin_image([np.full((3, 1), 255, dtype=np.uint16)] * 2)
-    cfg = MachineConfig(rows=3, columns=2, values_per_column=(1, 1),
-                        mode="stochastic", strategy="power_conscious",
-                        cycle_budget=16)
+    cfg = MachineConfig(strategy="power_conscious", cycle_budget=16)
     res = machine.infer_stochastic(img, [0, 0], cfg, seed=4)
     assert res.cycles_used == 1
     assert list(res.scores) == [1, 1, 1]  # every row fires at once
@@ -117,8 +112,7 @@ def test_infer_stochastic_saturated_image():
 
 def test_infer_stochastic_counts_scale_with_cycles():
     img = lin_image([np.full((4, 1), 255, dtype=np.uint16)] * 4)
-    cfg = MachineConfig(rows=4, columns=4, values_per_column=(1,) * 4,
-                        mode="stochastic", cycle_budget=100)
+    cfg = MachineConfig(cycle_budget=100)
     counts = machine.infer_stochastic(img, [0] * 4, cfg, seed=1).event_counts
     assert counts.rng_draws == 400  # one per column per cycle
     assert counts.and_compare_ops == 1600
@@ -129,8 +123,7 @@ def test_infer_stochastic_counts_scale_with_cycles():
 
 def test_infer_stochastic_equal_rows_balanced():
     img = lin_image([np.full((4, 1), 180, dtype=np.uint16)] * 2)
-    cfg = MachineConfig(rows=4, columns=2, values_per_column=(1, 1),
-                        mode="stochastic", cycle_budget=20_000)
+    cfg = MachineConfig(cycle_budget=20_000)
     res = machine.infer_stochastic(img, [0, 0], cfg, seed=77)
     p = (180 / 256) ** 2
     bound = 3 * np.sqrt(p * (1 - p) / 20_000)
@@ -140,19 +133,11 @@ def test_infer_stochastic_equal_rows_balanced():
 
 def test_infer_stochastic_deterministic():
     img = lin_image([np.arange(8, dtype=np.uint16).reshape(2, 4) * 30])
-    cfg = MachineConfig(rows=2, columns=1, values_per_column=(4,),
-                        mode="stochastic", cycle_budget=64)
+    cfg = MachineConfig(cycle_budget=64)
     a = machine.infer_stochastic(img, [1], cfg, seed=99)
     b = machine.infer_stochastic(img, [1], cfg, seed=99)
     assert np.array_equal(a.scores, b.scores)
     assert (a.winner, a.cycles_used) == (b.winner, b.cycles_used)
-
-
-def test_infer_stochastic_checks_geometry():
-    img = lin_image([np.zeros((2, 1), dtype=np.uint16)])
-    cfg = stoch_config()  # wants 2 columns
-    with pytest.raises(ConfigError):
-        machine.infer_stochastic(img, [0], cfg)
 
 
 # ---- fault injection ----
@@ -224,9 +209,8 @@ def filter_oracle(blocks, feats, unknown_row):
 def test_run_filter_requires_prior_column():
     img = log_image([np.zeros((4, 4), dtype=np.uint16),
                      np.zeros((4, 8), dtype=np.uint16)])
-    cfg = MachineConfig(rows=4, columns=2, values_per_column=(4, 8), mode="logarithmic")
     with pytest.raises(ConfigError):
-        machine.run_filter(img, [[0]], unknown_row=4, config=cfg)
+        machine.run_filter(img, [[0]], unknown_row=4)
 
 
 def test_run_filter_three_step_toy():
@@ -237,9 +221,8 @@ def test_run_filter_three_step_toy():
     col1 = np.array([[0, 30],
                      [30, 0]], dtype=np.uint16)
     img = log_image([col0, col1])
-    cfg = MachineConfig(rows=2, columns=2, values_per_column=(3, 2), mode="logarithmic")
     feats = [[0], [0], [1]]
-    got = machine.run_filter(img, feats, unknown_row=2, config=cfg).winner.tolist()
+    got = machine.run_filter(img, feats, unknown_row=2).winner.tolist()
     assert got == filter_oracle([col0, col1], feats, 2)
     # hand enumeration: step0 scores (16, 46) -> 0; step1 (2, 70) -> 0;
     # step2 (32, 40) -> 0 (sticky transition outweighs the observation)
@@ -252,9 +235,8 @@ def test_run_filter_feedback_switches():
     col1 = np.array([[0, 90],
                      [90, 0]], dtype=np.uint16)
     img = log_image([col0, col1])
-    cfg = MachineConfig(rows=2, columns=2, values_per_column=(3, 2), mode="logarithmic")
     feats = [[0], [1], [1]]  # strong observation flips the state at step 1
-    got = machine.run_filter(img, feats, unknown_row=2, config=cfg).winner.tolist()
+    got = machine.run_filter(img, feats, unknown_row=2).winner.tolist()
     assert got == filter_oracle([col0, col1], feats, 2)
     assert got == [0, 1, 1]
 
@@ -265,9 +247,8 @@ def test_run_filter_sticky_absorbing():
                      [255, 0, 16]], dtype=np.uint16)
     col1 = np.full((2, 4), 20, dtype=np.uint16)
     img = log_image([col0, col1])
-    cfg = MachineConfig(rows=2, columns=2, values_per_column=(3, 4), mode="logarithmic")
     feats = [[i % 4] for i in range(10)]
-    winners = machine.run_filter(img, feats, unknown_row=2, config=cfg).winner
+    winners = machine.run_filter(img, feats, unknown_row=2).winner
     assert len(set(winners)) == 1
 
 
@@ -277,8 +258,7 @@ def test_run_filter_stochastic_deterministic_per_seed():
     col1 = np.array([[250, 30],
                      [30, 250]], dtype=np.uint16)
     img = lin_image([col0, col1])
-    cfg = MachineConfig(rows=2, columns=2, values_per_column=(3, 2),
-                        mode="stochastic", cycle_budget=64)
+    cfg = MachineConfig(cycle_budget=64)
     feats = [[0], [0], [1], [1]]
     a = machine.run_filter(img, feats, unknown_row=2, config=cfg, seed=21)
     b = machine.run_filter(img, feats, unknown_row=2, config=cfg, seed=21)

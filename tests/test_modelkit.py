@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bayesim import logprob, machine, modelkit, runner, stochastic
+from bayesim import logprob, machine, modelkit, stochastic
 from bayesim.errors import CompileError, ConfigError, DomainError, TrainingError
-from bayesim.machine import MachineConfig
 from bayesim.modelkit import BayesModel, FittedDistribution
 
 
@@ -230,43 +229,33 @@ def test_train_model_refuses_bins_below_one():
 def test_compile_code_examples():
     like = [np.array([[0.5, 1.0], [1.0, 0.5]])] * 2
     m = toy_model(like)
-    log_cfg = MachineConfig(rows=2, columns=2, values_per_column=(2, 2), mode="logarithmic")
-    img = modelkit.compile_model(m, log_cfg)
+    img = modelkit.compile_model(m, "logarithmic")
     assert img.kind == "log"
     assert img.blocks[0][0, 0] == 8  # encode(0.5)
     assert img.blocks[0][0, 1] == 0
-    lin_cfg = MachineConfig(rows=2, columns=2, values_per_column=(2, 2), mode="stochastic")
-    img = modelkit.compile_model(m, lin_cfg)
+    img = modelkit.compile_model(m, "stochastic")
     assert img.kind == "linear"
     assert img.blocks[0][0, 0] == 128
     assert img.blocks[0][0, 1] == 255
+    with pytest.raises(ConfigError, match="unknown mode"):
+        modelkit.compile_model(m, "analog")
 
 
 def test_compile_filter_prior_column():
     like = [np.full((4, 2), 1.0)]
     trans = np.full((4, 4), 0.25)
     m = toy_model(like, transition=trans)
-    cfg = MachineConfig(rows=4, columns=2, values_per_column=(8, 2), mode="logarithmic")
-    img = modelkit.compile_model(m, cfg)
+    img = modelkit.compile_model(m, "logarithmic")
+    assert img.values_per_column == (8, 2)  # 4 classes + unknown, padded to 8
     # unknown-state entry: encode(1/4) = 16
     assert np.all(img.blocks[0][:, 4] == 16)
     # uniform transitions also encode to 16
     assert np.all(img.blocks[0][:, :4] == 16)
     # undriven addresses park at p=0, the top code
     assert np.all(img.blocks[0][:, 5:] == 255)
-
-
-def test_compile_dimension_checks():
-    m = toy_model([np.full((2, 2), 0.5)] * 2)
-    bad_cols = MachineConfig(rows=2, columns=3, values_per_column=(2, 2, 2), mode="logarithmic")
+    # the unknown-state entry needs an address of its own
     with pytest.raises(CompileError):
-        modelkit.compile_model(m, bad_cols)
-    bad_rows = MachineConfig(rows=3, columns=2, values_per_column=(2, 2), mode="logarithmic")
-    with pytest.raises(CompileError):
-        modelkit.compile_model(m, bad_rows)
-    bad_bins = MachineConfig(rows=2, columns=2, values_per_column=(2, 4), mode="logarithmic")
-    with pytest.raises(CompileError):
-        modelkit.compile_model(m, bad_bins)
+        modelkit.compile_model(m, "logarithmic", prior_values=4)
 
 
 def test_compile_decode_round_trip_bound():
@@ -274,8 +263,7 @@ def test_compile_decode_round_trip_bound():
     like = [np.maximum(rng.uniform(size=(3, 5)), 1e-3) for _ in range(2)]
     like = [t / t.max() for t in like]
     m = toy_model(like)
-    cfg = MachineConfig(rows=3, columns=2, values_per_column=(5, 5), mode="logarithmic")
-    img = modelkit.compile_model(m, cfg)
+    img = modelkit.compile_model(m, "logarithmic")
     step = 2.0 ** (1 / 16)  # half of one 1/8 quantization step
     for c in range(2):
         decoded = logprob.decode_array(img.blocks[c])
@@ -410,14 +398,13 @@ def test_model_value_errors_name_the_feature():
 
 def test_machine_matches_oracle_under_margin():
     rng = np.random.default_rng(55)
-    cfg = MachineConfig(rows=4, columns=4, values_per_column=(1,) * 4, mode="logarithmic")
     agree = checked = 0
     for _ in range(300):
         like = [2.0 ** rng.uniform(-10, 0, size=(4, 1)) for _ in range(4)]
         like = [t / t.max() for t in like]
         m = BayesModel(4, 4, (1,) * 4, like, np.full(4, 0.25), None,
                        [np.array([0.0, 1.0])] * 4)
-        img = modelkit.compile_model(m, cfg)
+        img = modelkit.compile_model(m, "logarithmic")
         res = modelkit.oracle_infer(m, [0, 0, 0, 0])
         top2 = np.sort(res.posterior)[-2:]
         margin = math.log2(top2[1] / top2[0]) if top2[0] > 0 else math.inf
@@ -574,14 +561,19 @@ def test_compile_equals_per_block_encode(case):
     for mode, width, encode in (("logarithmic", 8, logprob.encode_array),
                                 ("stochastic", 8, stochastic.quantize_linear_array),
                                 ("stochastic", 16, stochastic.quantize_linear_array)):
-        cfg = runner.config_for_model(model, mode, width=width, prior_values=prior_values)
+        image = modelkit.compile_model(model, mode, width, prior_values)
         blocks = list(model.likelihood)
         if model.transition is not None:
-            col0 = np.zeros((model.classes, cfg.values_per_column[0]))
+            # column 0: the smallest power of two above classes, unless set
+            v0 = image.values_per_column[0]
+            if prior_values is None:
+                assert v0 & (v0 - 1) == 0 and v0 // 2 < model.classes + 1 <= v0
+            else:
+                assert v0 == prior_values
+            col0 = np.zeros((model.classes, v0))
             col0[:, : model.classes] = model.transition.T
             col0[:, model.classes] = 1.0 / model.classes
             blocks.insert(0, col0)
-        image = modelkit.compile_model(model, cfg)
         assert len(image.blocks) == len(blocks)
         for got, block in zip(image.blocks, blocks):
             want = encode(block, width)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from bayesim import machine, runner, stochastic, tasks
+from bayesim import energy, machine, runner, stochastic, tasks
 from bayesim.errors import ConfigError
 from child_env import child_env
 
@@ -43,7 +43,7 @@ def test_prepare_and_eval_paths(monkeypatch):
     assert lin[16].width == 16
     acc = runner.eval_log(prep, log_img)
     assert 0.0 <= acc <= 1.0
-    cfg = runner.config_from_image(lin[8], cycle_budget=16)
+    cfg = machine.MachineConfig(cycle_budget=16)
     ev = runner.eval_stochastic(prep, lin[8], cfg, seed=runner.point_seed(1))
     assert 0.0 <= ev.accuracy <= 1.0
     assert 1.0 <= ev.mean_cycles <= 16.0
@@ -86,7 +86,7 @@ def test_sweep_latches_once_and_builds_the_law_only_for_power_conscious(
                               strategies=strategies)
     assert (len(latches), len(laws)) == (1, law_calls)
     # trials_point given no plan (as `sim` calls it) builds one for its trials
-    cfg = runner.config_from_image(lin[8], cycle_budget=4, strategy=strategies[-1])
+    cfg = machine.MachineConfig(cycle_budget=4, strategy=strategies[-1])
     runner.trials_point(prep, lin[8], cfg, 3, (5,))
     assert (len(latches), len(laws)) == (2, 2 * law_calls)
     # without a plan every pass latches and builds its own law
@@ -127,10 +127,25 @@ def test_empty_test_split_is_refused(make):
     with pytest.raises(ConfigError):
         runner.eval_log(empty, log_img)
     with pytest.raises(ConfigError):
-        runner.eval_stochastic(empty, lin[8], runner.config_from_image(lin[8]), seed=1)
+        runner.eval_stochastic(empty, lin[8], machine.MachineConfig(), seed=1)
 
 
 def test_prior_values_refused_for_naive_model():
     prep = runner.prepare(tasks.gesture_like_spec(seed=8, train_size=60, test_size=20))
     with pytest.raises(ConfigError, match="--prior-values"):
-        runner.config_for_model(prep.model, "logarithmic", prior_values=3)
+        runner.images_for_model(prep, prior_values=3)
+
+
+def test_energy_report_prices_each_point_on_its_own_image(monkeypatch):
+    # the log machine reads 8-bit codes whatever width the linear image has
+    monkeypatch.setenv("BAYESIM_THREADS", "1")
+    prep = runner.prepare(tasks.gesture_like_spec(seed=8, train_size=60, test_size=20))
+    log_img, lin = runner.images_for_model(prep, widths=(16,))
+    table = energy.example_cost_table()
+    rep = runner.energy_report(prep, log_img, lin[16], [4], 1, 5, table)
+    by = {p.strategy: p.energy_j for p in rep.points}
+    rows, cols = log_img.rows, log_img.columns
+    assert by["logarithmic"] == energy.energy_of(
+        energy.count_events("logarithmic", rows, cols, 8), table)
+    assert by["conventional"] == energy.energy_of(
+        energy.count_events("stochastic", rows, cols, 16, cycles=4), table)
