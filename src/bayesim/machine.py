@@ -31,6 +31,7 @@ from .stochastic import InferenceResult
 
 MODES = ("logarithmic", "stochastic")
 KINDS = ("log", "linear")  # code family stored in an image; a MODES[i] machine reads KINDS[i]
+PAIR_LAW_MAX = 1 << 21  # law entries a filter plan may hold; a longer filter steps
 
 _MAGIC = b"BIMG"
 _VERSION = 1
@@ -282,18 +283,7 @@ def walk(table, start: int) -> list:
     return path
 
 
-def run_filter(image: MemoryImage, feature_addresses, unknown_row: int,
-               config: MachineConfig = MachineConfig(), seed=0):
-    """Recursive inference over a sequence with hard-decision feedback.
-
-    Column 0 is the transition/prior column: at step 0 it is addressed by
-    ``unknown_row`` (a dedicated uniform-prior entry), afterwards by the
-    previous step's winner.  ``feature_addresses`` is a (steps, columns-1)
-    table of observation addresses for the remaining columns.  Stochastic
-    steps draw from one stream seeded by ``seed`` (an int or a numpy
-    Generator) under ``config``; the image's kind picks the machine.
-    Returns one InferenceResult with one presentation per step.
-    """
+def _filter_steps(image: MemoryImage, feature_addresses, unknown_row: int) -> np.ndarray:
     v0 = image.values_per_column[0]
     if v0 < image.rows + 1:
         raise ConfigError(
@@ -304,20 +294,66 @@ def run_filter(image: MemoryImage, feature_addresses, unknown_row: int,
     feats = np.asarray(feature_addresses, dtype=np.int64)
     if feats.ndim != 2 or feats.shape[1] != image.columns - 1 or not len(feats):
         raise ConfigError(f"feature addresses must be (steps >= 1, {image.columns - 1})")
+    return feats
+
+
+def filter_plan(image: MemoryImage, feature_addresses, unknown_row: int,
+                rng_mode: str = "column_shared") -> stochastic.RunPlan | None:
+    """A `stochastic.plan` of every (step, column-0 address) pair of a sequence,
+    step-major, for the addresses 0..rows-1 and then ``unknown_row``; None when
+    its law would pass `stochastic.LAW_MAX_ROWS` rows or `PAIR_LAW_MAX` entries."""
+    feats = _filter_steps(image, feature_addresses, unknown_row)
+    rows, cols = image.rows, image.columns
+    if rows > stochastic.LAW_MAX_ROWS or len(feats) * (rows + 1) << rows > PAIR_LAW_MAX:
+        return None
+    pairs = np.empty((len(feats), rows + 1, cols), dtype=np.int64)
+    pairs[:, :, 0] = [*range(rows), unknown_row]
+    pairs[:, :, 1:] = feats[:, np.newaxis]
+    return stochastic.plan(image, pairs.reshape(-1, cols), rng_mode)
+
+
+def run_filter(image: MemoryImage, feature_addresses, unknown_row: int,
+               config: MachineConfig = MachineConfig(), seed=0, plan=None):
+    """Recursive inference over a sequence with hard-decision feedback.
+
+    Column 0 is the transition/prior column: at step 0 it is addressed by
+    ``unknown_row`` (a dedicated uniform-prior entry), afterwards by the
+    previous step's winner.  ``feature_addresses`` is a (steps, columns-1)
+    table of observation addresses for the remaining columns.  Stochastic
+    steps draw from one stream seeded by ``seed`` (an int or a numpy
+    Generator) under ``config``; the image's kind picks the machine.  A
+    power-conscious run `decide`s every pair of the sequence's `filter_plan`
+    (``plan``, built here when None) with its step's (stop, mask, tie)
+    uniforms and `walk`s the winners; other runs step one call at a time.
+    Returns one InferenceResult with one presentation per step.
+    """
+    feats = _filter_steps(image, feature_addresses, unknown_row)
+    steps, a = len(feats), image.rows + 1
+    if plan is not None and (plan.image is not image or plan.rng_mode != config.rng_mode
+                             or len(plan.codes) != steps * a):
+        raise ConfigError("plan was not built for this image, sequence and rng mode")
     rng = np.random.default_rng(seed)
-    results = []
-    prev = int(unknown_row)
-    for t in range(feats.shape[0]):
-        obs = np.concatenate(([prev], feats[t]))
-        if image.kind == "log":
-            res = infer_logarithmic(image, obs)
-        else:
-            res = infer_stochastic(image, obs, config, seed=rng)
-        results.append(res)
-        prev = res.winner
-    cycles = np.array([r.cycles for r in results])
+    power_conscious = image.kind == "linear" and config.strategy == "power_conscious"
+    if power_conscious:
+        plan = plan or filter_plan(image, feats, unknown_row, config.rng_mode)
+    if power_conscious and plan is not None:
+        uniforms = np.repeat(rng.random((steps, 3)), a, axis=0)  # as steps' (1, 3) draws
+        counters, winners, cycles = stochastic.decide(plan, uniforms, config.cycle_budget)
+        winner = np.array(walk(winners.reshape(steps, a), image.rows))
+        pair = np.arange(steps) * a + np.concatenate(([image.rows], winner[:-1]))
+        scores, cycles = counters[pair], cycles[pair]
+    else:
+        results, prev = [], int(unknown_row)
+        for step in feats:
+            obs = np.concatenate(([prev], step))
+            res = (infer_logarithmic(image, obs) if image.kind == "log"
+                   else infer_stochastic(image, obs, config, seed=rng))
+            results.append(res)
+            prev = res.winner
+        scores = np.array([r.scores for r in results])
+        winner = np.array([r.winner for r in results])
+        cycles = np.array([r.cycles for r in results])
     counts = energy.count_events(image.mode, image.rows, image.columns, image.width,
                                  cycles=int(cycles.sum()), rng_mode=config.rng_mode,
-                                 presentations=len(results))
-    return InferenceResult(np.array([r.scores for r in results]),
-                           np.array([r.winner for r in results]), cycles, counts)
+                                 presentations=steps)
+    return InferenceResult(scores, winner, cycles, counts)

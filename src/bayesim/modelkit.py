@@ -145,6 +145,10 @@ class BayesModel:
 
     def __post_init__(self):
         self.bins = tuple(int(b) for b in self.bins)
+        for name in ("classes", "features"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
         if self.classes < 1 or self.features < 1:
             raise ConfigError("need at least one class and one feature")
         if len(self.bins) != self.features or len(self.likelihood) != self.features:

@@ -63,9 +63,13 @@ class Prepared:
     test_obs: np.ndarray  # (steps, features) bin addresses
     test_labels: np.ndarray
 
+    def __post_init__(self):
+        if not len(self.test_labels):
+            raise ConfigError("the test split is empty: nothing to evaluate")
+
     @property
     def filtered(self) -> bool:
-        """Filter models run through machine.run_filter, step by step."""
+        """Filter models run through machine.run_filter."""
         return self.model.transition is not None
 
 
@@ -126,18 +130,21 @@ class StochasticEval:
 
 
 def split_plan(prep: Prepared, image: machine.MemoryImage, rng_mode: str):
-    """A naive model's test split latched once on ``image``; None for filter models."""
-    return None if prep.filtered else stochastic.plan(image, prep.test_obs, rng_mode)
+    """The test split latched once on ``image``: a naive model's `stochastic.plan`,
+    or a filter model's `machine.filter_plan` (None when the filter steps)."""
+    if prep.filtered:
+        return machine.filter_plan(image, prep.test_obs, prep.model.classes, rng_mode)
+    return stochastic.plan(image, prep.test_obs, rng_mode)
 
 
 def eval_stochastic(prep: Prepared, image: machine.MemoryImage,
                     config: machine.MachineConfig, seed: int, plan=None) -> StochasticEval:
     """One stochastic pass over the test split with a fresh seeded stream:
-    one batched call for naive models, from ``plan`` when given, the filter
-    for filter models."""
+    one batched call for naive models, the filter for filter models, each
+    from the `split_plan` ``plan`` when given."""
     if prep.filtered:
         res = machine.run_filter(image, prep.test_obs, unknown_row=prep.model.classes,
-                                 config=config, seed=seed)
+                                 config=config, seed=seed, plan=plan)
     else:
         res = machine.infer_stochastic(image, plan or prep.test_obs, config, seed=seed)
     return StochasticEval(accuracy(res.winner, prep.test_labels),

@@ -135,6 +135,34 @@ class RunPlan:
         if self.codes.shape[1] <= LAW_MAX_ROWS:
             return np.cumsum(mask_law(self.codes, self.image.width, self.rng_mode)[:, 1:], axis=1)
 
+    @cached_property
+    def outcomes(self) -> tuple:
+        """log1p(-q) per presentation; per fired mask (0: none) its row bits,
+        candidate count and the winner of each tie pick (mask 0 ties every row)."""
+        rows = self.codes.shape[1]
+        bits = (np.arange(1 << rows)[:, np.newaxis] >> np.arange(rows)) & 1
+        k = bits.sum(axis=1)
+        k[0] = rows
+        with np.errstate(divide="ignore"):  # q = 1: every cycle fires
+            log_quiet = np.log1p(-np.minimum(self.cum_law[:, -1], 1.0))
+        return log_quiet, bits, k, np.argsort(-bits, axis=1, kind="stable")
+
+
+def decide(run: RunPlan, uniforms: np.ndarray, budget: int) -> tuple:
+    """(counters, winner, cycles) of power-conscious runs of ``run``, one (stop,
+    mask, tie) row of ``uniforms`` each: a stop cycle truncated geometric in
+    q = 1 - P(no row fires), and one mask from the law of the non-empty masks."""
+    log_quiet, bits, k, winners = run.outcomes
+    with np.errstate(divide="ignore", invalid="ignore"):  # q = 0: no cycle ever fires
+        stop = np.floor(np.log1p(-uniforms[:, 0]) / log_quiet) + 1
+    stopped = stop <= budget
+    cum = run.cum_law  # non-decreasing: the first entry above the target is the mask
+    above = cum > (uniforms[:, 1] * cum[:, -1])[:, np.newaxis]
+    mask = np.where(stopped, 1 + above.argmax(axis=1), 0)
+    k = k[mask]
+    pick = np.minimum((uniforms[:, 2] * k).astype(np.int64), k - 1)
+    return bits[mask], winners[mask, pick], np.where(stopped, stop, budget).astype(np.int64)
+
 
 def plan(image, obs, rng_mode: str = "column_shared") -> RunPlan:
     """Check the image kind, the addresses ``obs`` (C,) or (N, C) and the RNG
@@ -166,10 +194,8 @@ def run_stochastic(
     presentation, cycle, [row,] column order, one integer in [0, 2**width)
     each, then one uniform per presentation that breaks its ties.  A
     power-conscious call draws one float64 uniform triple (stop, mask, tie)
-    per presentation: the stop cycle is truncated geometric in q = 1 -
-    P(no row fires), and the scores are one fired mask drawn from the law
-    of the non-empty masks.  Above `LAW_MAX_ROWS` rows it draws as a
-    conventional call and stops at the first fire.  A power-conscious
+    per presentation and `decide`s them; above `LAW_MAX_ROWS` rows it draws
+    as a conventional call and stops at the first fire.  A power-conscious
     presentation stopped early exactly when any of its scores is non-zero;
     a conventional one never stops early.
     """
@@ -185,13 +211,7 @@ def run_stochastic(
 
     rng = np.random.default_rng(seed)
     if strategy == "power_conscious" and rows <= LAW_MAX_ROWS:
-        stop_u, mask_u, ties = rng.random((n, 3)).T
-        cum = run.cum_law
-        with np.errstate(divide="ignore", invalid="ignore"):  # q = 0: no cycle ever fires
-            stop = np.floor(np.log1p(-stop_u) / np.log1p(-np.minimum(cum[:, -1], 1.0))) + 1
-        mask = 1 + (cum <= (mask_u * cum[:, -1])[:, np.newaxis]).sum(axis=1)
-        fired = (mask[:, np.newaxis] >> np.arange(rows)) & 1
-        stopped = stop <= budget
+        counters, winner, cycles = decide(run, rng.random((n, 3)), budget)
     else:
         dtype = np.uint8 if image.width == 8 else np.uint16
         shape = (n, budget, cols) if rng_mode == "column_shared" else (n, budget, rows, cols)
@@ -205,25 +225,21 @@ def run_stochastic(
         for c in range(1, cols):
             np.less(draws[..., c], codes[:, np.newaxis, :, c], out=col)
             fire &= col
-        if strategy == "power_conscious":
+        if strategy == "conventional":
+            counters = fire.sum(axis=1, dtype=np.int64)
+            cycles = np.full(n, budget)
+            candidates = counters == counters.max(axis=1, keepdims=True)
+        else:
+            # no row fires before the first fire cycle, so the counters are
+            # that cycle's fire pattern; with no fire at all every row ties
             any_fire = fire.any(axis=2)
             stopped, first = any_fire.any(axis=1), any_fire.argmax(axis=1)
-            stop, fired = first + 1, fire[np.arange(n), first]
-
-    if strategy == "conventional":
-        counters = fire.sum(axis=1, dtype=np.int64)
-        cycles = np.full(n, budget)
-        candidates = counters == counters.max(axis=1, keepdims=True)
-    else:
-        # no row fires before the stop cycle, so the counters are that
-        # cycle's fire pattern; with no fire at all every row ties
-        cycles = np.where(stopped, stop, budget).astype(np.int64)
-        counters = fired.astype(np.int64) * stopped[:, np.newaxis]
-        candidates = counters.astype(bool) | ~stopped[:, np.newaxis]
-
-    k = candidates.sum(axis=1)
-    pick = np.minimum((ties * k).astype(np.int64), k - 1)
-    winner = (candidates.cumsum(axis=1) > pick[:, np.newaxis]).argmax(axis=1)
+            cycles = np.where(stopped, first + 1, budget).astype(np.int64)
+            counters = fire[np.arange(n), first].astype(np.int64) * stopped[:, np.newaxis]
+            candidates = counters.astype(bool) | ~stopped[:, np.newaxis]
+        k = candidates.sum(axis=1)
+        pick = np.minimum((ties * k).astype(np.int64), k - 1)
+        winner = (candidates.cumsum(axis=1) > pick[:, np.newaxis]).argmax(axis=1)
     counts = energy.count_events("stochastic", rows, cols, image.width, cycles=int(cycles.sum()),
                                  rng_mode=rng_mode, presentations=n)
     if run.single:

@@ -10,8 +10,10 @@ chi-square tests on one batch of identical presentations pin its winner
 split, stop-cycle law and tie-breaks to their exact laws.  Conventional
 runs, and power-conscious runs above the law's row cap, equal a
 cycle-by-cycle reference draw for draw; power-conscious runs sampled from
-the mask law are compared with that reference by chi-square tests.  A
-call from a `stochastic.plan` equals the call that latches for itself.
+the mask law are compared with that reference by chi-square tests, and
+with a per-presentation reference of the law sampler bit for bit.  A call
+from a `stochastic.plan`, or a filter from a `machine.filter_plan`, equals
+the call that latches for itself.
 """
 
 import numpy as np
@@ -231,6 +233,40 @@ def test_power_conscious_above_row_cap_equals_cycle_reference(run):
     assert_equals_cycle_reference(*run)
 
 
+def power_conscious_reference(img, obs, budget, strategy, rng_mode, seed):
+    """The law sampler one presentation at a time: one (stop, mask, tie)
+    uniform triple each, the stop cycle from the log1p ratio, the mask as
+    the count of cumulative-law entries at or below its target, and a pick
+    among the fired rows (all rows when the run stays quiet)."""
+    triples = np.random.default_rng(seed).random((len(obs), 3))
+    out = []
+    for (stop_u, mask_u, tie), codes in zip(triples, img.latch(obs)):
+        cum = np.cumsum(stochastic.mask_law(codes[np.newaxis], img.width, rng_mode)[0, 1:])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stop = np.floor(np.log1p(-stop_u) / np.log1p(-min(cum[-1], 1.0))) + 1
+        mask = 1 + sum(int(c <= mask_u * cum[-1]) for c in cum)
+        fired = [(mask >> r) & 1 for r in range(img.rows)]
+        if stop <= budget:
+            counters, cycles = fired, int(stop)
+            cand = [r for r in range(img.rows) if fired[r]]
+        else:
+            counters, cycles, cand = [0] * img.rows, budget, list(range(img.rows))
+        out.append((counters, cycles, cand[min(int(tie * len(cand)), len(cand) - 1)]))
+    return out
+
+
+@SETTINGS
+@given(st.one_of(sampler_runs(strategies=("power_conscious",)),
+                 sampler_runs(strategies=("power_conscious",), rows=stochastic.LAW_MAX_ROWS)),
+       st.booleans())
+def test_power_conscious_kernel_equals_per_presentation_reference(run, single):
+    img, obs, opts = run
+    res = stochastic.run_stochastic(img, obs[0] if single else obs, **opts)
+    got = list(zip(np.atleast_2d(res.scores).tolist(), np.atleast_1d(res.cycles).tolist(),
+                   np.atleast_1d(res.winner).tolist()))
+    assert got == power_conscious_reference(img, obs[:1] if single else obs, **opts)
+
+
 @SETTINGS
 @given(sampler_runs())
 def test_batch_of_one_is_the_single_vector_call(run):
@@ -343,10 +379,11 @@ def test_log_batch_totals_equal_per_presentation_totals(data):
 
 
 @st.composite
-def filter_runs(draw):
+def filter_runs(draw, modes=machine.MODES, rows=None):
     """A random filter machine of either mode, its steps and its options."""
-    mode = draw(st.sampled_from(machine.MODES))
-    rows = draw(st.integers(1, 4))
+    mode = draw(st.sampled_from(modes))
+    if rows is None:
+        rows = draw(st.integers(1, 4))
     v0 = draw(st.integers(rows + 1, rows + 3))
     feat_sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     sizes = [v0] + feat_sizes
@@ -356,7 +393,9 @@ def filter_runs(draw):
                         strategy=draw(st.sampled_from(stochastic.STRATEGIES)),
                         rng_mode=draw(st.sampled_from(stochastic.RNG_MODES)))
     feats = draw(address_batches(feat_sizes))
-    return img, cfg, feats, draw(st.integers(0, v0 - 1)), draw(st.integers(0, 2**32))
+    # the unknown state may share its address with a row, or have its own
+    unknown = draw(st.one_of(st.integers(0, rows - 1), st.integers(rows, v0 - 1)))
+    return img, cfg, feats, unknown, draw(st.integers(0, 2**32))
 
 
 @SETTINGS
@@ -380,6 +419,70 @@ def test_filter_totals_equal_per_step_totals(run):
     assert res.cycles_used == sum(r.cycles_used for r in steps)
     assert np.array_equal(event_fields(res.event_counts),
                           sum(event_fields(r.event_counts) for r in steps))
+
+
+def assert_steps_one_call_at_a_time(res, img, cfg, feats, unknown, seed):
+    rng, prev = np.random.default_rng(seed), unknown
+    for t, step in enumerate(feats):
+        one = machine.infer_stochastic(img, [prev, *step], cfg, seed=rng)
+        assert (res.winner[t], res.cycles[t]) == (one.winner, one.cycles)
+        assert np.array_equal(res.scores[t], one.scores)
+        prev = one.winner
+
+
+@SETTINGS
+@given(filter_runs(modes=("stochastic",), rows=stochastic.LAW_MAX_ROWS + 1))
+def test_filter_above_row_cap_steps(run):
+    img, cfg, feats, unknown, seed = run
+    assert machine.filter_plan(img, feats, unknown, cfg.rng_mode) is None
+    res = machine.run_filter(img, feats, unknown_row=unknown, config=cfg, seed=seed)
+    assert_steps_one_call_at_a_time(res, img, cfg, feats, unknown, seed)
+
+
+@SETTINGS
+@given(filter_runs(modes=("stochastic",)))
+def test_filter_plan_call_equals_plain_call(run):
+    img, cfg, feats, unknown, seed = run
+    plan = machine.filter_plan(img, feats, unknown, cfg.rng_mode)
+    # conventional first: the pair law is built by the first power-conscious call
+    for strategy in ("conventional", "power_conscious", "power_conscious"):
+        c = MachineConfig(cfg.cycle_budget, strategy, cfg.rng_mode)
+        assert_same_result(machine.run_filter(img, feats, unknown, c, seed, plan=plan),
+                           machine.run_filter(img, feats, unknown, c, seed))
+
+
+def test_filter_plan_bounds_its_pair_law(monkeypatch):
+    rng = np.random.default_rng(9)
+    img = lin([rng.integers(0, 256, (2, 4)), rng.integers(0, 256, (2, 3))])
+    feats, cfg = rng.integers(0, 3, (10, 1)), MachineConfig(20, "power_conscious")
+    entries = len(feats) * 3 * 4  # (steps, rows + 1 addresses, 2**rows masks)
+    monkeypatch.setattr(machine, "PAIR_LAW_MAX", entries)
+    assert machine.filter_plan(img, feats, 3).codes.shape == (30, 2, 2)
+    monkeypatch.setattr(machine, "PAIR_LAW_MAX", entries - 1)
+    assert machine.filter_plan(img, feats, 3) is None
+    inner, laws = stochastic.mask_law, []
+
+    def counted(codes, *rest):
+        laws.append(codes.shape)
+        return inner(codes, *rest)
+
+    monkeypatch.setattr(stochastic, "mask_law", counted)
+    res = machine.run_filter(img, feats, 3, cfg, seed=4)
+    assert laws == [(1, 2, 2)] * len(feats)  # one law per step, none for the pairs
+    assert_steps_one_call_at_a_time(res, img, cfg, feats, 3, 4)
+
+
+def test_filter_plan_for_another_image_or_sequence_is_refused():
+    img = lin([[[10, 200, 30], [128, 255, 40]], [[5, 6], [7, 8]]])
+    feats = [[0], [1], [1]]
+    plan = machine.filter_plan(img, feats, 2, "column_shared")
+    others = [(machine.inject_errors(img, 0.0), feats, "column_shared"),
+              (img, feats[:2], "column_shared"), (img, feats, "per_cell")]
+    for other, seq, rng_mode in others:
+        for strategy in stochastic.STRATEGIES:
+            with pytest.raises(ConfigError, match="plan was not built"):
+                machine.run_filter(other, seq, 2, MachineConfig(8, strategy, rng_mode),
+                                   plan=plan)
 
 
 @pytest.mark.parametrize("mode,kind", [("logarithmic", "log"), ("stochastic", "linear")])

@@ -3,11 +3,17 @@
 ``benchmark/spans.py`` times bayesim from outside by rebinding functions on
 the bayesim modules, so a change that stops calling one of them through
 its module leaves a per-layer metric without a value.  This runs the
-benchmark's layer probe under its tracer, reading the benchmark files only.
+benchmark's layer probe under its tracer, reading the benchmark files only,
+and pins the calls the benchmark rebinds: its gesture rounds time every
+`runner.eval_stochastic` pass that `sweep_cycles` makes, and read the
+budget from the config passed third.
 """
 
+import inspect
 import json
 from pathlib import Path
+
+from bayesim import machine, runner, stochastic, tasks
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "benchmark"
@@ -31,3 +37,39 @@ def test_layer_probe_gives_every_layer_metric_a_value(monkeypatch):
     from_rounds = set(run.LAYER_COUNTS) | {"cli.startup_ms", "trace_overhead_pct"}
     assert declared - from_rounds <= set(values)
     assert sorted(m for m, v in values.items() if v is None) == []
+
+
+def record_calls(monkeypatch, owner, name):
+    calls, inner = [], getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def test_benchmark_call_contract(monkeypatch):
+    monkeypatch.setenv("BAYESIM_THREADS", "1")
+    # the tracer calls the sampler by keyword and swaps its seed for a counting stream
+    assert {"image", "obs", "budget", "strategy", "rng_mode", "seed"} <= set(
+        inspect.signature(stochastic.run_stochastic).parameters)
+    prep = runner.prepare(tasks.gesture_like_spec(seed=8, train_size=60, test_size=20))
+    _, lin = runner.images_for_model(prep)
+    passes = record_calls(monkeypatch, runner, "eval_stochastic")
+    runs = record_calls(monkeypatch, stochastic, "run_stochastic")
+    runner.sweep_cycles(prep, lin[8], budgets=[4, 8], trials=3, seed=5)
+    # sweep_cycles: one module-global eval_stochastic call per pass, config third
+    budgets = [args[2].cycle_budget for args, _ in passes
+               if isinstance(args[2], machine.MachineConfig)]
+    assert sorted(budgets) == [4] * 6 + [8] * 6
+    # infer_stochastic reaches the sampler through its module global, once a pass
+    assert len(runs) == len(passes)
+    # filter models: eval_log and eval_stochastic reach run_filter through its module
+    sleep = runner.prepare(tasks.sleep_like_spec(seed=8, train_size=400, test_size=20))
+    log_img, sleep_lin = runner.images_for_model(sleep)
+    filters = record_calls(monkeypatch, machine, "run_filter")
+    runner.eval_log(sleep, log_img)
+    runner.eval_stochastic(sleep, sleep_lin[8], machine.MachineConfig(), seed=1)
+    assert [args[0].kind for args, _ in filters] == ["log", "linear"]

@@ -330,6 +330,19 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     assert errs == ["error: --seed must be an integer, got 'abc'"] * 2
 
 
+def test_compile_refuses_a_float_class_count(tmp_path, capsys):
+    out = tmp_path / "sl"
+    assert run("gen", "--task", "sleep_like", "--seed", 3, "--out", out) == 0
+    model = out / "model.json"
+    assert run("train", "--data", out / "train.csv", "--filter", "--out", model) == 0
+    doc = json.loads(model.read_text())
+    model.write_text(json.dumps({**doc, "classes": float(doc["classes"])}))
+    capsys.readouterr()
+    assert run("compile", "--model", model, "--out", tmp_path / "x.img") == 2
+    assert "classes must be an integer, got 4.0" in capsys.readouterr().err
+    assert not (tmp_path / "x.img").exists()
+
+
 # every command's flags; --filter and --text are switches and take no value
 COMMAND_FLAGS = {
     "gen": {"--task", "--spec", "--seed", "--out"},

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -367,6 +368,17 @@ def test_model_json_round_trip(tmp_path):
     assert np.array_equal(back.transition, m.transition)
     for a, b in zip(back.bin_edges, m.bin_edges):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("field,value", [("classes", 3.0), ("classes", True),
+                                         ("features", 2.0), ("features", False)])
+def test_model_json_refuses_non_integral_counts(field, value):
+    rng = np.random.default_rng(41)
+    m = toy_model([np.maximum(rng.uniform(size=(3, 4)), 1e-6) for _ in range(2)])
+    doc = json.loads(modelkit.model_to_json(m))
+    # a float or bool count would otherwise pass every shape check (3.0 == 3)
+    with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+        modelkit.model_from_json(json.dumps({**doc, field: value}))
 
 
 def test_model_validation():

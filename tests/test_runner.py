@@ -97,6 +97,25 @@ def test_sweep_latches_once_and_builds_the_law_only_for_power_conscious(
     assert (len(latches), len(laws)) == (2 + passes, 2 * law_calls + 2 * 3 * law_calls)
 
 
+@pytest.mark.parametrize("strategies, law_calls", [(("conventional",), 0),
+                                                    (stochastic.STRATEGIES, 1)])
+def test_filter_sweep_builds_one_pair_law_only_for_power_conscious(
+        monkeypatch, strategies, law_calls):
+    monkeypatch.setenv("BAYESIM_THREADS", "1")
+    prep = runner.prepare(tasks.sleep_like_spec(seed=8, train_size=400, test_size=30))
+    _, lin = runner.images_for_model(prep)
+    laws = count_calls(monkeypatch, stochastic, "mask_law")
+    pts = runner.sweep_cycles(prep, lin[8], budgets=[4, 8], trials=3, seed=5,
+                              strategies=strategies)
+    # one law over every (step, previous winner or unknown state) pair
+    assert [codes.shape[0] for codes, *_ in laws] == [30 * (lin[8].rows + 1)] * law_calls
+    # without a plan every power-conscious pass builds its own pair law
+    monkeypatch.setattr(runner, "split_plan", lambda *args: None)
+    assert runner.sweep_cycles(prep, lin[8], budgets=[4, 8], trials=3, seed=5,
+                               strategies=strategies) == pts
+    assert len(laws) == law_calls * (1 + 2 * 3)
+
+
 def test_sweep_plan_pickles_with_its_law(monkeypatch):
     prep = runner.prepare(tasks.gesture_like_spec(seed=8, train_size=60, test_size=20))
     _, lin = runner.images_for_model(prep)
@@ -122,12 +141,9 @@ def test_cli_import_leaves_process_pool_out():
 @pytest.mark.parametrize("make", [tasks.gesture_like_spec, tasks.sleep_like_spec])
 def test_empty_test_split_is_refused(make):
     prep = runner.prepare(make(seed=8, train_size=400, test_size=20))
-    empty = runner.Prepared(prep.model, prep.test_obs[:0], prep.test_labels[:0])
-    log_img, lin = runner.images_for_model(prep)
-    with pytest.raises(ConfigError):
-        runner.eval_log(empty, log_img)
-    with pytest.raises(ConfigError):
-        runner.eval_stochastic(empty, lin[8], machine.MachineConfig(), seed=1)
+    # refused by name where the split is made, before anything is latched or sampled
+    with pytest.raises(ConfigError, match="the test split is empty"):
+        runner.Prepared(prep.model, prep.test_obs[:0], prep.test_labels[:0])
 
 
 def test_prior_values_refused_for_naive_model():
