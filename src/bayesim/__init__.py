@@ -10,8 +10,8 @@ from .errors import (
     TrainingError,
     ValidationError,
 )
-from .logprob import LogCode, compare, decode, encode, sat_add
-from .stochastic import LinearCode, quantize_linear, run_stochastic
+from .logprob import LogCode, decode, encode, sat_add
+from .stochastic import run_stochastic
 from .machine import (
     InferenceResult,
     MachineConfig,
@@ -25,10 +25,8 @@ from .machine import (
 )
 from .modelkit import (
     BayesModel,
-    FittedDistribution,
     compile_model,
     estimate_transitions,
-    fit,
     load_model,
     oracle_filter,
     oracle_infer,

@@ -57,6 +57,12 @@ def _load_config(path) -> dict:
     doc = parse_json(read_text(path), path)
     if not isinstance(doc, dict) or not all(isinstance(v, dict) for v in doc.values()):
         raise FormatError(f"{path}: config must be a JSON object of per-command objects")
+    for command, section in doc.items():
+        if command not in _COMMANDS:
+            raise ConfigError(f"{path}: {command!r} is not a command")
+        unknown = [key for key in section if key not in _COMMANDS[command][2].split()]
+        if unknown:
+            raise ConfigError(f"{path}: {command} takes no option {unknown[0]!r}")
     return doc
 
 
@@ -293,6 +299,7 @@ def cmd_sim(args) -> int:
     opts = Options(args, "sim")
     prep = _prepared(opts)
     image = machine.load_image(opts.path("image"))
+    modelkit.check_layout(prep.model, image)
     if image.kind == "log":  # one deterministic pass: no cycles, strategy or draws
         opts.refuse(("budget", "strategy", "trials", "seed"), "a logarithmic image")
     budget = opts.get("budget", 255)

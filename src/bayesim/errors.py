@@ -8,6 +8,8 @@ Anything else escaping to the CLI is a runtime failure (exit code 1).
 
 import json
 
+import numpy as np
+
 
 class ValidationError(ValueError):
     """Base for errors caused by bad inputs rather than bugs."""
@@ -31,6 +33,16 @@ class CompileError(ValidationError):
 
 class FormatError(ValidationError):
     """Malformed serialized artifact (image, model, dataset, config)."""
+
+
+def check_int(name: str, value, lo: int | None = None) -> int:
+    """``value`` as an int; a bool, a float or any other non-integer, or a
+    value below ``lo``, raises ConfigError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise ConfigError(f"{name} must be >= {lo}, got {value}")
+    return int(value)
 
 
 def read_text(path) -> str:

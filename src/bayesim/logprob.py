@@ -56,10 +56,6 @@ class LogCode:
         if not 0 <= self.n <= max_code(self.width):
             raise DomainError(f"log code {self.n} out of range for width {self.width}")
 
-    @property
-    def probability(self) -> float:
-        return decode(self)
-
 
 def encode(p: float, width: int = 8) -> LogCode:
     """Encode probability p to the nearest code; p = 0 clamps to the max code."""
@@ -75,21 +71,6 @@ def sat_add(a: LogCode, b: LogCode) -> LogCode:
     if a.width != b.width:
         raise DomainError(f"width mismatch {a.width} vs {b.width}")
     return LogCode(min(a.n + b.n, max_code(a.width)), a.width)
-
-
-def compare(a: LogCode, b: LogCode) -> int:
-    """Order by probability: +1 if a is more probable, -1 if b is, 0 on a tie.
-
-    Smaller code means higher probability, so this is the reverse of
-    comparing the raw integers.
-    """
-    if a.width != b.width:
-        raise DomainError(f"width mismatch {a.width} vs {b.width}")
-    if a.n < b.n:
-        return 1
-    if a.n > b.n:
-        return -1
-    return 0
 
 
 def encode_array(p: np.ndarray, width: int = 8) -> np.ndarray:

@@ -11,7 +11,7 @@ column) pair and reduces each row to a score:
   (see :mod:`bayesim.stochastic`).
 
 `run_filter` chains inferences over a sequence: column 0 is a transition
-column addressed by the previous winner (or a dedicated unknown-state row
+column addressed by the previous winner (or address ``rows``, the unknown state,
 at step 0), which is how the recursive filter feeds back hard decisions.
 Every call, on one presentation, a batch or a filtered sequence, returns
 one `InferenceResult`.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import energy, logprob, stochastic
-from .errors import ConfigError, DomainError, FormatError
+from .errors import ConfigError, DomainError, FormatError, check_int
 from .stochastic import InferenceResult
 
 MODES = ("logarithmic", "stochastic")
@@ -48,8 +48,7 @@ class MachineConfig:
     rng_mode: str = "column_shared"
 
     def __post_init__(self):
-        if self.cycle_budget < 1:
-            raise ConfigError("cycle budget must be >= 1")
+        check_int("cycle_budget", self.cycle_budget, 1)
         if self.strategy not in stochastic.STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.rng_mode not in stochastic.RNG_MODES:
@@ -283,51 +282,49 @@ def walk(table, start: int) -> list:
     return path
 
 
-def _filter_steps(image: MemoryImage, feature_addresses, unknown_row: int) -> np.ndarray:
+def _filter_steps(image: MemoryImage, feature_addresses) -> np.ndarray:
     v0 = image.values_per_column[0]
     if v0 < image.rows + 1:
         raise ConfigError(
             f"transition column holds {v0} values, needs >= rows+1 = {image.rows + 1}"
         )
-    if not 0 <= unknown_row < v0:
-        raise ConfigError(f"unknown-state address {unknown_row} out of range")
     feats = np.asarray(feature_addresses, dtype=np.int64)
     if feats.ndim != 2 or feats.shape[1] != image.columns - 1 or not len(feats):
         raise ConfigError(f"feature addresses must be (steps >= 1, {image.columns - 1})")
     return feats
 
 
-def filter_plan(image: MemoryImage, feature_addresses, unknown_row: int,
+def filter_plan(image: MemoryImage, feature_addresses,
                 rng_mode: str = "column_shared") -> stochastic.RunPlan | None:
     """A `stochastic.plan` of every (step, column-0 address) pair of a sequence,
-    step-major, for the addresses 0..rows-1 and then ``unknown_row``; None when
+    step-major, for the addresses 0..rows (``rows`` is the unknown state); None when
     its law would pass `stochastic.LAW_MAX_ROWS` rows or `PAIR_LAW_MAX` entries."""
-    feats = _filter_steps(image, feature_addresses, unknown_row)
+    feats = _filter_steps(image, feature_addresses)
     rows, cols = image.rows, image.columns
     if rows > stochastic.LAW_MAX_ROWS or len(feats) * (rows + 1) << rows > PAIR_LAW_MAX:
         return None
     pairs = np.empty((len(feats), rows + 1, cols), dtype=np.int64)
-    pairs[:, :, 0] = [*range(rows), unknown_row]
+    pairs[:, :, 0] = np.arange(rows + 1)
     pairs[:, :, 1:] = feats[:, np.newaxis]
     return stochastic.plan(image, pairs.reshape(-1, cols), rng_mode)
 
 
-def run_filter(image: MemoryImage, feature_addresses, unknown_row: int,
+def run_filter(image: MemoryImage, feature_addresses,
                config: MachineConfig = MachineConfig(), seed=0, plan=None):
     """Recursive inference over a sequence with hard-decision feedback.
 
     Column 0 is the transition/prior column: at step 0 it is addressed by
-    ``unknown_row`` (a dedicated uniform-prior entry), afterwards by the
-    previous step's winner.  ``feature_addresses`` is a (steps, columns-1)
-    table of observation addresses for the remaining columns.  Stochastic
-    steps draw from one stream seeded by ``seed`` (an int or a numpy
-    Generator) under ``config``; the image's kind picks the machine.  A
-    power-conscious run `decide`s every pair of the sequence's `filter_plan`
+    ``image.rows`` (the unknown state `modelkit.compile_model` puts after the
+    classes), afterwards by the previous step's winner.  ``feature_addresses``
+    is a (steps, columns-1) table of observation addresses for the remaining
+    columns.  Stochastic steps draw from one stream seeded by ``seed`` (an
+    int or a numpy Generator) under ``config``; the image's kind picks the
+    machine.  A power-conscious run `decide`s every pair of the sequence's `filter_plan`
     (``plan``, built here when None) with its step's (stop, mask, tie)
     uniforms and `walk`s the winners; other runs step one call at a time.
     Returns one InferenceResult with one presentation per step.
     """
-    feats = _filter_steps(image, feature_addresses, unknown_row)
+    feats = _filter_steps(image, feature_addresses)
     steps, a = len(feats), image.rows + 1
     if plan is not None and (plan.image is not image or plan.rng_mode != config.rng_mode
                              or len(plan.codes) != steps * a):
@@ -335,7 +332,7 @@ def run_filter(image: MemoryImage, feature_addresses, unknown_row: int,
     rng = np.random.default_rng(seed)
     power_conscious = image.kind == "linear" and config.strategy == "power_conscious"
     if power_conscious:
-        plan = plan or filter_plan(image, feats, unknown_row, config.rng_mode)
+        plan = plan or filter_plan(image, feats, config.rng_mode)
     if power_conscious and plan is not None:
         uniforms = np.repeat(rng.random((steps, 3)), a, axis=0)  # as steps' (1, 3) draws
         counters, winners, cycles = stochastic.decide(plan, uniforms, config.cycle_budget)
@@ -343,7 +340,7 @@ def run_filter(image: MemoryImage, feature_addresses, unknown_row: int,
         pair = np.arange(steps) * a + np.concatenate(([image.rows], winner[:-1]))
         scores, cycles = counters[pair], cycles[pair]
     else:
-        results, prev = [], int(unknown_row)
+        results, prev = [], image.rows
         for step in feats:
             obs = np.concatenate(([prev], step))
             res = (infer_logarithmic(image, obs) if image.kind == "log"

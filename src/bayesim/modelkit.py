@@ -19,31 +19,14 @@ import numpy as np
 
 from . import logprob, stochastic
 from .errors import (CompileError, ConfigError, DomainError, FormatError, TrainingError,
-                     ValidationError, parse_json, read_text)
+                     ValidationError, check_int, parse_json, read_text)
 from .machine import KINDS as CODE_KINDS, MODES, MemoryImage, check_addresses, walk
 
 KINDS = ("gaussian", "lognormal")
+SPAN = 4.0  # a feature's bin grid covers its pooled mean +- SPAN pooled stds
+FLOOR = logprob.min_prob(8)  # smallest likelihood tabulated: the top 8-bit log code
 
 _MODEL_VERSION = 1
-
-
-@dataclass(frozen=True)
-class FittedDistribution:
-    """Location/scale summary of one feature under one class.
-
-    For ``lognormal`` the location and scale describe the natural log of
-    the data; densities and bin grids live in that transformed domain.
-    """
-
-    kind: str
-    location: float
-    scale: float
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DomainError(f"unknown distribution kind {self.kind!r}")
-        if not self.scale > 0:
-            raise DomainError("scale must be positive")
 
 
 def _fit_domain(kind: str, samples: np.ndarray) -> np.ndarray:
@@ -54,12 +37,12 @@ def _fit_domain(kind: str, samples: np.ndarray) -> np.ndarray:
     return samples
 
 
-def _moments(w: np.ndarray, extent: np.ndarray | None = None):
+def _moments(w: np.ndarray, extent: np.ndarray):
     """Moment fit of each row of ``w`` (rows, samples), in the fitting domain.
 
     Returns the sample means and the (n-1)-normalized sample stds, each
-    floored at 1e-6 of ``extent`` (by default the row's own range), or,
-    where that is zero, at 1e-6 of max(|mean|, 1).  Rows must be C-contiguous:
+    floored at 1e-6 of ``extent`` or, where that is zero, at 1e-6 of
+    max(|mean|, 1).  Rows must be C-contiguous:
     numpy sums a contiguous row pairwise, exactly as it sums a 1-d array.
     The steps are those of numpy's ``mean`` and ``std(ddof=1)``, with the
     mean computed once.
@@ -68,24 +51,8 @@ def _moments(w: np.ndarray, extent: np.ndarray | None = None):
     loc = w.sum(axis=1) / n
     dev = w - loc[:, np.newaxis]
     dev *= dev
-    if extent is None:
-        extent = w.max(axis=1) - w.min(axis=1)
     floor = 1e-6 * np.where(extent > 0, extent, np.maximum(np.abs(loc), 1.0))
     return loc, np.maximum(np.sqrt(dev.sum(axis=1) / (n - 1)), floor)
-
-
-def fit(kind: str, samples) -> FittedDistribution:
-    """Moment fit: sample mean and (n-1)-normalized sample std.
-
-    The scale is floored at 1e-6 of the sample range in the fitting domain,
-    with an absolute fallback for exactly constant data, which keeps
-    degenerate (near-constant) classes usable.
-    """
-    x = np.asarray(samples, dtype=float).ravel()
-    if x.size < 2:
-        raise TrainingError(f"need at least 2 samples to fit, got {x.size}")
-    loc, scale = _moments(_fit_domain(kind, x)[np.newaxis])
-    return FittedDistribution(kind, float(loc[0]), float(scale[0]))
 
 
 def bin_index(edges: np.ndarray, values) -> np.ndarray:
@@ -144,13 +111,9 @@ class BayesModel:
     bin_edges: list
 
     def __post_init__(self):
-        self.bins = tuple(int(b) for b in self.bins)
-        for name in ("classes", "features"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
-        if self.classes < 1 or self.features < 1:
-            raise ConfigError("need at least one class and one feature")
+        self.classes = check_int("classes", self.classes, 1)
+        self.features = check_int("features", self.features, 1)
+        self.bins = tuple(check_int("bins", b, 1) for b in self.bins)
         if len(self.bins) != self.features or len(self.likelihood) != self.features:
             raise ConfigError("bins/likelihood must list one entry per feature")
         self.likelihood = [np.asarray(t, dtype=float) for t in self.likelihood]
@@ -206,8 +169,6 @@ def train_model(
     kind: str = "gaussian",
     with_transitions: bool = False,
     alpha: float = 1.0,
-    span: float = 4.0,
-    floor: float | None = None,
 ) -> BayesModel:
     """Fit one distribution per (feature, class) and tabulate likelihoods.
 
@@ -231,13 +192,9 @@ def train_model(
     cols = X.shape[1]
     if cols < 1:
         raise TrainingError("need at least one feature")
-    bins = (bins,) * cols if np.isscalar(bins) else tuple(int(b) for b in bins)
+    bins = tuple(check_int("bins", b, 1) for b in ((bins,) * cols if np.isscalar(bins) else bins))
     if len(bins) != cols:
         raise TrainingError("bins must be one size or one per feature")
-    if any(b < 1 for b in bins):
-        raise ConfigError(f"bins must be >= 1, got {min(bins)}")
-    if floor is None:
-        floor = logprob.min_prob(8)
     counts = np.bincount(y, minlength=classes)
     if counts.min() < 2:
         r = int(np.argmax(counts < 2))
@@ -262,7 +219,7 @@ def train_model(
     first_bin = np.cumsum(nb) - nb
     first_edge = first_bin + np.arange(cols)
     last_edge = first_edge + nb
-    lo, hi = loc - span * scale, loc + span * scale
+    lo, hi = loc - SPAN * scale, loc + SPAN * scale
     edges = (np.arange(len(of_edge)) - first_edge[of_edge]) * ((hi - lo) / nb)[of_edge]
     edges += lo[of_edge]
     edges[last_edge] = hi
@@ -275,7 +232,7 @@ def train_model(
     for f in np.flatnonzero(peak == 0):  # every density underflows: rescale in logs
         log_dens = -0.5 * z[:, of_bin == f] ** 2 - np.log(s[:, of_bin == f])
         scaled[:, of_bin == f] = np.exp(log_dens - log_dens.max())
-    tables = np.split(np.maximum(scaled, floor), first_bin[1:], axis=1)
+    tables = np.split(np.maximum(scaled, FLOOR), first_bin[1:], axis=1)
     edge_list = np.split(np.exp(edges) if kind == "lognormal" else edges, first_edge[1:])
 
     transition = estimate_transitions(y, classes, alpha) if with_transitions else None
@@ -321,7 +278,7 @@ def compile_model(model: BayesModel, mode: str, width: int = 8,
 
     prob_blocks = []
     if filtered:
-        v0 = 1 << int(model.classes).bit_length() if prior_values is None else prior_values
+        v0 = 1 << model.classes.bit_length() if prior_values is None else prior_values
         if v0 < model.classes + 1:
             raise CompileError(f"transition column holds {v0} values, "
                                f"needs >= classes+1 = {model.classes + 1}")
@@ -338,6 +295,23 @@ def compile_model(model: BayesModel, mode: str, width: int = 8,
     else:
         codes = stochastic.quantize_linear_array(table, width)
     return MemoryImage(np.split(codes, sizes, axis=1), width, CODE_KINDS[MODES.index(mode)])
+
+
+def check_layout(model: BayesModel, image: MemoryImage) -> None:
+    """Refuse an image whose layout is not the one `compile_model` gives
+    ``model``: a row per class and a column of bins[c] values per feature,
+    after a leading transition column exactly for filter models."""
+    filtered = model.transition is not None
+    if image.rows != model.classes:
+        raise ConfigError(f"image has {image.rows} rows, the model {model.classes} classes")
+    if image.columns != model.features + filtered:
+        kind = "filter" if filtered else "naive"
+        raise ConfigError(f"image has {image.columns} columns, the {kind} model needs "
+                          f"{model.features + filtered}")
+    for c, (v, b) in enumerate(zip(image.values_per_column[filtered:], model.bins)):
+        if v != b:
+            raise ConfigError(f"column {c + filtered}: image holds {v} values, model feature "
+                              f"{c} has {b} bins")
 
 
 @dataclass

@@ -83,8 +83,7 @@ def default_bins(kind: str) -> int:
     return 8 if kind == "sleep_like" else 64
 
 
-def prepare(spec: tasks.SyntheticTaskSpec, bins: int | None = None,
-            alpha: float = 1.0) -> Prepared:
+def prepare(spec: tasks.SyntheticTaskSpec, bins: int | None = None) -> Prepared:
     train, test = tasks.generate(spec)
     filtered = spec.kind == "sleep_like"
     model = modelkit.train_model(
@@ -94,16 +93,14 @@ def prepare(spec: tasks.SyntheticTaskSpec, bins: int | None = None,
         default_bins(spec.kind) if bins is None else bins,
         kind="lognormal" if filtered else "gaussian",
         with_transitions=filtered,
-        alpha=alpha,
     )
     return Prepared(model, modelkit.bin_observations(model, test.features), test.labels)
 
 
-def images_for_model(prep: Prepared, widths=(8,), prior_values: int | None = None):
+def images_for_model(prep: Prepared, widths=(8,)):
     """Compile the log image and one linear image per requested width."""
-    log_image = modelkit.compile_model(prep.model, "logarithmic", prior_values=prior_values)
-    linear = {w: modelkit.compile_model(prep.model, "stochastic", w, prior_values)
-              for w in widths}
+    log_image = modelkit.compile_model(prep.model, "logarithmic")
+    linear = {w: modelkit.compile_model(prep.model, "stochastic", w) for w in widths}
     return log_image, linear
 
 
@@ -117,7 +114,7 @@ def accuracy(winners, labels) -> float:
 def eval_log(prep: Prepared, image: machine.MemoryImage) -> float:
     """Deterministic logarithmic-machine accuracy on the test split."""
     if prep.filtered:
-        res = machine.run_filter(image, prep.test_obs, unknown_row=prep.model.classes)
+        res = machine.run_filter(image, prep.test_obs)
     else:
         res = machine.infer_logarithmic(image, prep.test_obs)
     return accuracy(res.winner, prep.test_labels)
@@ -133,7 +130,7 @@ def split_plan(prep: Prepared, image: machine.MemoryImage, rng_mode: str):
     """The test split latched once on ``image``: a naive model's `stochastic.plan`,
     or a filter model's `machine.filter_plan` (None when the filter steps)."""
     if prep.filtered:
-        return machine.filter_plan(image, prep.test_obs, prep.model.classes, rng_mode)
+        return machine.filter_plan(image, prep.test_obs, rng_mode)
     return stochastic.plan(image, prep.test_obs, rng_mode)
 
 
@@ -143,8 +140,7 @@ def eval_stochastic(prep: Prepared, image: machine.MemoryImage,
     one batched call for naive models, the filter for filter models, each
     from the `split_plan` ``plan`` when given."""
     if prep.filtered:
-        res = machine.run_filter(image, prep.test_obs, unknown_row=prep.model.classes,
-                                 config=config, seed=seed, plan=plan)
+        res = machine.run_filter(image, prep.test_obs, config=config, seed=seed, plan=plan)
     else:
         res = machine.infer_stochastic(image, plan or prep.test_obs, config, seed=seed)
     return StochasticEval(accuracy(res.winner, prep.test_labels),

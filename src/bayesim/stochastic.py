@@ -39,29 +39,6 @@ RNG_MODES = ("column_shared", "per_cell")
 LAW_MAX_ROWS = 12  # a law has 2**rows masks; more rows run cycle by cycle
 
 
-@dataclass(frozen=True)
-class LinearCode:
-    """A linearly quantized probability: P = v / 2**k."""
-
-    v: int
-    k: int = 8
-
-    def __post_init__(self):
-        if self.k not in (8, 16):
-            raise DomainError(f"unsupported linear code width {self.k}")
-        if not 0 <= self.v < (1 << self.k):
-            raise DomainError(f"linear code {self.v} out of range for width {self.k}")
-
-    @property
-    def probability(self) -> float:
-        return self.v / (1 << self.k)
-
-
-def quantize_linear(p: float, k: int = 8) -> LinearCode:
-    """Round p * 2**k to the nearest code; exact 1.0 clamps to 2**k - 1."""
-    return LinearCode(int(quantize_linear_array(p, k)), k)
-
-
 def quantize_linear_array(p: np.ndarray, k: int = 8) -> np.ndarray:
     """Vectorized quantize for probability tables; returns uint16 codes.
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modelkit
-from .errors import DomainError, FormatError, parse_json, read_text
+from .errors import DomainError, FormatError, check_int, parse_json, read_text
 from .machine import walk
 
 _DATASET_VERSION = 1
@@ -155,10 +155,7 @@ class SyntheticTaskSpec:
         if self.kind not in ("sleep_like", "gesture_like"):
             raise DomainError(f"unknown task kind {self.kind!r}")
         for name in ("classes", "features", "train_size", "test_size", "seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise DomainError(f"{name} must be an integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         loc = np.asarray(self.locations, dtype=float)

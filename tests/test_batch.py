@@ -71,11 +71,10 @@ def test_log_filter_equals_brute_force(data):
     sizes = [v0] + feat_sizes
     img = data.draw(log_images(rows, sizes))
     feats = data.draw(address_batches(feat_sizes))
-    unknown = data.draw(st.integers(0, v0 - 1))
-    res = machine.run_filter(img, feats, unknown_row=unknown)
-    winners = filter_oracle(img.blocks, feats, unknown)
+    res = machine.run_filter(img, feats)
+    winners = filter_oracle(img.blocks, feats, rows)  # the unknown state is address rows
     assert res.winner.tolist() == winners
-    prev = [unknown] + winners[:-1]
+    prev = [rows] + winners[:-1]
     for scores, p, step in zip(res.scores, prev, feats):
         assert np.array_equal(scores, machine.infer_logarithmic(img, [p, *step]).scores)
 
@@ -393,18 +392,16 @@ def filter_runs(draw, modes=machine.MODES, rows=None):
                         strategy=draw(st.sampled_from(stochastic.STRATEGIES)),
                         rng_mode=draw(st.sampled_from(stochastic.RNG_MODES)))
     feats = draw(address_batches(feat_sizes))
-    # the unknown state may share its address with a row, or have its own
-    unknown = draw(st.one_of(st.integers(0, rows - 1), st.integers(rows, v0 - 1)))
-    return img, cfg, feats, unknown, draw(st.integers(0, 2**32))
+    return img, cfg, feats, draw(st.integers(0, 2**32))
 
 
 @SETTINGS
 @given(filter_runs())
 def test_filter_totals_equal_per_step_totals(run):
-    img, cfg, feats, unknown, seed = run
-    res = machine.run_filter(img, feats, unknown_row=unknown, config=cfg, seed=seed)
-    # the same steps one call at a time, on the same stream
-    rng, prev, steps = np.random.default_rng(seed), unknown, []
+    img, cfg, feats, seed = run
+    res = machine.run_filter(img, feats, config=cfg, seed=seed)
+    # the same steps one call at a time, on the same stream, from the unknown state
+    rng, prev, steps = np.random.default_rng(seed), img.rows, []
     for step in feats:
         if img.kind == "log":
             steps.append(machine.infer_logarithmic(img, [prev, *step]))
@@ -421,8 +418,8 @@ def test_filter_totals_equal_per_step_totals(run):
                           sum(event_fields(r.event_counts) for r in steps))
 
 
-def assert_steps_one_call_at_a_time(res, img, cfg, feats, unknown, seed):
-    rng, prev = np.random.default_rng(seed), unknown
+def assert_steps_one_call_at_a_time(res, img, cfg, feats, seed):
+    rng, prev = np.random.default_rng(seed), img.rows
     for t, step in enumerate(feats):
         one = machine.infer_stochastic(img, [prev, *step], cfg, seed=rng)
         assert (res.winner[t], res.cycles[t]) == (one.winner, one.cycles)
@@ -433,22 +430,22 @@ def assert_steps_one_call_at_a_time(res, img, cfg, feats, unknown, seed):
 @SETTINGS
 @given(filter_runs(modes=("stochastic",), rows=stochastic.LAW_MAX_ROWS + 1))
 def test_filter_above_row_cap_steps(run):
-    img, cfg, feats, unknown, seed = run
-    assert machine.filter_plan(img, feats, unknown, cfg.rng_mode) is None
-    res = machine.run_filter(img, feats, unknown_row=unknown, config=cfg, seed=seed)
-    assert_steps_one_call_at_a_time(res, img, cfg, feats, unknown, seed)
+    img, cfg, feats, seed = run
+    assert machine.filter_plan(img, feats, cfg.rng_mode) is None
+    res = machine.run_filter(img, feats, config=cfg, seed=seed)
+    assert_steps_one_call_at_a_time(res, img, cfg, feats, seed)
 
 
 @SETTINGS
 @given(filter_runs(modes=("stochastic",)))
 def test_filter_plan_call_equals_plain_call(run):
-    img, cfg, feats, unknown, seed = run
-    plan = machine.filter_plan(img, feats, unknown, cfg.rng_mode)
+    img, cfg, feats, seed = run
+    plan = machine.filter_plan(img, feats, cfg.rng_mode)
     # conventional first: the pair law is built by the first power-conscious call
     for strategy in ("conventional", "power_conscious", "power_conscious"):
         c = MachineConfig(cfg.cycle_budget, strategy, cfg.rng_mode)
-        assert_same_result(machine.run_filter(img, feats, unknown, c, seed, plan=plan),
-                           machine.run_filter(img, feats, unknown, c, seed))
+        assert_same_result(machine.run_filter(img, feats, c, seed, plan=plan),
+                           machine.run_filter(img, feats, c, seed))
 
 
 def test_filter_plan_bounds_its_pair_law(monkeypatch):
@@ -457,9 +454,9 @@ def test_filter_plan_bounds_its_pair_law(monkeypatch):
     feats, cfg = rng.integers(0, 3, (10, 1)), MachineConfig(20, "power_conscious")
     entries = len(feats) * 3 * 4  # (steps, rows + 1 addresses, 2**rows masks)
     monkeypatch.setattr(machine, "PAIR_LAW_MAX", entries)
-    assert machine.filter_plan(img, feats, 3).codes.shape == (30, 2, 2)
+    assert machine.filter_plan(img, feats).codes.shape == (30, 2, 2)
     monkeypatch.setattr(machine, "PAIR_LAW_MAX", entries - 1)
-    assert machine.filter_plan(img, feats, 3) is None
+    assert machine.filter_plan(img, feats) is None
     inner, laws = stochastic.mask_law, []
 
     def counted(codes, *rest):
@@ -467,22 +464,21 @@ def test_filter_plan_bounds_its_pair_law(monkeypatch):
         return inner(codes, *rest)
 
     monkeypatch.setattr(stochastic, "mask_law", counted)
-    res = machine.run_filter(img, feats, 3, cfg, seed=4)
+    res = machine.run_filter(img, feats, cfg, seed=4)
     assert laws == [(1, 2, 2)] * len(feats)  # one law per step, none for the pairs
-    assert_steps_one_call_at_a_time(res, img, cfg, feats, 3, 4)
+    assert_steps_one_call_at_a_time(res, img, cfg, feats, 4)
 
 
 def test_filter_plan_for_another_image_or_sequence_is_refused():
     img = lin([[[10, 200, 30], [128, 255, 40]], [[5, 6], [7, 8]]])
     feats = [[0], [1], [1]]
-    plan = machine.filter_plan(img, feats, 2, "column_shared")
+    plan = machine.filter_plan(img, feats, "column_shared")
     others = [(machine.inject_errors(img, 0.0), feats, "column_shared"),
               (img, feats[:2], "column_shared"), (img, feats, "per_cell")]
     for other, seq, rng_mode in others:
         for strategy in stochastic.STRATEGIES:
             with pytest.raises(ConfigError, match="plan was not built"):
-                machine.run_filter(other, seq, 2, MachineConfig(8, strategy, rng_mode),
-                                   plan=plan)
+                machine.run_filter(other, seq, MachineConfig(8, strategy, rng_mode), plan=plan)
 
 
 @pytest.mark.parametrize("mode,kind", [("logarithmic", "log"), ("stochastic", "linear")])
@@ -491,7 +487,7 @@ def test_empty_filter_sequence_is_refused(mode, kind):
                       8, kind)
     assert img.mode == mode
     with pytest.raises(ConfigError, match="steps >= 1"):
-        machine.run_filter(img, np.zeros((0, 1), dtype=np.int64), unknown_row=2)
+        machine.run_filter(img, np.zeros((0, 1), dtype=np.int64))
 
 
 # upper 0.1% points of the chi-square law by degrees of freedom

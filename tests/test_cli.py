@@ -419,6 +419,47 @@ def test_bad_config_rejected(tmp_path, capsys):
     assert cfg.name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc,named", [({"sim": {"budgett": 7}}, "no option 'budgett'"),
+                                       ({"simm": {"budget": 7}}, "'simm' is not a command"),
+                                       ({"sim": {"text": True}}, "no option 'text'")])
+def test_config_keys_the_command_does_not_take_are_refused(tmp_path, capsys, doc, named):
+    out = tmp_path / "k"
+    assert run("gen", "--task", "gesture_like", "--seed", 3, "--out", out) == 0
+    model = out / "model.json"
+    assert run("train", "--data", out / "train.csv", "--bins", 8, "--out", model) == 0
+    assert run("compile", "--model", model, "--mode", "stochastic", "--out", out / "lin.img") == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    capsys.readouterr()
+    sim = ["sim", "--model", model, "--image", out / "lin.img", "--data", out / "test.csv",
+           "--trials", 1, "--out", out]
+    assert run("--config", cfg, *sim) == 2  # was run on defaults, exit 0
+    assert named in capsys.readouterr().err
+    assert not (out / "sim.csv").exists()
+
+
+def test_sim_refuses_an_image_laid_out_for_another_model(tmp_path, capsys):
+    out = tmp_path / "l"
+    assert run("gen", "--task", "sleep_like", "--seed", 3, "--out", out) == 0
+    for name, flags in (("m4", ["--bins", 4]), ("m8", ["--bins", 8]),
+                        ("f8", ["--bins", 8, "--filter"])):
+        assert run("train", "--data", out / "train.csv", "--dist", "lognormal", *flags,
+                   "--out", out / f"{name}.json") == 0
+    for name in ("m8", "f8"):
+        assert run("compile", "--model", out / f"{name}.json", "--out", out / f"{name}.img") == 0
+    capsys.readouterr()
+    for model, image, why in (("m4", "m8", "column 0: image holds 8 values, model feature 0 "
+                                            "has 4 bins"),
+                              ("m8", "f8", "image has 4 columns, the naive model needs 3"),
+                              ("f8", "m8", "image has 3 columns, the filter model needs 4")):
+        assert run("sim", "--model", out / f"{model}.json", "--image", out / f"{image}.img",
+                   "--data", out / "test.csv", "--out", out) == 2
+        assert why in capsys.readouterr().err
+    assert not (out / "sim.csv").exists()
+    assert run("sim", "--model", out / "f8.json", "--image", out / "f8.img",
+               "--data", out / "test.csv", "--out", out) == 0
+
+
 def test_sweep_bits_schema(tmp_path):
     out = tmp_path / "r"
     assert run("gen", "--task", "gesture_like", "--seed", 4, "--out", out) == 0

@@ -112,13 +112,6 @@ def test_sat_add_width_mismatch():
         logprob.sat_add(logprob.LogCode(1), logprob.LogCode(1, width=16))
 
 
-def test_compare_examples():
-    c = lambda n: logprob.LogCode(n)
-    assert logprob.compare(c(0), c(8)) == 1  # a more probable
-    assert logprob.compare(c(255), c(255)) == 0
-    assert logprob.compare(c(14), c(13)) == -1  # b more probable
-
-
 @given(st.floats(min_value=1e-12, max_value=1.0),
        st.floats(min_value=1e-12, max_value=1.0))
 def test_encode_monotone(p1, p2):

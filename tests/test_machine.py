@@ -35,6 +35,9 @@ def test_image_rejects_wide_log():
 def test_config_rejects_bad_fields():
     with pytest.raises(ConfigError):
         MachineConfig(cycle_budget=0)
+    for budget in (2.5, True, "8"):  # 2.5 and True were accepted, then failed in the sampler
+        with pytest.raises(ConfigError, match="cycle_budget must be an integer"):
+            MachineConfig(cycle_budget=budget)
     with pytest.raises(ConfigError):
         MachineConfig(strategy="fastest")
     with pytest.raises(ConfigError):
@@ -191,10 +194,10 @@ def test_inject_errors_frozen_per_seed():
 
 # ---- filter loop ----
 
-def filter_oracle(blocks, feats, unknown_row):
+def filter_oracle(blocks, feats, start):
     """Brute-force reference: saturating sums + argmin, winner feeds back."""
     winners = []
-    prev = unknown_row
+    prev = start
     for step in feats:
         obs = [prev] + list(step)
         scores = []
@@ -210,7 +213,7 @@ def test_run_filter_requires_prior_column():
     img = log_image([np.zeros((4, 4), dtype=np.uint16),
                      np.zeros((4, 8), dtype=np.uint16)])
     with pytest.raises(ConfigError):
-        machine.run_filter(img, [[0]], unknown_row=4)
+        machine.run_filter(img, [[0]])
 
 
 def test_run_filter_three_step_toy():
@@ -222,7 +225,7 @@ def test_run_filter_three_step_toy():
                      [30, 0]], dtype=np.uint16)
     img = log_image([col0, col1])
     feats = [[0], [0], [1]]
-    got = machine.run_filter(img, feats, unknown_row=2).winner.tolist()
+    got = machine.run_filter(img, feats).winner.tolist()
     assert got == filter_oracle([col0, col1], feats, 2)
     # hand enumeration: step0 scores (16, 46) -> 0; step1 (2, 70) -> 0;
     # step2 (32, 40) -> 0 (sticky transition outweighs the observation)
@@ -236,7 +239,7 @@ def test_run_filter_feedback_switches():
                      [90, 0]], dtype=np.uint16)
     img = log_image([col0, col1])
     feats = [[0], [1], [1]]  # strong observation flips the state at step 1
-    got = machine.run_filter(img, feats, unknown_row=2).winner.tolist()
+    got = machine.run_filter(img, feats).winner.tolist()
     assert got == filter_oracle([col0, col1], feats, 2)
     assert got == [0, 1, 1]
 
@@ -248,7 +251,7 @@ def test_run_filter_sticky_absorbing():
     col1 = np.full((2, 4), 20, dtype=np.uint16)
     img = log_image([col0, col1])
     feats = [[i % 4] for i in range(10)]
-    winners = machine.run_filter(img, feats, unknown_row=2).winner
+    winners = machine.run_filter(img, feats).winner
     assert len(set(winners)) == 1
 
 
@@ -260,8 +263,8 @@ def test_run_filter_stochastic_deterministic_per_seed():
     img = lin_image([col0, col1])
     cfg = MachineConfig(cycle_budget=64)
     feats = [[0], [0], [1], [1]]
-    a = machine.run_filter(img, feats, unknown_row=2, config=cfg, seed=21)
-    b = machine.run_filter(img, feats, unknown_row=2, config=cfg, seed=21)
+    a = machine.run_filter(img, feats, config=cfg, seed=21)
+    b = machine.run_filter(img, feats, config=cfg, seed=21)
     assert np.array_equal(a.scores, b.scores)
     assert (a.winner.tolist(), a.cycles.tolist()) == (b.winner.tolist(), b.cycles.tolist())
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bayesim import logprob, machine, modelkit, stochastic
-from bayesim.errors import CompileError, ConfigError, DomainError, TrainingError
-from bayesim.modelkit import BayesModel, FittedDistribution
+from bayesim.errors import CompileError, ConfigError, TrainingError
+from bayesim.modelkit import BayesModel
 
 
 def toy_model(likelihood, transition=None, prior=None):
@@ -26,42 +26,42 @@ def toy_model(likelihood, transition=None, prior=None):
     )
 
 
-# ---- fitting ----
-
-def test_fit_gaussian_sample_convention():
-    d = modelkit.fit("gaussian", [0.0, 2.0])
-    assert d.location == pytest.approx(1.0)
-    assert d.scale == pytest.approx(math.sqrt(2.0))  # (n-1) normalization
-
-
-def test_fit_lognormal_logs_the_data():
-    d = modelkit.fit("lognormal", [1.0, math.e ** 2])
-    assert d.kind == "lognormal"
-    assert d.location == pytest.approx(1.0)
-    assert d.scale == pytest.approx(math.sqrt(2.0))
-
-
-def test_fit_constant_data_floored():
-    d = modelkit.fit("gaussian", [1.0, 1.0, 1.0, 1.0])
-    assert d.location == 1.0
-    assert d.scale == pytest.approx(1e-6)
-
-
-def test_fit_errors():
-    with pytest.raises(TrainingError):
-        modelkit.fit("gaussian", [1.0])
-    with pytest.raises(TrainingError):
-        modelkit.fit("lognormal", [1.0, -2.0])
-    with pytest.raises(DomainError):
-        FittedDistribution("gaussian", 0.0, 0.0)
-
-
-# ---- train_model's grid, density, floor and edges ----
-
 def one_class_model(x, bins, **kw):
     x = np.asarray(x, dtype=float).reshape(-1, 1)
     m = modelkit.train_model(x, np.zeros(len(x), dtype=int), classes=1, bins=bins, **kw)
     return m.likelihood[0][0], m.bin_edges[0]
+
+
+# ---- the moment fit: a feature's grid is its mean +- 4 sample stds ----
+
+def test_fit_gaussian_sample_convention():
+    _, edges = one_class_model([0.0, 2.0], 2)
+    # (n-1) normalization: the std is sqrt(2), not 1
+    r = 4 * math.sqrt(2.0)
+    assert list(edges) == pytest.approx([1.0 - r, 1.0, 1.0 + r])
+
+
+def test_fit_lognormal_logs_the_data():
+    _, edges = one_class_model([1.0, math.e ** 2], 2, kind="lognormal")
+    # logs 0 and 2: mean 1, std sqrt(2), and the edges back in the raw domain
+    r = 4 * math.sqrt(2.0)
+    assert np.log(edges) == pytest.approx([1.0 - r, 1.0, 1.0 + r])
+
+
+def test_fit_constant_data_floored():
+    # zero range: the std is floored at 1e-6 of max(|mean|, 1)
+    _, edges = one_class_model([1.0, 1.0, 1.0, 1.0], 2)
+    assert list(edges) == pytest.approx([1.0 - 4e-6, 1.0, 1.0 + 4e-6], rel=1e-12)
+
+
+def test_fit_errors():
+    with pytest.raises(TrainingError, match="class 0 has 1 samples"):
+        one_class_model([1.0], 2)
+    with pytest.raises(TrainingError, match="strictly positive"):
+        one_class_model([1.0, -2.0], 2, kind="lognormal")
+
+
+# ---- train_model's grid, density, floor and edges ----
 
 
 def test_train_model_symmetric_two_bins():
@@ -74,20 +74,21 @@ def test_train_model_symmetric_two_bins():
 def test_train_model_density_ratio():
     x = np.random.default_rng(3).normal(size=200)
     like, edges = one_class_model(x, 64)
-    d = modelkit.fit("gaussian", x)
-    z = (0.5 * (edges[:-1] + edges[1:]) - d.location) / d.scale
+    z = (0.5 * (edges[:-1] + edges[1:]) - x.mean()) / x.std(ddof=1)
     # scaling cancels in the ratio, so it must match the closed form
     want = math.exp(-0.5 * (z[0] ** 2 - z[32] ** 2))
     assert like[0] / like[32] == pytest.approx(want, rel=1e-12)
 
 
 def test_train_model_floor_applies():
-    # a wide span pushes edge-bin density below the smallest decodable
-    # probability; the floor must hold it there
-    like, _ = one_class_model(np.random.default_rng(4).normal(size=200), 64, span=8.0)
-    floor = logprob.min_prob(8)
-    assert like.min() == pytest.approx(floor)
-    assert np.all(like >= floor)
+    # class 0 sits far from class 1, so its density on class 1's bins falls
+    # below the smallest decodable probability; the floor must hold it there
+    rng = np.random.default_rng(4)
+    X = np.concatenate([rng.normal(0.0, 1.0, 100), rng.normal(60.0, 1.0, 100)])[:, None]
+    m = modelkit.train_model(X, np.repeat([0, 1], 100), classes=2, bins=64)
+    like, floor = m.likelihood[0], logprob.min_prob(8)
+    assert like[0].min() == floor and like[1].min() == floor
+    assert np.all(like >= floor) and like.max() == 1.0
 
 
 def test_train_model_lognormal_edges_in_raw_domain():
@@ -371,13 +372,16 @@ def test_model_json_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("field,value", [("classes", 3.0), ("classes", True),
-                                         ("features", 2.0), ("features", False)])
+                                         ("features", 2.0), ("features", False),
+                                         ("bins", [4, 4.5]), ("bins", [4, True])])
 def test_model_json_refuses_non_integral_counts(field, value):
     rng = np.random.default_rng(41)
     m = toy_model([np.maximum(rng.uniform(size=(3, 4)), 1e-6) for _ in range(2)])
     doc = json.loads(modelkit.model_to_json(m))
-    # a float or bool count would otherwise pass every shape check (3.0 == 3)
-    with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+    # a float or bool count would otherwise pass every shape check (3.0 == 3),
+    # and a bin count of 4.5 would be read as 4
+    bad = value[-1] if field == "bins" else value
+    with pytest.raises(ConfigError, match=f"{field} must be an integer, got {bad!r}"):
         modelkit.model_from_json(json.dumps({**doc, field: value}))
 
 
@@ -509,9 +513,6 @@ def test_train_model_equals_scalar_fits(case):
     for c in range(X.shape[1]):
         assert model.likelihood[c].tobytes() == tables[c].tobytes()
         assert model.bin_edges[c].tobytes() == edges[c].tobytes()
-    for c in range(X.shape[1]):
-        d = modelkit.fit(kind, X[:, c])
-        assert (d.location, d.scale) == scalar_fit(kind, X[:, c])
 
 
 @pytest.mark.parametrize("bins", [1, 4, 16, 64])

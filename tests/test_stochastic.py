@@ -12,41 +12,29 @@ def linear_image(columns, width=8):
 
 
 def test_quantize_examples():
-    assert stochastic.quantize_linear(0.5).v == 128
-    assert stochastic.quantize_linear(1.0).v == 255  # saturates at 255/256
-    assert stochastic.quantize_linear(0.3).v == 77  # round(76.8)
-    assert stochastic.quantize_linear(0.0).v == 0
+    # 1.0 saturates at 255/256; 0.3 rounds 76.8 up; half-way 0.5/256 rounds away from zero
+    got = stochastic.quantize_linear_array([0.5, 1.0, 0.3, 0.0, 0.5 / 256], k=8)
+    assert got.dtype == np.uint16 and got.tolist() == [128, 255, 77, 0, 1]
+    assert stochastic.quantize_linear_array(1.0, k=16) == 65535
 
 
 def test_quantize_domain():
-    with pytest.raises(DomainError):
-        stochastic.quantize_linear(-0.01)
-    with pytest.raises(DomainError):
-        stochastic.quantize_linear(1.01)
-    with pytest.raises(DomainError):
-        stochastic.LinearCode(256, k=8)
-
-
-def test_quantize_array_matches_scalar():
-    p = np.linspace(0.0, 1.0, 257)
-    arr = stochastic.quantize_linear_array(p, k=8)
-    for pi, vi in zip(p, arr):
-        assert stochastic.quantize_linear(float(pi)).v == int(vi)
+    for p in (-0.01, 1.01):
+        with pytest.raises(DomainError):
+            stochastic.quantize_linear_array(p)
 
 
 def test_quantize_array_rejects_nan():
     with pytest.raises(DomainError):
         stochastic.quantize_linear_array(np.array([0.25, np.nan]))
     with pytest.raises(DomainError):
-        stochastic.quantize_linear(float("nan"))
+        stochastic.quantize_linear_array(float("nan"))
 
 
 def test_quantize_validates_width():
     for k in (4, 12, 32):
         with pytest.raises(DomainError):
             stochastic.quantize_linear_array(np.array([0.5]), k=k)
-        with pytest.raises(DomainError):
-            stochastic.quantize_linear(0.5, k=k)
 
 
 def test_bit_rule_edges():
