@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict, fields
 
 from .errors import ConfigError, FormatError, parse_json, read_text
@@ -59,7 +60,8 @@ class CostTable:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if not math.isfinite(v) or v < 0:
+            real = isinstance(v, numbers.Real) and not isinstance(v, bool)  # JSON true is not 1 J
+            if not (real and math.isfinite(v) and v >= 0):
                 raise ConfigError(f"cost {f.name} must be finite and non-negative, got {v!r}")
 
 
@@ -98,7 +100,6 @@ def count_events(
     cols: int,
     width: int,
     cycles: float = 1,
-    rng_mode: str = "column_shared",
     presentations: int = 1,
 ) -> EventCounts:
     """Events for ``presentations`` input presentations that ran ``cycles``
@@ -108,10 +109,10 @@ def count_events(
     saturating accumulator in a single pass, so there are no RNG, AND or
     counter events.  Stochastic: codes are read and latched once per
     presentation (counted as register writes), then every cycle costs one
-    compare/AND per cell, one RNG draw per column (or per cell), and one
-    counter update per row.  ``cycles`` may be a real-valued mean (say, the
-    measured mean cycles of power-conscious runs); the per-cycle counts are
-    then means too.
+    compare/AND per cell, one RNG draw per column (its rows share it), and
+    one counter update per row.  ``cycles`` may be a real-valued mean (say,
+    the measured mean cycles of power-conscious runs); the per-cycle counts
+    are then means too.
     """
     if rows < 1 or cols < 1 or cycles < 1 or presentations < 1:
         raise ConfigError("rows, cols, cycles and presentations must all be >= 1")
@@ -123,16 +124,10 @@ def count_events(
         )
     if mode != "stochastic":
         raise ConfigError(f"unknown mode {mode!r}")
-    if rng_mode == "column_shared":
-        draws_per_cycle = cols
-    elif rng_mode == "per_cell":
-        draws_per_cycle = cols * rows
-    else:
-        raise ConfigError(f"unknown rng mode {rng_mode!r}")
     return EventCounts(
         mem_read_bits=presentations * cols * rows * width,
         and_compare_ops=cols * rows * cycles,
-        rng_draws=draws_per_cycle * cycles,
+        rng_draws=cols * cycles,
         counter_increments=rows * cycles,
         register_writes=presentations * cols * rows,
     )

@@ -32,6 +32,7 @@ from .stochastic import InferenceResult
 MODES = ("logarithmic", "stochastic")
 KINDS = ("log", "linear")  # code family stored in an image; a MODES[i] machine reads KINDS[i]
 PAIR_LAW_MAX = 1 << 21  # law entries a filter plan may hold; a longer filter steps
+_INT64 = np.dtype(np.int64)  # compared as a dtype: a latch checks its addresses every step
 
 _MAGIC = b"BIMG"
 _VERSION = 1
@@ -45,21 +46,26 @@ class MachineConfig:
 
     cycle_budget: int = 255
     strategy: str = "conventional"
-    rng_mode: str = "column_shared"
 
     def __post_init__(self):
         check_int("cycle_budget", self.cycle_budget, 1)
         if self.strategy not in stochastic.STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if self.rng_mode not in stochastic.RNG_MODES:
-            raise ConfigError(f"unknown rng mode {self.rng_mode!r}")
+
+
+def _int64_array(values, what: str) -> np.ndarray:
+    """``values`` as int64; bool, float, string or object values raise ConfigError."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise ConfigError(f"{what} must be integers, got {arr.dtype} values")
+    return arr if arr.dtype == _INT64 else arr.astype(np.int64)
 
 
 def check_addresses(obs, sizes) -> np.ndarray:
-    """The address rule: ``obs`` is one vector (C,) or a batch (N, C) of
-    addresses with 0 <= obs[..., c] < sizes[c].  Returns them as int64; a
-    bad shape, or a bad address in any row, raises ConfigError."""
-    addr = np.asarray(obs, dtype=np.int64)
+    """The address rule: ``obs`` is one integer vector (C,) or batch (N, C) of
+    addresses with 0 <= obs[..., c] < sizes[c].  Returns them as int64; other
+    dtypes, a bad shape, or a bad address in any row raise ConfigError."""
+    addr = _int64_array(obs, "addresses")
     if addr.ndim not in (1, 2) or addr.shape[-1] != len(sizes):
         raise ConfigError(f"expected {len(sizes)} addresses per vector, got shape {addr.shape}")
     bad = addr.view(np.uint64) >= np.asarray(sizes, dtype=np.uint64)  # negatives wrap high
@@ -251,8 +257,7 @@ def infer_stochastic(image: MemoryImage, obs, config: MachineConfig, seed=0) -> 
     ``seed`` is an int or a numpy Generator, so repeated calls can share
     one stream.  The run refuses a log-code image.
     """
-    return stochastic.run_stochastic(image, obs, config.cycle_budget, strategy=config.strategy,
-                                     rng_mode=config.rng_mode, seed=seed)
+    return stochastic.run_stochastic(image, obs, config.cycle_budget, config.strategy, seed=seed)
 
 
 def inject_errors(image: MemoryImage, ber: float, seed=0) -> MemoryImage:
@@ -285,17 +290,15 @@ def walk(table, start: int) -> list:
 def _filter_steps(image: MemoryImage, feature_addresses) -> np.ndarray:
     v0 = image.values_per_column[0]
     if v0 < image.rows + 1:
-        raise ConfigError(
-            f"transition column holds {v0} values, needs >= rows+1 = {image.rows + 1}"
-        )
-    feats = np.asarray(feature_addresses, dtype=np.int64)
+        raise ConfigError(f"transition column holds {v0} values, "
+                          f"needs >= rows+1 = {image.rows + 1}")
+    feats = _int64_array(feature_addresses, "feature addresses")
     if feats.ndim != 2 or feats.shape[1] != image.columns - 1 or not len(feats):
         raise ConfigError(f"feature addresses must be (steps >= 1, {image.columns - 1})")
     return feats
 
 
-def filter_plan(image: MemoryImage, feature_addresses,
-                rng_mode: str = "column_shared") -> stochastic.RunPlan | None:
+def filter_plan(image: MemoryImage, feature_addresses) -> stochastic.RunPlan | None:
     """A `stochastic.plan` of every (step, column-0 address) pair of a sequence,
     step-major, for the addresses 0..rows (``rows`` is the unknown state); None when
     its law would pass `stochastic.LAW_MAX_ROWS` rows or `PAIR_LAW_MAX` entries."""
@@ -306,7 +309,7 @@ def filter_plan(image: MemoryImage, feature_addresses,
     pairs = np.empty((len(feats), rows + 1, cols), dtype=np.int64)
     pairs[:, :, 0] = np.arange(rows + 1)
     pairs[:, :, 1:] = feats[:, np.newaxis]
-    return stochastic.plan(image, pairs.reshape(-1, cols), rng_mode)
+    return stochastic.plan(image, pairs.reshape(-1, cols))
 
 
 def run_filter(image: MemoryImage, feature_addresses,
@@ -326,13 +329,12 @@ def run_filter(image: MemoryImage, feature_addresses,
     """
     feats = _filter_steps(image, feature_addresses)
     steps, a = len(feats), image.rows + 1
-    if plan is not None and (plan.image is not image or plan.rng_mode != config.rng_mode
-                             or len(plan.codes) != steps * a):
-        raise ConfigError("plan was not built for this image, sequence and rng mode")
+    if plan is not None and (plan.image is not image or len(plan.codes) != steps * a):
+        raise ConfigError("plan was not built for this image and sequence")
     rng = np.random.default_rng(seed)
     power_conscious = image.kind == "linear" and config.strategy == "power_conscious"
     if power_conscious:
-        plan = plan or filter_plan(image, feats, config.rng_mode)
+        plan = plan or filter_plan(image, feats)
     if power_conscious and plan is not None:
         uniforms = np.repeat(rng.random((steps, 3)), a, axis=0)  # as steps' (1, 3) draws
         counters, winners, cycles = stochastic.decide(plan, uniforms, config.cycle_budget)
@@ -351,6 +353,5 @@ def run_filter(image: MemoryImage, feature_addresses,
         winner = np.array([r.winner for r in results])
         cycles = np.array([r.cycles for r in results])
     counts = energy.count_events(image.mode, image.rows, image.columns, image.width,
-                                 cycles=int(cycles.sum()), rng_mode=config.rng_mode,
-                                 presentations=steps)
+                                 cycles=int(cycles.sum()), presentations=steps)
     return InferenceResult(scores, winner, cycles, counts)

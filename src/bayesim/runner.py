@@ -9,7 +9,7 @@ pool, and regardless of completion order.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,18 +79,14 @@ def config_from_image(image: machine.MemoryImage, **overrides) -> machine.Machin
     return machine.MachineConfig(**overrides)
 
 
-def default_bins(kind: str) -> int:
-    return 8 if kind == "sleep_like" else 64
-
-
-def prepare(spec: tasks.SyntheticTaskSpec, bins: int | None = None) -> Prepared:
+def prepare(spec: tasks.SyntheticTaskSpec) -> Prepared:
     train, test = tasks.generate(spec)
     filtered = spec.kind == "sleep_like"
     model = modelkit.train_model(
         train.features,
         train.labels,
         spec.classes,
-        default_bins(spec.kind) if bins is None else bins,
+        8 if filtered else 64,  # bins per feature
         kind="lognormal" if filtered else "gaussian",
         with_transitions=filtered,
     )
@@ -126,12 +122,12 @@ class StochasticEval:
     mean_cycles: float
 
 
-def split_plan(prep: Prepared, image: machine.MemoryImage, rng_mode: str):
+def split_plan(prep: Prepared, image: machine.MemoryImage):
     """The test split latched once on ``image``: a naive model's `stochastic.plan`,
     or a filter model's `machine.filter_plan` (None when the filter steps)."""
     if prep.filtered:
-        return machine.filter_plan(image, prep.test_obs, rng_mode)
-    return stochastic.plan(image, prep.test_obs, rng_mode)
+        return machine.filter_plan(image, prep.test_obs)
+    return stochastic.plan(image, prep.test_obs)
 
 
 def eval_stochastic(prep: Prepared, image: machine.MemoryImage,
@@ -178,7 +174,7 @@ def trials_point(prep: Prepared, image: machine.MemoryImage, cfg: machine.Machin
                  trials: int, seed_parts, plan=None) -> CyclesPoint:
     """Mean and spread of ``trials`` stochastic passes from one `split_plan`;
     trial t runs on ``point_seed(*seed_parts, t)``."""
-    plan = plan or split_plan(prep, image, cfg.rng_mode)
+    plan = plan or split_plan(prep, image)
     evals = [eval_stochastic(prep, image, cfg, point_seed(*seed_parts, t), plan)
              for t in range(trials)]
     accs = [e.accuracy for e in evals]
@@ -190,12 +186,11 @@ def trials_point(prep: Prepared, image: machine.MemoryImage, cfg: machine.Machin
 def sweep_cycles(prep: Prepared, image: machine.MemoryImage, budgets, trials: int,
                  seed: int, strategies=("conventional", "power_conscious")) -> list:
     """Accuracy vs cycle budget per strategy on one linear image, from one `split_plan`."""
-    base = machine.MachineConfig()
-    plan = split_plan(prep, image, base.rng_mode)
+    plan = split_plan(prep, image)
     grid = []
     for s_ix, strat in enumerate(strategies):
         for b_ix, b in enumerate(budgets):
-            cfg = replace(base, strategy=strat, cycle_budget=int(b))
+            cfg = machine.MachineConfig(int(b), strat)
             grid.append((prep, image, cfg, trials, (seed, 1, image.width, s_ix, b_ix),
                          plan))
     return _pmap(trials_point, grid)

@@ -19,9 +19,8 @@ Two run strategies, both breaking ties by a uniform pick among the tied rows:
   fired rows (`mask_law`) instead of cycle by cycle.  Runs over one
   presentation set can share one `plan`: its latched codes and this law.
 
-RNG sharing is configurable: ``column_shared`` draws one uniform per
-column per cycle (all rows of a column see the same draw, as one RNG per
-column would in hardware), ``per_cell`` draws independently per cell.
+Every cycle draws one uniform per column: all rows of a column see the
+same draw, as one RNG per column would in hardware.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from . import energy
 from .errors import ConfigError, DomainError
 
 STRATEGIES = ("conventional", "power_conscious")
-RNG_MODES = ("column_shared", "per_cell")
 LAW_MAX_ROWS = 12  # a law has 2**rows masks; more rows run cycle by cycle
 
 
@@ -71,24 +69,20 @@ class InferenceResult:
         return int(np.sum(self.cycles))
 
 
-def mask_law(codes, width: int, rng_mode: str) -> np.ndarray:
+def mask_law(codes, width: int) -> np.ndarray:
     """The exact per-cycle row-fire law of latched codes (N, R, C): entry
     [n, m] is P(in one cycle exactly the rows of bit mask m fire).
 
     P(every row of S fires in column c) is the min over S of the column's
-    probabilities under ``column_shared`` (its one draw fires nested top
-    sets of rows) and their product under ``per_cell``; the product over
-    columns, then a Moebius pass per row, gives P(mask == S).
+    probabilities, since its one draw fires nested top sets of rows; the
+    product over columns, then a Moebius pass per row, gives P(mask == S).
     """
-    if rng_mode not in RNG_MODES:
-        raise ConfigError(f"unknown rng mode {rng_mode!r}")
     n, rows, cols = codes.shape
     p = codes / float(1 << width)
-    join = np.minimum if rng_mode == "column_shared" else np.multiply
     law, part = np.ones((n, 1 << rows)), np.ones((n, 1 << rows))
     for c in range(cols):
         for r in range(rows):  # part[S] for S within rows 0..r, one row at a time
-            join(part[:, :1 << r], p[:, r, c, np.newaxis], out=part[:, 1 << r:2 << r])
+            np.minimum(part[:, :1 << r], p[:, r, c, np.newaxis], out=part[:, 1 << r:2 << r])
         law *= part
     for r in range(rows):
         both = law.reshape(n, -1, 2, 1 << r)
@@ -104,13 +98,12 @@ class RunPlan:
 
     image: object
     codes: np.ndarray
-    rng_mode: str
     single: bool
 
     @cached_property
     def cum_law(self) -> np.ndarray | None:
         if self.codes.shape[1] <= LAW_MAX_ROWS:
-            return np.cumsum(mask_law(self.codes, self.image.width, self.rng_mode)[:, 1:], axis=1)
+            return np.cumsum(mask_law(self.codes, self.image.width)[:, 1:], axis=1)
 
     @cached_property
     def outcomes(self) -> tuple:
@@ -141,15 +134,13 @@ def decide(run: RunPlan, uniforms: np.ndarray, budget: int) -> tuple:
     return bits[mask], winners[mask, pick], np.where(stopped, stop, budget).astype(np.int64)
 
 
-def plan(image, obs, rng_mode: str = "column_shared") -> RunPlan:
-    """Check the image kind, the addresses ``obs`` (C,) or (N, C) and the RNG
-    mode, and latch the codes once."""
+def plan(image, obs) -> RunPlan:
+    """Check the image kind and the addresses ``obs`` (C,) or (N, C), and
+    latch the codes once."""
     if image.kind != "linear":
         raise ConfigError("stochastic run needs a linear-code image")
-    if rng_mode not in RNG_MODES:
-        raise ConfigError(f"unknown rng mode {rng_mode!r}")
     latched = image.latch(obs)
-    return RunPlan(image, latched.reshape(-1, *latched.shape[-2:]), rng_mode, latched.ndim == 2)
+    return RunPlan(image, latched.reshape(-1, *latched.shape[-2:]), latched.ndim == 2)
 
 
 def run_stochastic(
@@ -157,32 +148,34 @@ def run_stochastic(
     obs,
     budget: int,
     strategy: str = "conventional",
-    rng_mode: str = "column_shared",
+    rng_mode: str = "column_shared",  # its one value; kept for the benchmark (ROADMAP item 1)
     seed=0,
 ) -> InferenceResult:
     """Run stochastic inference of one address vector (C,) or a batch (N, C)
     on a linear-code memory image.
 
     Memory is read once up front (``image.latch``) and the latched codes are
-    reused every cycle; ``obs`` may instead be a `plan` of ``image`` for
-    ``rng_mode``.  ``seed`` may be an int or an existing numpy
-    Generator (so a caller stepping a sequence can keep one stream across
-    steps).  A conventional call draws every presentation's bits, in
-    presentation, cycle, [row,] column order, one integer in [0, 2**width)
-    each, then one uniform per presentation that breaks its ties.  A
-    power-conscious call draws one float64 uniform triple (stop, mask, tie)
-    per presentation and `decide`s them; above `LAW_MAX_ROWS` rows it draws
-    as a conventional call and stops at the first fire.  A power-conscious
-    presentation stopped early exactly when any of its scores is non-zero;
-    a conventional one never stops early.
+    reused every cycle; ``obs`` may instead be a `plan` of ``image``.
+    ``seed`` may be an int or an existing numpy Generator (so a caller
+    stepping a sequence can keep one stream across steps).  A conventional
+    call draws every presentation's bits, in presentation, cycle, column
+    order, one integer in [0, 2**width) each, then one uniform per
+    presentation that breaks its ties.  A power-conscious call draws one
+    float64 uniform triple (stop, mask, tie) per presentation and `decide`s
+    them; above `LAW_MAX_ROWS` rows it draws as a conventional call and
+    stops at the first fire.  A power-conscious presentation stopped early
+    exactly when any of its scores is non-zero; a conventional one never
+    stops early.  ``rng_mode`` accepts only ``"column_shared"``.
     """
     if budget < 1:
         raise ConfigError(f"cycle budget must be >= 1, got {budget}")
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    run = obs if isinstance(obs, RunPlan) else plan(image, obs, rng_mode)
-    if run.image is not image or run.rng_mode != rng_mode:
-        raise ConfigError(f"plan was not built for this image and {rng_mode} runs")
+    if rng_mode != "column_shared":
+        raise ConfigError(f"unknown rng mode {rng_mode!r}")
+    run = obs if isinstance(obs, RunPlan) else plan(image, obs)
+    if run.image is not image:
+        raise ConfigError("plan was not built for this image")
     codes = run.codes
     n, rows, cols = codes.shape
 
@@ -191,11 +184,9 @@ def run_stochastic(
         counters, winner, cycles = decide(run, rng.random((n, 3)), budget)
     else:
         dtype = np.uint8 if image.width == 8 else np.uint16
-        shape = (n, budget, cols) if rng_mode == "column_shared" else (n, budget, rows, cols)
-        draws = rng.integers(0, 1 << image.width, size=shape, dtype=dtype)
+        # one draw per column per cycle, seen by every row of the column
+        draws = rng.integers(0, 1 << image.width, size=(n, budget, 1, cols), dtype=dtype)
         ties = rng.random(n)
-        if rng_mode == "column_shared":
-            draws = draws[:, :, np.newaxis, :]  # every row of a column sees its draw
         # AND the columns into (N, budget, R) one at a time, never (N, budget, R, C)
         fire = draws[..., 0] < codes[:, np.newaxis, :, 0]
         col = np.empty_like(fire)
@@ -218,7 +209,7 @@ def run_stochastic(
         pick = np.minimum((ties * k).astype(np.int64), k - 1)
         winner = (candidates.cumsum(axis=1) > pick[:, np.newaxis]).argmax(axis=1)
     counts = energy.count_events("stochastic", rows, cols, image.width, cycles=int(cycles.sum()),
-                                 rng_mode=rng_mode, presentations=n)
+                                 presentations=n)
     if run.single:
         return InferenceResult(counters[0], int(winner[0]), int(cycles[0]), counts)
     return InferenceResult(counters, winner, cycles, counts)

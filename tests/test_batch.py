@@ -173,30 +173,26 @@ def sampler_runs(draw, strategies=stochastic.STRATEGIES, rows=None):
     obs = draw(address_batches(img.values_per_column))
     opts = dict(budget=draw(st.integers(1, 40)),
                 strategy=draw(st.sampled_from(strategies)),
-                rng_mode=draw(st.sampled_from(stochastic.RNG_MODES)),
                 seed=draw(st.integers(0, 2**32)))
     return img, obs, opts
 
 
-def cycle_reference(img, obs, budget, strategy, rng_mode, seed):
+def cycle_reference(img, obs, budget, strategy, seed):
     """The cycle kernel one presentation and one cycle at a time, on the
-    same stream: one block of bit draws in presentation, cycle, [row,]
-    column order, then one tie-break uniform per presentation."""
+    same stream: one block of bit draws in presentation, cycle, column
+    order, then one tie-break uniform per presentation."""
     rng = np.random.default_rng(seed)
     codes = img.latch(obs).tolist()
     n, rows, cols = len(codes), img.rows, img.columns
-    shape = (n, budget, cols) if rng_mode == "column_shared" else (n, budget, rows, cols)
-    draws = rng.integers(0, 1 << img.width, size=shape,
+    draws = rng.integers(0, 1 << img.width, size=(n, budget, cols),
                          dtype=np.uint8 if img.width == 8 else np.uint16).tolist()
     ties = rng.random(n).tolist()
     out = []
     for i in range(n):
         counters, cycles, fired = [0] * rows, budget, []
         for t in range(budget):
-            d = draws[i][t]
-            if rng_mode == "column_shared":
-                d = [d] * rows  # every row of a column sees its one draw
-            fired = [all(d[r][c] < codes[i][r][c] for c in range(cols)) for r in range(rows)]
+            d = draws[i][t]  # every row of a column sees its one draw
+            fired = [all(d[c] < codes[i][r][c] for c in range(cols)) for r in range(rows)]
             counters = [k + f for k, f in zip(counters, fired)]
             if strategy == "power_conscious" and any(fired):
                 cycles = t + 1
@@ -232,7 +228,7 @@ def test_power_conscious_above_row_cap_equals_cycle_reference(run):
     assert_equals_cycle_reference(*run)
 
 
-def power_conscious_reference(img, obs, budget, strategy, rng_mode, seed):
+def power_conscious_reference(img, obs, budget, strategy, seed):
     """The law sampler one presentation at a time: one (stop, mask, tie)
     uniform triple each, the stop cycle from the log1p ratio, the mask as
     the count of cumulative-law entries at or below its target, and a pick
@@ -240,7 +236,7 @@ def power_conscious_reference(img, obs, budget, strategy, rng_mode, seed):
     triples = np.random.default_rng(seed).random((len(obs), 3))
     out = []
     for (stop_u, mask_u, tie), codes in zip(triples, img.latch(obs)):
-        cum = np.cumsum(stochastic.mask_law(codes[np.newaxis], img.width, rng_mode)[0, 1:])
+        cum = np.cumsum(stochastic.mask_law(codes[np.newaxis], img.width)[0, 1:])
         with np.errstate(divide="ignore", invalid="ignore"):
             stop = np.floor(np.log1p(-stop_u) / np.log1p(-min(cum[-1], 1.0))) + 1
         mask = 1 + sum(int(c <= mask_u * cum[-1]) for c in cum)
@@ -309,7 +305,7 @@ def assert_same_result(a, b):
 def test_plan_call_equals_plain_call(run, single):
     img, obs, opts = run
     obs = obs[0] if single else obs
-    plan = stochastic.plan(img, obs, opts["rng_mode"])
+    plan = stochastic.plan(img, obs)
     # conventional first: the plan's law is built by the first power-conscious
     # call and reused by the second
     for strategy in ("conventional", "power_conscious", "power_conscious"):
@@ -321,23 +317,23 @@ def test_plan_call_equals_plain_call(run, single):
 def test_plan_for_another_mode_or_image_is_refused():
     codes = np.array([[10, 200], [128, 255]])
     img = MemoryImage([codes], 8, "linear")
-    plan = stochastic.plan(img, [[0], [1]], "column_shared")
+    plan = stochastic.plan(img, [[0], [1]])
     # a plan belongs to the image object it latched: an equal copy, or one
     # with the same geometry and width, may hold other codes
-    others = [(img, "per_cell"), (MemoryImage([codes], 16, "linear"), "column_shared"),
-              (MemoryImage([np.vstack([codes, codes])], 8, "linear"), "column_shared"),
-              (machine.inject_errors(img, 0.0), "column_shared")]
-    for other, rng_mode in others:
-        for strategy in stochastic.STRATEGIES:
+    others = [MemoryImage([codes], 16, "linear"),
+              MemoryImage([np.vstack([codes, codes])], 8, "linear"),
+              machine.inject_errors(img, 0.0)]
+    for strategy in stochastic.STRATEGIES:
+        for other in others:
             with pytest.raises(ConfigError, match="plan was not built"):
-                stochastic.run_stochastic(other, plan, 8, strategy, rng_mode)
-    cfg = MachineConfig(rng_mode="per_cell")
-    with pytest.raises(ConfigError, match="plan was not built"):
-        machine.infer_stochastic(img, plan, cfg)
+                stochastic.run_stochastic(other, plan, 8, strategy)
+        with pytest.raises(ConfigError, match="plan was not built"):
+            machine.infer_stochastic(others[-1], plan, MachineConfig(8, strategy))
+        # the sampler has one RNG model: every row of a column sees its draw
+        with pytest.raises(ConfigError, match="rng mode"):
+            stochastic.run_stochastic(img, plan, 8, strategy, "per_cell")
     with pytest.raises(ConfigError):
         machine.infer_stochastic(MemoryImage([codes], 8, "log"), [0], MachineConfig())
-    with pytest.raises(ConfigError):
-        stochastic.plan(img, [[0], [1]], "row_shared")
     with pytest.raises(ConfigError):
         stochastic.plan(MemoryImage([codes], 8, "log"), [[0]])
     with pytest.raises(ConfigError):
@@ -352,15 +348,14 @@ def event_fields(counts):
 @given(sampler_runs())
 def test_batch_totals_equal_per_presentation_totals(run):
     img, obs, opts = run
-    cfg = MachineConfig(cycle_budget=opts["budget"], strategy=opts["strategy"],
-                        rng_mode=opts["rng_mode"])
+    cfg = MachineConfig(cycle_budget=opts["budget"], strategy=opts["strategy"])
     res = machine.infer_stochastic(img, obs, cfg, seed=opts["seed"])
     ref = stochastic.run_stochastic(img, obs, **opts)
     assert np.array_equal(res.winner, ref.winner) and np.array_equal(res.scores, ref.scores)
     assert np.array_equal(res.cycles, ref.cycles)
     assert res.cycles_used == int(ref.cycles.sum())
     each = sum(event_fields(energy.count_events("stochastic", img.rows, img.columns, img.width,
-                                                cycles=int(c), rng_mode=opts["rng_mode"]))
+                                                cycles=int(c)))
                for c in ref.cycles)
     assert np.array_equal(event_fields(res.event_counts), each)
 
@@ -389,8 +384,7 @@ def filter_runs(draw, modes=machine.MODES, rows=None):
     images = log_images if mode == "logarithmic" else linear_images
     img = draw(images(rows, sizes))
     cfg = MachineConfig(cycle_budget=draw(st.integers(1, 40)),
-                        strategy=draw(st.sampled_from(stochastic.STRATEGIES)),
-                        rng_mode=draw(st.sampled_from(stochastic.RNG_MODES)))
+                        strategy=draw(st.sampled_from(stochastic.STRATEGIES)))
     feats = draw(address_batches(feat_sizes))
     return img, cfg, feats, draw(st.integers(0, 2**32))
 
@@ -431,7 +425,7 @@ def assert_steps_one_call_at_a_time(res, img, cfg, feats, seed):
 @given(filter_runs(modes=("stochastic",), rows=stochastic.LAW_MAX_ROWS + 1))
 def test_filter_above_row_cap_steps(run):
     img, cfg, feats, seed = run
-    assert machine.filter_plan(img, feats, cfg.rng_mode) is None
+    assert machine.filter_plan(img, feats) is None
     res = machine.run_filter(img, feats, config=cfg, seed=seed)
     assert_steps_one_call_at_a_time(res, img, cfg, feats, seed)
 
@@ -440,10 +434,10 @@ def test_filter_above_row_cap_steps(run):
 @given(filter_runs(modes=("stochastic",)))
 def test_filter_plan_call_equals_plain_call(run):
     img, cfg, feats, seed = run
-    plan = machine.filter_plan(img, feats, cfg.rng_mode)
+    plan = machine.filter_plan(img, feats)
     # conventional first: the pair law is built by the first power-conscious call
     for strategy in ("conventional", "power_conscious", "power_conscious"):
-        c = MachineConfig(cfg.cycle_budget, strategy, cfg.rng_mode)
+        c = MachineConfig(cfg.cycle_budget, strategy)
         assert_same_result(machine.run_filter(img, feats, c, seed, plan=plan),
                            machine.run_filter(img, feats, c, seed))
 
@@ -472,13 +466,11 @@ def test_filter_plan_bounds_its_pair_law(monkeypatch):
 def test_filter_plan_for_another_image_or_sequence_is_refused():
     img = lin([[[10, 200, 30], [128, 255, 40]], [[5, 6], [7, 8]]])
     feats = [[0], [1], [1]]
-    plan = machine.filter_plan(img, feats, "column_shared")
-    others = [(machine.inject_errors(img, 0.0), feats, "column_shared"),
-              (img, feats[:2], "column_shared"), (img, feats, "per_cell")]
-    for other, seq, rng_mode in others:
+    plan = machine.filter_plan(img, feats)
+    for other, seq in [(machine.inject_errors(img, 0.0), feats), (img, feats[:2])]:
         for strategy in stochastic.STRATEGIES:
             with pytest.raises(ConfigError, match="plan was not built"):
-                machine.run_filter(other, seq, MachineConfig(8, strategy, rng_mode), plan=plan)
+                machine.run_filter(other, seq, MachineConfig(8, strategy), plan=plan)
 
 
 @pytest.mark.parametrize("mode,kind", [("logarithmic", "log"), ("stochastic", "linear")])
@@ -520,27 +512,30 @@ def lin(columns, width=8):
 
 
 def test_power_conscious_winner_split_chi_square():
-    # per-cell fires at P = 0.5 and 0.25; quiet to the budget with P = 0.375**64
+    # one shared draw fires row 0 with P = 0.5 and both rows with P = 0.25;
+    # quiet to the budget with P = 0.5**64
     img = lin([[[128], [64]]])
     res = stochastic.run_stochastic(img, same_presentation(img), budget=64,
-                                    strategy="power_conscious", rng_mode="per_cell", seed=101)
+                                    strategy="power_conscious", seed=101)
     assert res.scores.any(axis=1).all()  # every presentation stopped early
-    p0 = enum_first_fire_winner(0.5, 0.25)
+    p0 = enum_first_fire_winner(128, 64)
     wins = np.bincount(res.winner, minlength=2)
     assert chi_square(wins, [p0 * TRIALS, (1 - p0) * TRIALS]) < CHI2_999[1]
 
 
-@pytest.mark.parametrize("rng_mode,columns,q", [
+@pytest.mark.parametrize("columns,q", [
     # one shared draw per column: some row fires iff the draw is below the top code
-    ("column_shared", [[[64], [32]]], 64 / 256),
-    # independent cells: row r fires with the product of its codes
-    ("per_cell", [[[128], [64]], [[128], [192]]], 1 - (1 - 0.25) * (1 - 0.1875)),
+    pytest.param([[[64], [32]]], 64 / 256, id="column_shared-columns0-0.25"),
+    # row 0 fires on draws below (128, 128), row 1 below (64, 192): row 1
+    # adds d0 < 64 with 128 <= d1 < 192
+    pytest.param([[[128], [64]], [[128], [192]]], 0.5 * 0.5 + 0.25 * 0.25,
+                 id="column_shared-columns1-0.3125"),
 ])
-def test_stop_cycle_follows_truncated_geometric_law(rng_mode, columns, q):
+def test_stop_cycle_follows_truncated_geometric_law(columns, q):
     img = lin(columns)
     budget = 6
     res = stochastic.run_stochastic(img, same_presentation(img), budget=budget,
-                                    strategy="power_conscious", rng_mode=rng_mode, seed=202)
+                                    strategy="power_conscious", seed=202)
     # bins: stopped at cycle 1..budget, then quiet for the whole budget
     stopped = res.scores.any(axis=1)
     observed = np.bincount(res.cycles[stopped] - 1, minlength=budget).tolist()
@@ -564,30 +559,32 @@ def test_random_ties_are_uniform(strategy, code):
     assert chi_square(wins, np.full(rows, TRIALS / rows)) < CHI2_999[rows - 1]
 
 
-# (rng mode, width, columns): two or three rows whose masks all occur;
-# the last fires nested row sets only, which a product of row rates misses
+# (width, columns): two or three rows whose masks all occur, over one to
+# three columns; the last fires nested row sets only, which a product of
+# row rates misses.  Ids name the RNG model.
 LAW_IMAGES = [
-    ("column_shared", 8, [[[128], [64]], [[100], [200]]]),
-    ("per_cell", 8, [[[128], [64]], [[128], [192]]]),
-    ("per_cell", 16, [[[32768], [16384]], [[40000], [52000]]]),
-    ("column_shared", 16, [[[30000], [20000], [10000]]]),
+    pytest.param(8, [[[128], [64]], [[100], [200]]], id="column_shared-8-columns0"),
+    pytest.param(8, [[[200], [100]], [[100], [200]], [[250], [250]]],
+                 id="column_shared-8-columns1"),
+    pytest.param(16, [[[32768], [16384]], [[40000], [52000]]], id="column_shared-16-columns2"),
+    pytest.param(16, [[[30000], [20000], [10000]]], id="column_shared-16-columns3"),
 ]
 
 
-def reference_runs(img, budget, rng_mode, seed):
+def reference_runs(img, budget, seed):
     """cycle_reference on TRIALS identical power-conscious presentations, as
     (scores, cycles, winner) arrays."""
-    ref = cycle_reference(img, same_presentation(img), budget, "power_conscious", rng_mode, seed)
+    ref = cycle_reference(img, same_presentation(img), budget, "power_conscious", seed)
     scores, cycles, winner, _ = zip(*ref)
     return np.array(scores), np.array(cycles), np.array(winner)
 
 
-@pytest.mark.parametrize("rng_mode,width,columns", LAW_IMAGES)
-def test_power_conscious_stop_and_mask_match_cycle_reference(rng_mode, width, columns):
+@pytest.mark.parametrize("width,columns", LAW_IMAGES)
+def test_power_conscious_stop_and_mask_match_cycle_reference(width, columns):
     img, budget = lin(columns, width), 4
     res = stochastic.run_stochastic(img, same_presentation(img), budget=budget,
-                                    strategy="power_conscious", rng_mode=rng_mode, seed=404)
-    ref = reference_runs(img, budget, rng_mode, seed=505)
+                                    strategy="power_conscious", seed=404)
+    ref = reference_runs(img, budget, seed=505)
 
     def joint(scores, cycles):
         # bins: stop cycle 1, 2 or later, times the fired mask; then no fire
@@ -601,15 +598,17 @@ def test_power_conscious_stop_and_mask_match_cycle_reference(rng_mode, width, co
     assert stat < CHI2_999[df]
 
 
-@pytest.mark.parametrize("rng_mode,columns", [
-    ("column_shared", [[[200], [200], [100]]]),  # rows 0 and 1 always fire together
-    ("per_cell", [[[128], [128], [64]], [[160], [160], [255]]]),
+@pytest.mark.parametrize("columns", [
+    # rows 0 and 1 always fire together
+    pytest.param([[[200], [200], [100]]], id="column_shared-columns0"),
+    # each row fires alone on some draw pair, and rows 0 and 1 together
+    pytest.param([[[200], [128], [64]], [[64], [160], [255]]], id="column_shared-columns1"),
 ])
-def test_power_conscious_winner_split_matches_cycle_reference(rng_mode, columns):
+def test_power_conscious_winner_split_matches_cycle_reference(columns):
     img = lin(columns)
     res = stochastic.run_stochastic(img, same_presentation(img), budget=8,
-                                    strategy="power_conscious", rng_mode=rng_mode, seed=606)
-    ref_winner = reference_runs(img, 8, rng_mode, seed=707)[2]
+                                    strategy="power_conscious", seed=606)
+    ref_winner = reference_runs(img, 8, seed=707)[2]
     stat, df = two_sample_chi_square(np.bincount(res.winner, minlength=img.rows),
                                      np.bincount(ref_winner, minlength=img.rows))
     assert stat < CHI2_999[df]

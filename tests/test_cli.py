@@ -196,6 +196,22 @@ def test_trials_below_one_refused(tmp_path, capsys):
     assert not any((out / f).exists() for f in ("sim.csv", "sweep_cycles.csv", "energy.csv"))
 
 
+def test_energy_refuses_a_boolean_cost(tmp_path, capsys):
+    out = tmp_path / "t"
+    assert run("gen", "--task", "gesture_like", "--seed", 3, "--out", out) == 0
+    model = out / "model.json"
+    assert run("train", "--data", out / "train.csv", "--bins", 8, "--out", model) == 0
+    cost = out / "cost.json"
+    cost.write_text(json.dumps({"version": 1, "unit": "J", "costs": {
+        "mem_read_bit": 1e-12, "add_op": True, "and_compare_op": 1e-12, "rng_draw": 1e-12,
+        "counter_increment": 1e-12, "register_write": 1e-12}}))
+    capsys.readouterr()
+    assert run("energy", "--model", model, "--data", out / "test.csv", "--cost", cost,
+               "--grid", 8, "--trials", 1, "--out", out) == 2
+    assert "cost add_op" in capsys.readouterr().err
+    assert not (out / "energy.csv").exists()
+
+
 def test_sim_refuses_sampling_options_on_log_image(tmp_path, capsys):
     out = tmp_path / "t"
     assert run("gen", "--task", "gesture_like", "--seed", 3, "--out", out) == 0

@@ -49,12 +49,6 @@ def test_count_events_stochastic_column_shared():
     assert c.register_writes == 16
 
 
-def test_count_events_per_cell_draws():
-    c = energy.count_events("stochastic", rows=4, cols=4, width=8,
-                            cycles=10, rng_mode="per_cell")
-    assert c.rng_draws == 160
-
-
 def test_count_events_single_cycle_stop():
     one = energy.count_events("stochastic", rows=4, cols=6, width=8, cycles=1)
     many = energy.count_events("stochastic", rows=4, cols=6, width=8, cycles=7)
@@ -104,6 +98,19 @@ def test_cost_table_rejects_non_finite(tmp_path):
                                 "costs": {**costs, "add_op": math.nan}}))
     with pytest.raises(ConfigError):
         energy.load_cost_table(path)
+
+
+def test_cost_table_rejects_bools_and_non_numbers(tmp_path):
+    costs = asdict(energy.example_cost_table())
+    for bad in (True, False, "1e-12", None, [1e-12]):
+        with pytest.raises(ConfigError, match="cost rng_draw"):
+            energy.CostTable(**{**costs, "rng_draw": bad})
+    # a JSON true is not a cost of 1 J
+    path = tmp_path / "cost.json"
+    path.write_text(json.dumps({"version": 1, "unit": "J", "costs": {**costs, "add_op": True}}))
+    with pytest.raises(ConfigError, match="cost add_op"):
+        energy.load_cost_table(path)
+    assert energy.CostTable(**{**costs, "rng_draw": 0}).rng_draw == 0  # an int cost is real
 
 
 def test_conventional_energy_affine_in_budget():

@@ -19,8 +19,9 @@ FUZZ = settings(max_examples=80, deadline=None)
 def sample_files(tmp_path):
     """One valid file per loader, as bytes."""
     spec = tasks.gesture_like_spec(seed=2, train_size=4, test_size=2)
-    train, _ = tasks.generate(spec)
-    prep = runner.prepare(spec, bins=4)
+    train, test = tasks.generate(spec)
+    model = modelkit.train_model(train.features, train.labels, spec.classes, bins=4)
+    prep = runner.Prepared(model, modelkit.bin_observations(model, test.features), test.labels)
     image, _ = runner.images_for_model(prep, widths=())
     paths = {n: tmp_path / n for n in ("img", "model", "data", "spec", "cost", "config")}
     machine.save_image(paths["img"], image)

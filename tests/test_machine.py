@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from bayesim import machine, stochastic
+from bayesim import machine, modelkit, stochastic
 from bayesim.errors import ConfigError, DomainError, FormatError
 from bayesim.machine import MachineConfig, MemoryImage
 
@@ -40,10 +40,7 @@ def test_config_rejects_bad_fields():
             MachineConfig(cycle_budget=budget)
     with pytest.raises(ConfigError):
         MachineConfig(strategy="fastest")
-    with pytest.raises(ConfigError):
-        MachineConfig(rng_mode="row_shared")
-    assert [f.name for f in dataclasses.fields(MachineConfig)] == [
-        "cycle_budget", "strategy", "rng_mode"]
+    assert [f.name for f in dataclasses.fields(MachineConfig)] == ["cycle_budget", "strategy"]
 
 
 # ---- logarithmic inference ----
@@ -100,6 +97,29 @@ def test_bad_address_is_config_error_on_both_datapaths():
             machine.infer_logarithmic(log, bad)
         with pytest.raises(ConfigError):
             stochastic.run_stochastic(lin, bad, budget=8)
+
+
+@pytest.mark.parametrize("bad", [[1.7, 0.2], [True, False], [np.nan, 0], ["1", "0"]],
+                         ids=["float", "bool", "nan", "str"])
+def test_non_integer_addresses_are_refused(bad):
+    # no float is truncated ([1.7, 0.2] to [1, 0]), no bool or string cast,
+    # and NaN is a ConfigError, not a bare ValueError
+    blocks = [np.zeros((2, 3), dtype=np.uint16), np.zeros((2, 2), dtype=np.uint16)]
+    log, lin = log_image(blocks), lin_image(blocks)
+    model = modelkit.BayesModel(classes=2, features=2, bins=(3, 2),
+                                likelihood=[np.full((2, 3), 0.5), np.full((2, 2), 0.5)],
+                                prior=np.full(2, 0.5), transition=None,
+                                bin_edges=[np.arange(4.0), np.arange(3.0)])
+    steps = [[v] for v in bad]  # a filter's feature addresses; column 0 holds rows + 1 values
+    calls = [(machine.infer_logarithmic, log, bad), (modelkit.oracle_infer, model, bad),
+             (machine.run_filter, log, steps), (machine.filter_plan, lin, steps)]
+    calls += [(machine.run_filter, lin, steps, MachineConfig(8, strategy))
+              for strategy in stochastic.STRATEGIES]
+    for fn, *args in calls:
+        with pytest.raises(ConfigError, match="must be integers"):
+            fn(*args)
+    with pytest.raises(ConfigError, match="must be integers"):
+        stochastic.run_stochastic(lin, bad, budget=8)
 
 
 # ---- stochastic inference ----

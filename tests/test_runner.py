@@ -119,7 +119,7 @@ def test_filter_sweep_builds_one_pair_law_only_for_power_conscious(
 def test_sweep_plan_pickles_with_its_law(monkeypatch):
     prep = runner.prepare(tasks.gesture_like_spec(seed=8, train_size=60, test_size=20))
     _, lin = runner.images_for_model(prep)
-    plan = runner.split_plan(prep, lin[8], "column_shared")
+    plan = runner.split_plan(prep, lin[8])
     cum = plan.cum_law
     laws = count_calls(monkeypatch, stochastic, "mask_law")
     # a pool pickles a grid point's image and plan together, so the copy

@@ -89,33 +89,36 @@ def test_power_conscious_geometric_stop():
     assert abs(stops / trials - p) <= 3 * np.sqrt(p * (1 - p) / trials)
 
 
-def enum_first_fire_winner(p1, p2):
-    """Oracle: P(row 1 wins) under per-cell independent fires, stop at the
-    first cycle with any fire, uniform split on simultaneous fires.  The
-    stopping cycle's outcome is the single-cycle outcome conditioned on at
-    least one fire, so a direct enumeration over the three joint outcomes
-    suffices; a truncated geometric sum cross-checks that collapse."""
-    z = p1 + p2 - p1 * p2
-    direct = (p1 * (1 - p2) + p1 * p2 / 2) / z
+def enum_first_fire_winner(code0, code1):
+    """Oracle: P(row 0 wins) for two rows of one 8-bit column that share its
+    draw, stop at the first cycle with any fire, uniform split on
+    simultaneous fires.  The stopping cycle's outcome is the single-cycle
+    outcome conditioned on at least one fire, so an enumeration of the 256
+    draws of one cycle suffices; a truncated geometric sum cross-checks
+    that collapse."""
+    draw = np.arange(256)
+    fire0, fire1 = draw < code0, draw < code1
+    win0 = np.mean(fire0 & ~fire1) + np.mean(fire0 & fire1) / 2
+    fire = np.mean(fire0 | fire1)
+    direct = win0 / fire
     total = 0.0
     for t in range(200):  # cycles before the stop, all quiet
-        quiet = ((1 - p1) * (1 - p2)) ** t
-        total += quiet * (p1 * (1 - p2) + p1 * p2 / 2)
+        total += (1 - fire) ** t * win0
     assert abs(direct - total) < 1e-12
     return direct
 
 
 def test_power_conscious_first_fire_split():
-    oracle = enum_first_fire_winner(0.5, 0.25)
-    assert oracle == pytest.approx(0.7)
+    # row 0 alone fires on draws 64..127, both rows on draws 0..63
+    oracle = enum_first_fire_winner(128, 64)
+    assert oracle == pytest.approx(0.75)
     img = linear_image([[[128], [64]]])
     rng = np.random.default_rng(17)
     trials = 30_000
     wins = 0
     for _ in range(trials):
         res = stochastic.run_stochastic(img, [0], budget=4096,
-                                        strategy="power_conscious",
-                                        rng_mode="per_cell", seed=rng)
+                                        strategy="power_conscious", seed=rng)
         wins += res.winner == 0
     assert abs(wins / trials - oracle) <= 3 * np.sqrt(oracle * (1 - oracle) / trials)
 
@@ -154,17 +157,24 @@ def test_column_shared_dominance():
 
 
 def test_per_cycle_rate_column_shared():
-    # row firing rate equals the product of its column probabilities in
-    # both rng modes; column_shared correlates rows, not columns
+    # row firing rate equals the product of its column probabilities:
+    # sharing a column's draw correlates rows, not columns
     img = linear_image([[[192], [64]], [[128], [128]]])
     expect = [(192 / 256) * 0.5, (64 / 256) * 0.5]
-    for mode in ("column_shared", "per_cell"):
-        res = stochastic.run_stochastic(img, [0, 0], budget=20_000,
-                                        rng_mode=mode, seed=31)
-        for r in (0, 1):
-            p = expect[r]
-            bound = 3 * np.sqrt(p * (1 - p) / 20_000)
-            assert abs(res.scores[r] / 20_000 - p) <= bound
+    res = stochastic.run_stochastic(img, [0, 0], budget=20_000, seed=31)
+    for r in (0, 1):
+        p = expect[r]
+        bound = 3 * np.sqrt(p * (1 - p) / 20_000)
+        assert abs(res.scores[r] / 20_000 - p) <= bound
+
+
+def test_per_cell_rng_mode_is_refused():
+    # one RNG model: every row of a column sees the column's draw
+    img = linear_image([[[192], [64]], [[128], [128]]])
+    for strategy in stochastic.STRATEGIES:
+        with pytest.raises(ConfigError, match="per_cell"):
+            stochastic.run_stochastic(img, [0, 0], budget=8, strategy=strategy,
+                                      rng_mode="per_cell")
 
 
 def test_counters_bounded_by_cycles():
@@ -193,36 +203,27 @@ def test_determinism():
     assert (a.winner, a.cycles, a.event_counts) == (b.winner, b.cycles, b.event_counts)
 
 
-def enumerated_mask_law(codes, rng_mode):
-    """One cycle of one 8-bit presentation (R, C) over every joint draw:
-    the frequency of each fired-row mask (row r is bit r)."""
+def enumerated_mask_law(codes):
+    """One cycle of one 8-bit presentation (R, C) over every joint column
+    draw: the frequency of each fired-row mask (row r is bit r)."""
     rows, cols = codes.shape
-    per_cycle = cols if rng_mode == "column_shared" else rows * cols
-    draws = np.stack(np.meshgrid(*[np.arange(256)] * per_cycle, indexing="ij"), axis=-1)
-    draws = draws.reshape(-1, 1, cols) if rng_mode == "column_shared" else \
-        draws.reshape(-1, rows, cols)
-    masks = (draws < codes).all(axis=2) @ (1 << np.arange(rows))
-    return np.bincount(masks, minlength=1 << rows) / len(draws)
+    draws = np.stack(np.meshgrid(*[np.arange(256)] * cols, indexing="ij"), axis=-1)
+    masks = (draws.reshape(-1, 1, cols) < codes).all(axis=2) @ (1 << np.arange(rows))
+    return np.bincount(masks, minlength=1 << rows) / 256 ** cols
 
 
-@pytest.mark.parametrize("rng_mode,rows,cols", [
-    ("per_cell", 1, 1), ("per_cell", 1, 2), ("per_cell", 2, 1),
-    ("column_shared", 1, 2), ("column_shared", 3, 1), ("column_shared", 2, 2),
-    ("column_shared", 4, 2),
+@pytest.mark.parametrize("rows,cols", [
+    pytest.param(rows, cols, id=f"column_shared-{rows}-{cols}")  # ids name the RNG model
+    for rows, cols in [(1, 2), (3, 1), (2, 2), (4, 2)]
 ])
-def test_mask_law_equals_enumeration(rng_mode, rows, cols):
+def test_mask_law_equals_enumeration(rows, cols):
     rng = np.random.default_rng(rows * 10 + cols)
     codes = rng.integers(0, 256, size=(6, rows, cols))
     codes[0], codes[1] = 0, 255  # never fires; fires on all but the top draw
     codes[2] = rng.choice([0, 1, 128, 255], size=(rows, cols))
-    law = stochastic.mask_law(codes, 8, rng_mode)
+    law = stochastic.mask_law(codes, 8)
     assert law.shape == (6, 1 << rows)
     assert np.all(law >= 0)
     assert np.all(np.abs(law.sum(axis=1) - 1) < 1e-12)
     for n in range(len(codes)):
-        assert np.abs(law[n] - enumerated_mask_law(codes[n], rng_mode)).max() < 1e-12
-
-
-def test_mask_law_rejects_unknown_rng_mode():
-    with pytest.raises(ConfigError, match="row_shared"):
-        stochastic.mask_law(np.zeros((1, 2, 1), dtype=np.uint16), 8, "row_shared")
+        assert np.abs(law[n] - enumerated_mask_law(codes[n])).max() < 1e-12
