@@ -88,6 +88,8 @@ def load_cost_table(path) -> CostTable:
     doc = parse_json(read_text(path), path)
     if not isinstance(doc, dict) or doc.get("version") != 1 or "costs" not in doc:
         raise FormatError(f"{path}: not a version-1 cost table")
+    if doc.get("unit") != "J":  # a pJ table read as joules prices 10**12 too high
+        raise FormatError(f"{path}: cost unit must be \"J\", got {doc.get('unit')!r}")
     try:
         return CostTable(**doc["costs"])
     except (TypeError, OverflowError) as exc:

@@ -103,8 +103,8 @@ def images_for_model(prep: Prepared, widths=(8,)):
 # ---- single-machine evaluation ----
 
 def accuracy(winners, labels) -> float:
-    winners = np.asarray(winners)
-    return float(np.mean(winners == np.asarray(labels)))
+    hits = np.asarray(winners) == np.asarray(labels)
+    return float(np.count_nonzero(hits)) / hits.size
 
 
 def eval_log(prep: Prepared, image: machine.MemoryImage) -> float:
@@ -139,8 +139,8 @@ def eval_stochastic(prep: Prepared, image: machine.MemoryImage,
         res = machine.run_filter(image, prep.test_obs, config=config, seed=seed, plan=plan)
     else:
         res = machine.infer_stochastic(image, plan or prep.test_obs, config, seed=seed)
-    return StochasticEval(accuracy(res.winner, prep.test_labels),
-                          res.cycles_used / len(prep.test_labels))
+    n = len(prep.test_labels)
+    return StochasticEval(accuracy(res.winner, prep.test_labels), int(res.cycles.sum()) / n)
 
 
 def eval_oracle(prep: Prepared) -> float:

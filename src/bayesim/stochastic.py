@@ -107,31 +107,47 @@ class RunPlan:
 
     @cached_property
     def outcomes(self) -> tuple:
-        """log1p(-q) per presentation; per fired mask (0: none) its row bits,
-        candidate count and the winner of each tie pick (mask 0 ties every row)."""
+        """Per presentation the stop divisor log1p(-q) (-1.0 where q = 0), the
+        ``q > 0`` mask of runs that can fire, and q; per fired mask (0: none)
+        its row bits and candidate count; and, flat at ``mask * rows + pick``,
+        the winner of each tie pick (mask 0 ties every row)."""
         rows = self.codes.shape[1]
         bits = (np.arange(1 << rows)[:, np.newaxis] >> np.arange(rows)) & 1
         k = bits.sum(axis=1)
         k[0] = rows
-        with np.errstate(divide="ignore"):  # q = 1: every cycle fires
-            log_quiet = np.log1p(-np.minimum(self.cum_law[:, -1], 1.0))
-        return log_quiet, bits, k, np.argsort(-bits, axis=1, kind="stable")
+        q = np.ascontiguousarray(self.cum_law[:, -1])
+        fires = q > 0
+        # q >= 1 fires every cycle; a q = 0 run never stops, whatever its divisor
+        divisor = np.log1p(-q, where=q < 1, out=np.full(len(q), -np.inf))
+        divisor[~fires] = -1.0
+        return divisor, fires, q, bits, k, np.argsort(-bits, axis=1, kind="stable").ravel()
 
 
 def decide(run: RunPlan, uniforms: np.ndarray, budget: int) -> tuple:
     """(counters, winner, cycles) of power-conscious runs of ``run``, one (stop,
     mask, tie) row of ``uniforms`` each: a stop cycle truncated geometric in
     q = 1 - P(no row fires), and one mask from the law of the non-empty masks."""
-    log_quiet, bits, k, winners = run.outcomes
-    with np.errstate(divide="ignore", invalid="ignore"):  # q = 0: no cycle ever fires
-        stop = np.floor(np.log1p(-uniforms[:, 0]) / log_quiet) + 1
+    divisor, fires, q, bits, k, winners = run.outcomes
+    stop = np.negative(uniforms[:, 0])
+    np.log1p(stop, out=stop)
+    stop /= divisor
+    np.floor(stop, out=stop)
+    stop += 1
     stopped = stop <= budget
-    cum = run.cum_law  # non-decreasing: the first entry above the target is the mask
-    above = cum > (uniforms[:, 1] * cum[:, -1])[:, np.newaxis]
-    mask = np.where(stopped, 1 + above.argmax(axis=1), 0)
-    k = k[mask]
-    pick = np.minimum((uniforms[:, 2] * k).astype(np.int64), k - 1)
-    return bits[mask], winners[mask, pick], np.where(stopped, stop, budget).astype(np.int64)
+    stopped &= fires
+    target = uniforms[:, 1] * q
+    # cum_law is non-decreasing: the first entry above the target is the mask
+    mask = (run.cum_law > target[:, np.newaxis]).argmax(axis=1)
+    mask += 1
+    mask *= stopped
+    k = k.take(mask)
+    pick = np.multiply(uniforms[:, 2], k, out=target).astype(np.int64)  # target is spent
+    k -= 1
+    np.minimum(pick, k, out=pick)
+    counters = bits.take(mask, axis=0)
+    mask *= bits.shape[1]
+    mask += pick
+    return counters, winners.take(mask), np.where(stopped, stop, budget).astype(np.int64)
 
 
 def plan(image, obs) -> RunPlan:

@@ -16,11 +16,13 @@ from a `stochastic.plan`, or a filter from a `machine.filter_plan`, equals
 the call that latches for itself.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bayesim import energy, machine, modelkit, stochastic
+from bayesim import energy, machine, modelkit, runner, stochastic
 from bayesim.errors import ConfigError
 from bayesim.machine import MachineConfig, MemoryImage
 from bayesim.modelkit import BayesModel
@@ -228,12 +230,15 @@ def test_power_conscious_above_row_cap_equals_cycle_reference(run):
     assert_equals_cycle_reference(*run)
 
 
-def power_conscious_reference(img, obs, budget, strategy, seed):
+def power_conscious_reference(img, obs, budget, strategy="power_conscious", seed=0,
+                              triples=None):
     """The law sampler one presentation at a time: one (stop, mask, tie)
-    uniform triple each, the stop cycle from the log1p ratio, the mask as
-    the count of cumulative-law entries at or below its target, and a pick
-    among the fired rows (all rows when the run stays quiet)."""
-    triples = np.random.default_rng(seed).random((len(obs), 3))
+    uniform triple each (``triples``, else drawn from ``seed``), the stop
+    cycle from the log1p ratio, the mask as the count of cumulative-law
+    entries at or below its target, and a pick among the fired rows (all
+    rows when the run stays quiet)."""
+    if triples is None:
+        triples = np.random.default_rng(seed).random((len(obs), 3))
     out = []
     for (stop_u, mask_u, tie), codes in zip(triples, img.latch(obs)):
         cum = np.cumsum(stochastic.mask_law(codes[np.newaxis], img.width)[0, 1:])
@@ -260,6 +265,39 @@ def test_power_conscious_kernel_equals_per_presentation_reference(run, single):
     got = list(zip(np.atleast_2d(res.scores).tolist(), np.atleast_1d(res.cycles).tolist(),
                    np.atleast_1d(res.winner).tolist()))
     assert got == power_conscious_reference(img, obs[:1] if single else obs, **opts)
+
+
+EDGE_UNIFORMS = (0.0, 1.0 - 2.0**-53)  # the ends of rng.random's [0, 1)
+
+
+@SETTINGS
+@given(st.data())
+def test_decide_on_quiet_runs_and_edge_uniforms_equals_reference(data):
+    """`decide` raises no warning and is byte-equal to the per-presentation
+    reference on plans that mix q = 0 runs (value 0 of column 0 holds code 0
+    in every row) with ordinary ones, on uniform rows at both ends of [0, 1),
+    and at budget 1 and 2**53, the largest a float64 stop cycle counts exactly."""
+    img = data.draw(linear_images())
+    blocks = [b.copy() for b in img.blocks]
+    blocks[0][:, 0] = 0
+    img = MemoryImage(blocks, img.width, "linear")
+    obs = data.draw(address_batches(img.values_per_column, n_min=2))
+    obs[::2, 0] = 0
+    uniform = st.one_of(st.sampled_from(EDGE_UNIFORMS), st.floats(0.0, 1.0, exclude_max=True))
+    rows = st.one_of(st.sampled_from([EDGE_UNIFORMS[:1] * 3, EDGE_UNIFORMS[1:] * 3]),
+                     st.tuples(uniform, uniform, uniform))
+    triples = np.array(data.draw(st.lists(rows, min_size=len(obs), max_size=len(obs))))
+    budget = data.draw(st.sampled_from([1, 2**53]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counters, winner, cycles = stochastic.decide(stochastic.plan(img, obs), triples, budget)
+    want = power_conscious_reference(img, obs, budget, triples=triples)
+    for a, b in zip((counters, cycles, winner), zip(*want)):
+        assert a.dtype == np.int64 and a.tobytes() == np.array(b, dtype=np.int64).tobytes()
+    labels = np.array(data.draw(st.lists(st.integers(0, img.rows - 1), min_size=len(obs),
+                                         max_size=len(obs))))
+    acc = runner.accuracy(winner, labels)
+    assert type(acc) is float and acc == float(np.mean(winner == labels))
 
 
 @SETTINGS

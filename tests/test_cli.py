@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from bayesim import cli
+from bayesim import cli, energy
 from child_env import child_env
 
 
@@ -289,6 +289,9 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     doc = json.loads((tmp_path / "sl" / "spec.json").read_text())
     doc["transition"][0][0] += 5e-6
     off_row.write_text(json.dumps(doc))
+    pj_cost = tmp_path / "pj.json"  # picojoules must not be read as joules
+    energy.save_cost_table(pj_cost, energy.example_cost_table())
+    pj_cost.write_text(pj_cost.read_text().replace('"J"', '"pJ"'))
     cases = [
         ["compile", "--model", junk, "--out", img],
         ["compile", "--model", huge, "--out", img],
@@ -314,6 +317,8 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
          "--out", tmp_path / "g"],
         ["--config", bad_strategy, "sim", "--model", model, "--image", log,
          "--data", out / "test.csv", "--out", tmp_path / "g"],
+        ["energy", "--model", model, "--data", out / "test.csv", "--cost", pj_cost,
+         "--grid", 8, "--trials", 1, "--out", tmp_path / "g"],
     ]
     capsys.readouterr()
     for argv in cases:

@@ -88,6 +88,18 @@ def test_example_table_round_trip(tmp_path):
         energy.load_cost_table(path)
 
 
+def test_cost_table_refuses_any_unit_but_joules(tmp_path):
+    costs = asdict(energy.example_cost_table())
+    path = tmp_path / "cost.json"
+    for unit in ("pJ", "j", 1, None):
+        path.write_text(json.dumps({"version": 1, "unit": unit, "costs": costs}))
+        with pytest.raises(FormatError, match=f"cost unit must be \"J\", got {unit!r}"):
+            energy.load_cost_table(path)
+    path.write_text(json.dumps({"version": 1, "costs": costs}))  # no unit at all
+    with pytest.raises(FormatError, match="got None"):
+        energy.load_cost_table(path)
+
+
 def test_cost_table_rejects_non_finite(tmp_path):
     costs = asdict(energy.example_cost_table())
     for bad in (math.nan, math.inf):
