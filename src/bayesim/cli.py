@@ -26,7 +26,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from . import __version__, energy, logprob, machine, modelkit, runner, stochastic, tasks
+from . import __version__, energy, machine, modelkit, runner, stochastic, tasks
 from .errors import ConfigError, FormatError, ValidationError, parse_json, read_text
 
 _CSV_VERSION = 1
@@ -100,7 +100,7 @@ _OPTIONS = {
     "bins": _Option("int", lo=1),
     "classes": _Option("int"),
     "budget": _Option("int", help="stochastic cycle budget (sweep: for --kind ber)"),
-    "width": _Option("int", allowed=logprob.WIDTHS,
+    "width": _Option("int", allowed=stochastic.WIDTHS,
                      help="code width (sweep --kind bits always sweeps 8 and 16)"),
     "prior_values": _Option("int", help="value count of the transition column (filter models)"),
     "alpha": _Option("float"),
@@ -353,7 +353,8 @@ def cmd_energy(args) -> int:
         table = energy.load_cost_table(opts.path("cost"))
     out = opts.outdir()
     log_img, lin = runner.images_for_model(prep, widths=(width,))
-    report = runner.energy_report(prep, log_img, lin[width], budgets, trials, seed, table)
+    points = runner.sweep_cycles(prep, lin[width], budgets, trials, seed)
+    report = energy.crossover(log_img, lin[width], table, points, runner.eval_log(prep, log_img))
     cross = "none" if report.crossover_budget is None else str(report.crossover_budget)
     opts.emit(out, "energy", report.points, f"energy: crossover_budget={cross}",
               comments=(f"crossover_budget={cross}",))

@@ -160,45 +160,33 @@ class CrossoverReport:
     crossover_budget: int | None  # smallest budget where conventional > logarithmic
 
 
-def crossover(
-    log_image,
-    lin_image,
-    table: CostTable,
-    budgets,
-    pc_mean_cycles: dict | None = None,
-    accuracies: dict | None = None,
-    log_accuracy: float = math.nan,
-) -> CrossoverReport:
+def crossover(log_image, lin_image, table: CostTable, points,
+              log_accuracy: float = math.nan) -> CrossoverReport:
     """Energy-vs-budget report for a logarithmic and a stochastic machine.
 
-    Each point is priced as the energy of its ``count_events`` on its own
-    image's rows, columns and code width: the logarithmic point on
-    ``log_image``, every stochastic point on ``lin_image``.  Conventional
-    runs take cycles = budget; power-conscious runs take the measured mean
-    cycles from ``pc_mean_cycles`` when given, else the full budget as an
-    upper bound.  ``accuracies`` maps (strategy, budget) to measured
-    accuracy; missing entries are NaN.
+    ``points`` are the stochastic machine's measured points (say, the
+    `runner.CyclesPoint`s of a cycle sweep on ``lin_image``).  Each point is
+    priced as the energy of its ``count_events`` at its own ``mean_cycles``
+    on its own image's rows, columns and code width: the logarithmic point
+    on ``log_image``, every stochastic point on ``lin_image``.  A
+    conventional point's mean cycles are its budget.  Where a (strategy,
+    budget) pair repeats, the last point wins; rows are sorted by budget,
+    conventional first.
     """
     if (log_image.kind, lin_image.kind) != ("log", "linear"):
         raise ConfigError("crossover needs a log-code image and a linear-code image")
-    budgets = sorted(set(int(b) for b in budgets))
-    if not budgets:
-        raise ConfigError("need at least one budget")
-    acc = accuracies or {}
-    pc_cycles = pc_mean_cycles or {}
+    last = {(p.budget, p.strategy): p for p in points}
+    if not last:
+        raise ConfigError("need at least one point")
 
     def priced(image, cycles: float = 1) -> float:
         return energy_of(count_events(image.mode, image.rows, image.columns, image.width,
                                       cycles=cycles), table)
 
     log_energy = priced(log_image)
-    points = [CrossoverPoint("logarithmic", 1, log_accuracy, log_energy)]
-    cross = None
-    for b in budgets:
-        conv = priced(lin_image, b)
-        points.append(CrossoverPoint("conventional", b, acc.get(("conventional", b), math.nan), conv))
-        pc = priced(lin_image, pc_cycles.get(b, float(b)))
-        points.append(CrossoverPoint("power_conscious", b, acc.get(("power_conscious", b), math.nan), pc))
-        if cross is None and conv > log_energy:
-            cross = b
-    return CrossoverReport(tuple(points), cross)
+    rows = [CrossoverPoint("logarithmic", 1, log_accuracy, log_energy)]
+    rows += [CrossoverPoint(p.strategy, p.budget, p.mean_acc, priced(lin_image, p.mean_cycles))
+             for _, p in sorted(last.items())]
+    cross = min((p.budget for p in rows[1:]
+                 if p.strategy == "conventional" and p.energy_j > log_energy), default=None)
+    return CrossoverReport(tuple(rows), cross)

@@ -48,7 +48,8 @@ class MachineConfig:
     strategy: str = "conventional"
 
     def __post_init__(self):
-        check_int("cycle_budget", self.cycle_budget, 1)
+        if check_int("cycle_budget", self.cycle_budget, 1) > stochastic.MAX_BUDGET:
+            raise ConfigError(f"cycle_budget must be <= 2**53, got {self.cycle_budget}")
         if self.strategy not in stochastic.STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
 
@@ -89,7 +90,7 @@ class MemoryImage:
         if width not in (8, 16):
             raise ConfigError(f"unsupported code width {width}")
         if kind == "log" and width != 8:
-            # 16-bit log codes exist in the code layer but no machine uses them
+            # an image file may claim 16-bit log codes; no machine reads them
             raise ConfigError("logarithmic machines are 8-bit only")
         if not blocks:
             raise ConfigError("image needs at least one column")
@@ -239,8 +240,7 @@ def infer_logarithmic(image: MemoryImage, obs) -> InferenceResult:
     if image.kind != "log":
         raise ConfigError("logarithmic inference needs a log-code image")
     latched = image.latch(obs)
-    top = logprob.max_code(image.width)
-    scores = np.minimum(latched.sum(axis=-1, dtype=np.int64), top)
+    scores = np.minimum(latched.sum(axis=-1, dtype=np.int64), logprob.TOP)
     winner = np.argmin(scores, axis=-1)
     n = len(winner) if winner.ndim else 1
     counts = energy.count_events("logarithmic", image.rows, image.columns, image.width,

@@ -24,7 +24,7 @@ from .machine import KINDS as CODE_KINDS, MODES, MemoryImage, check_addresses, w
 
 KINDS = ("gaussian", "lognormal")
 SPAN = 4.0  # a feature's bin grid covers its pooled mean +- SPAN pooled stds
-FLOOR = logprob.min_prob(8)  # smallest likelihood tabulated: the top 8-bit log code
+FLOOR = logprob.MIN_PROB  # smallest likelihood tabulated: the top log code
 
 _MODEL_VERSION = 1
 
@@ -291,7 +291,7 @@ def compile_model(model: BayesModel, mode: str, width: int = 8,
     sizes = np.cumsum([b.shape[1] for b in prob_blocks])[:-1]
     table = np.concatenate(prob_blocks, axis=1)
     if mode == "logarithmic":
-        codes = logprob.encode_array(table, width)
+        codes = logprob.encode_array(table)
     else:
         codes = stochastic.quantize_linear_array(table, width)
     return MemoryImage(np.split(codes, sizes, axis=1), width, CODE_KINDS[MODES.index(mode)])

@@ -1,4 +1,4 @@
-"""Shared drivers: dataset -> model -> images -> accuracy/energy sweeps.
+"""Shared drivers: dataset -> model -> images -> accuracy sweeps.
 
 Everything here is deterministic given the base seed.  Per-point seeds are
 derived from the base seed plus the grid coordinates of the point, so a
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import energy, machine, modelkit, stochastic, tasks
+from . import machine, modelkit, stochastic, tasks
 from .errors import ConfigError
 
 
@@ -184,11 +184,11 @@ def trials_point(prep: Prepared, image: machine.MemoryImage, cfg: machine.Machin
 
 
 def sweep_cycles(prep: Prepared, image: machine.MemoryImage, budgets, trials: int,
-                 seed: int, strategies=("conventional", "power_conscious")) -> list:
+                 seed: int) -> list:
     """Accuracy vs cycle budget per strategy on one linear image, from one `split_plan`."""
     plan = split_plan(prep, image)
     grid = []
-    for s_ix, strat in enumerate(strategies):
+    for s_ix, strat in enumerate(stochastic.STRATEGIES):
         for b_ix, b in enumerate(budgets):
             cfg = machine.MachineConfig(int(b), strat)
             grid.append((prep, image, cfg, trials, (seed, 1, image.width, s_ix, b_ix),
@@ -243,13 +243,3 @@ def sweep_bits(prep: Prepared, linear_images: dict, budgets, trials: int, seed: 
         out.extend(sweep_cycles(prep, linear_images[w], budgets, trials, seed))
     return out
 
-
-def energy_report(prep: Prepared, log_image: machine.MemoryImage,
-                  lin_image: machine.MemoryImage, budgets, trials: int, seed: int,
-                  table: energy.CostTable) -> energy.CrossoverReport:
-    """Measured accuracy + modeled energy per budget, plus the crossover."""
-    points = sweep_cycles(prep, lin_image, budgets, trials, seed)
-    accs = {(p.strategy, p.budget): p.mean_acc for p in points}
-    pc_cycles = {p.budget: p.mean_cycles for p in points if p.strategy == "power_conscious"}
-    return energy.crossover(log_image, lin_image, table, budgets, pc_mean_cycles=pc_cycles,
-                            accuracies=accs, log_accuracy=eval_log(prep, log_image))

@@ -34,7 +34,9 @@ from . import energy
 from .errors import ConfigError, DomainError
 
 STRATEGIES = ("conventional", "power_conscious")
+WIDTHS = (8, 16)  # linear code widths
 LAW_MAX_ROWS = 12  # a law has 2**rows masks; more rows run cycle by cycle
+MAX_BUDGET = 1 << 53  # a power-conscious stop cycle is a float64, exact up to here
 
 
 def quantize_linear_array(p: np.ndarray, k: int = 8) -> np.ndarray:
@@ -43,7 +45,7 @@ def quantize_linear_array(p: np.ndarray, k: int = 8) -> np.ndarray:
     Half-way cases round away from zero.  Widths other than 8 or 16 bits,
     and probabilities outside [0, 1] or NaN, raise DomainError.
     """
-    if k not in (8, 16):
+    if k not in WIDTHS:
         raise DomainError(f"unsupported linear code width {k}")
     p = np.asarray(p, dtype=float)
     if not np.all((p >= 0.0) & (p <= 1.0)):
@@ -183,8 +185,8 @@ def run_stochastic(
     exactly when any of its scores is non-zero; a conventional one never
     stops early.  ``rng_mode`` accepts only ``"column_shared"``.
     """
-    if budget < 1:
-        raise ConfigError(f"cycle budget must be >= 1, got {budget}")
+    if not 1 <= budget <= MAX_BUDGET:
+        raise ConfigError(f"cycle budget must be in [1, 2**53], got {budget}")
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
     if rng_mode != "column_shared":

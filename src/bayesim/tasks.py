@@ -187,8 +187,7 @@ def _uniform_offdiag(classes: int, stay: float) -> np.ndarray:
     return t
 
 
-def sleep_like_spec(seed: int = 0, train_size: int = 2000, test_size: int = 600,
-                    self_transition: float = 0.95) -> SyntheticTaskSpec:
+def sleep_like_spec(seed: int = 0, train_size: int = 2000, test_size: int = 600) -> SyntheticTaskSpec:
     """Default 4-state sleep-like task: sticky chain, lognormal band powers."""
     pattern = np.array([
         [0.0, 0.0, 2.0],
@@ -203,7 +202,7 @@ def sleep_like_spec(seed: int = 0, train_size: int = 2000, test_size: int = 600,
         features=3,
         locations=tuple(map(tuple, (sigma * pattern).tolist())),
         scales=tuple(map(tuple, np.full((4, 3), sigma).tolist())),
-        transition=tuple(map(tuple, _uniform_offdiag(4, self_transition).tolist())),
+        transition=tuple(map(tuple, _uniform_offdiag(4, 0.95).tolist())),
         train_size=train_size,
         test_size=test_size,
         seed=seed,

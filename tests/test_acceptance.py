@@ -68,7 +68,7 @@ def test_criterion_01_round_trip_and_half_step():
         logprob.encode(logprob.decode(logprob.LogCode(n))).n == n for n in range(256)
     )
     rng = np.random.default_rng(SEED)
-    hi = -math.log2(logprob.min_prob(8))
+    hi = -math.log2(logprob.MIN_PROB)
     p = 2.0 ** -rng.uniform(0.0, hi, size=100_000)
     err = np.abs(-np.log2(p) - logprob.encode_array(p) / 8.0)
     worst = float(err.max())
@@ -161,8 +161,7 @@ def test_criterion_07_power_conscious_economy(gesture, gesture_sweep):
     prep, log_img, lin8 = gesture
     _, conv, pc = gesture_sweep
     table = energy.example_cost_table()
-    report = energy.crossover(log_img, lin8, table, BUDGET_GRID,
-                              pc_mean_cycles={b: pc[b].mean_cycles for b in BUDGET_GRID})
+    report = energy.crossover(log_img, lin8, table, [*conv.values(), *pc.values()])
     energy_at = {(p.strategy, p.budget): p.energy_j for p in report.points}
     ok = True
     parts = []

@@ -6,14 +6,18 @@ its module leaves a per-layer metric without a value.  This runs the
 benchmark's layer probe under its tracer, reading the benchmark files only,
 and pins the calls the benchmark rebinds: its gesture rounds time every
 `runner.eval_stochastic` pass that `sweep_cycles` makes, and read the
-budget from the config passed third.
+budget from the config passed third.  The CLI workload reads power-conscious
+mean cycles back out of ``energy.csv`` by inverting the affine energy model.
 """
 
+import argparse
 import inspect
 import json
 from pathlib import Path
 
-from bayesim import machine, runner, stochastic, tasks
+import pytest
+
+from bayesim import cli, energy, machine, runner, stochastic, tasks
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "benchmark"
@@ -73,3 +77,21 @@ def test_benchmark_call_contract(monkeypatch):
     runner.eval_log(sleep, log_img)
     runner.eval_stochastic(sleep, sleep_lin[8], machine.MachineConfig(), seed=1)
     assert [args[0].kind for args, _ in filters] == ["log", "linear"]
+
+
+def test_energy_csv_gives_back_power_conscious_mean_cycles(monkeypatch, tmp_path):
+    monkeypatch.setenv("BAYESIM_THREADS", "1")
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    prep = runner.prepare(tasks.gesture_like_spec(seed=8, train_size=60, test_size=20))
+    log_img, lin = runner.images_for_model(prep)
+    pts = runner.sweep_cycles(prep, lin[8], budgets=[4, 16, 64], trials=2, seed=5)
+    rep = energy.crossover(log_img, lin[8], energy.example_cost_table(), pts)
+    cli.Options(argparse.Namespace(config=None), "energy").emit(
+        tmp_path, "energy", rep.points, "energy")
+    got = workloads._pc_mean_cycles(workloads._read_csv(tmp_path / "energy.csv"), lin[8])
+    want = {p.budget: p.mean_cycles for p in pts if p.strategy == "power_conscious"}
+    assert sorted(got) == sorted(want)
+    for b, cycles in want.items():
+        assert got[b] == pytest.approx(cycles, rel=1e-9)

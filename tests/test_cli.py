@@ -319,6 +319,8 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
          "--data", out / "test.csv", "--out", tmp_path / "g"],
         ["energy", "--model", model, "--data", out / "test.csv", "--cost", pj_cost,
          "--grid", 8, "--trials", 1, "--out", tmp_path / "g"],
+        ["sim", "--model", model, "--image", lin, "--data", out / "test.csv",  # 2**53 + 1
+         "--budget", 9007199254740993, "--strategy", "power_conscious", "--out", tmp_path / "g"],
     ]
     capsys.readouterr()
     for argv in cases:

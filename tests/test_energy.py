@@ -8,6 +8,8 @@ import pytest
 from bayesim import energy
 from bayesim.errors import ConfigError, FormatError
 from bayesim.machine import MemoryImage
+from bayesim.runner import CyclesPoint
+from bayesim.stochastic import STRATEGIES
 
 
 def images(rows=4, columns=6, values=64):
@@ -15,6 +17,14 @@ def images(rows=4, columns=6, values=64):
     scaled-up machine: 4 rows, 6 columns, 64 values."""
     blocks = [np.zeros((rows, values), dtype=np.uint16)] * columns
     return MemoryImage(blocks, 8, "log"), MemoryImage(blocks, 8, "linear")
+
+
+def sweep(budgets, pc_cycles={}):
+    """A cycle sweep's points per budget: conventional runs the whole budget,
+    power-conscious the mean cycles ``pc_cycles[budget]`` (default: the budget)."""
+    return [CyclesPoint(8, s, b, math.nan, 0.0, 1,
+                        float(pc_cycles.get(b, b) if s == "power_conscious" else b))
+            for b in budgets for s in STRATEGIES]
 
 
 def unit_table(**over):
@@ -126,7 +136,7 @@ def test_cost_table_rejects_bools_and_non_numbers(tmp_path):
 
 
 def test_conventional_energy_affine_in_budget():
-    rep = energy.crossover(*images(), energy.example_cost_table(), [10, 20, 40, 80])
+    rep = energy.crossover(*images(), energy.example_cost_table(), sweep([10, 20, 40, 80]))
     conv = {p.budget: p.energy_j for p in rep.points if p.strategy == "conventional"}
     slope = (conv[20] - conv[10]) / 10
     for b1, b2 in [(10, 20), (20, 40), (40, 80)]:
@@ -137,7 +147,7 @@ def test_conventional_energy_affine_in_budget():
 
 def test_log_energy_budget_independent():
     # the small fabricated machine: 4 rows, 4 columns, 8 values
-    rep = energy.crossover(*images(4, 4, 8), energy.example_cost_table(), [1, 100, 4096])
+    rep = energy.crossover(*images(4, 4, 8), energy.example_cost_table(), sweep([1, 100, 4096]))
     log_points = [p for p in rep.points if p.strategy == "logarithmic"]
     assert len(log_points) == 1
 
@@ -145,8 +155,7 @@ def test_log_energy_budget_independent():
 def test_power_conscious_cheaper_with_measured_cycles():
     table = energy.example_cost_table()
     budgets = [32, 255]
-    rep = energy.crossover(*images(), table, budgets,
-                           pc_mean_cycles={32: 6.5, 255: 31.0})
+    rep = energy.crossover(*images(), table, sweep(budgets, {32: 6.5, 255: 31.0}))
     by = {(p.strategy, p.budget): p.energy_j for p in rep.points}
     for b in budgets:
         assert by[("power_conscious", b)] <= by[("conventional", b)]
@@ -157,11 +166,11 @@ def test_crossover_limit_cases():
     # free stochastic-side events: stochastic never exceeds the log point
     free_stoch = unit_table(and_compare_op=0.0, rng_draw=0.0,
                             counter_increment=0.0, add_op=100.0)
-    rep = energy.crossover(*pair, free_stoch, [1, 10, 10_000])
+    rep = energy.crossover(*pair, free_stoch, sweep([1, 10, 10_000]))
     assert rep.crossover_budget is None
     # free adds: the log machine wins immediately
     free_adds = unit_table(add_op=0.0, and_compare_op=5.0, rng_draw=5.0)
-    rep = energy.crossover(*pair, free_adds, [1, 10, 100])
+    rep = energy.crossover(*pair, free_adds, sweep([1, 10, 100]))
     assert rep.crossover_budget == 1
 
 
@@ -171,7 +180,7 @@ def test_crossover_monotone_in_and_cost():
         t = energy.example_cost_table()
         t = energy.CostTable(t.mem_read_bit, t.add_op, and_cost,
                              t.rng_draw, t.counter_increment, t.register_write)
-        rep = energy.crossover(*images(), t, list(range(1, 400)))
+        rep = energy.crossover(*images(), t, sweep(range(1, 400)))
         assert rep.crossover_budget is not None
         crossings.append(rep.crossover_budget)
     assert crossings == sorted(crossings, reverse=True)
@@ -182,14 +191,25 @@ def test_crossover_needs_budgets():
         energy.crossover(*images(), energy.example_cost_table(), [])
     log_image, lin_image = images()
     with pytest.raises(ConfigError, match="log-code image and a linear-code image"):
-        energy.crossover(lin_image, log_image, energy.example_cost_table(), [10])
+        energy.crossover(lin_image, log_image, energy.example_cost_table(), sweep([10]))
 
 
 def test_crossover_accuracy_passthrough():
-    rep = energy.crossover(*images(), energy.example_cost_table(), [10],
-                           accuracies={("conventional", 10): 0.5},
+    table = energy.example_cost_table()
+    rep = energy.crossover(*images(), table, [CyclesPoint(8, "conventional", 10, 0.5, 0.0, 1, 10.0)],
                            log_accuracy=0.9)
-    by = {(p.strategy, p.budget): p.accuracy for p in rep.points}
-    assert by[("conventional", 10)] == 0.5
-    assert by[("logarithmic", 1)] == 0.9
-    assert math.isnan(by[("power_conscious", 10)])
+    assert [(p.strategy, p.budget, p.accuracy) for p in rep.points] == [
+        ("logarithmic", 1, 0.9), ("conventional", 10, 0.5)]
+    # unsorted, repeated budgets: the last point of a (strategy, budget) pair
+    # wins, and rows run by budget with conventional first
+    measured = [("power_conscious", 40, 0.1, 9.0), ("conventional", 10, 0.2, 10.0),
+                ("conventional", 40, 0.3, 40.0), ("power_conscious", 10, 0.4, 7.0),
+                ("conventional", 10, 0.5, 10.0), ("power_conscious", 10, 0.6, 3.0)]
+    pts = [CyclesPoint(8, s, b, acc, 0.0, 1, c) for s, b, acc, c in measured]
+    log_image, lin_image = images()
+    rep = energy.crossover(log_image, lin_image, table, pts, log_accuracy=0.9)
+    assert [(p.strategy, p.budget, p.accuracy) for p in rep.points] == [
+        ("logarithmic", 1, 0.9), ("conventional", 10, 0.5), ("power_conscious", 10, 0.6),
+        ("conventional", 40, 0.3), ("power_conscious", 40, 0.1)]
+    assert rep.points[2].energy_j == energy.energy_of(energy.count_events(
+        "stochastic", lin_image.rows, lin_image.columns, 8, cycles=3.0), table)

@@ -9,13 +9,10 @@ from bayesim.errors import DomainError
 
 
 def test_scale_and_limits():
-    assert logprob.scale(8) == 8
-    assert logprob.scale(16) == 2048
-    assert logprob.max_code(8) == 255
-    assert logprob.max_code(16) == 65535
-    # both widths bottom out near 2.5e-10
-    assert logprob.min_prob(8) == pytest.approx(2 ** -31.875)
-    assert logprob.min_prob(16) == pytest.approx(2 ** (-65535 / 2048))
+    assert (logprob.M, logprob.TOP) == (8, 255)
+    # the top code bottoms out near 2.5e-10
+    assert logprob.MIN_PROB == 2 ** -31.875
+    assert logprob.decode(logprob.LogCode(logprob.TOP)) == logprob.MIN_PROB
 
 
 def test_encode_examples():
@@ -29,7 +26,6 @@ def test_encode_examples():
 
 def test_encode_zero_is_floor_clamp():
     assert logprob.encode(0.0).n == 255
-    assert logprob.encode(0.0, width=16).n == 65535
 
 
 def test_encode_domain():
@@ -46,14 +42,6 @@ def test_encode_array_rejects_nan():
         logprob.encode(float("nan"))
 
 
-def test_encode_validates_width():
-    for width in (4, 12, 32):
-        with pytest.raises(DomainError):
-            logprob.encode_array(np.array([0.5]), width=width)
-        with pytest.raises(DomainError):
-            logprob.encode(0.5, width=width)
-
-
 def test_decode_examples():
     assert logprob.decode(logprob.LogCode(0)) == 1.0
     assert logprob.decode(logprob.LogCode(8)) == 0.5
@@ -65,7 +53,6 @@ def test_logcode_range_checked():
         logprob.LogCode(256)
     with pytest.raises(DomainError):
         logprob.LogCode(-1)
-    logprob.LogCode(256, width=16)  # fine at the wider width
 
 
 def test_round_trip_exhaustive():
@@ -74,15 +61,9 @@ def test_round_trip_exhaustive():
         assert logprob.encode(logprob.decode(code)).n == n
 
 
-def test_round_trip_exhaustive_16bit():
-    probs = logprob.decode_array(np.arange(65536, dtype=np.uint32), width=16)
-    back = logprob.encode_array(probs, width=16)
-    assert np.array_equal(back, np.arange(65536))
-
-
 def test_half_step_bound():
     rng = np.random.default_rng(7)
-    lo = -math.log2(logprob.min_prob(8))  # 31.875
+    lo = -math.log2(logprob.MIN_PROB)  # 31.875
     p = 2.0 ** -(rng.uniform(0.0, lo, size=100_000))
     n = logprob.encode_array(p)
     err = np.abs(-np.log2(p) - n / 8.0)
@@ -105,11 +86,6 @@ def test_sat_add_exhaustive_saturation():
             out = logprob.sat_add(logprob.LogCode(i), logprob.LogCode(j)).n
             assert out == min(i + j, 255)
             assert (out == 255) == (sums[i, j] >= 255)
-
-
-def test_sat_add_width_mismatch():
-    with pytest.raises(DomainError):
-        logprob.sat_add(logprob.LogCode(1), logprob.LogCode(1, width=16))
 
 
 @given(st.floats(min_value=1e-12, max_value=1.0),

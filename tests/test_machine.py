@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -41,6 +42,16 @@ def test_config_rejects_bad_fields():
     with pytest.raises(ConfigError):
         MachineConfig(strategy="fastest")
     assert [f.name for f in dataclasses.fields(MachineConfig)] == ["cycle_budget", "strategy"]
+    # a power-conscious stop cycle is a float64: budgets are exact up to 2**53, refused above
+    with pytest.raises(ConfigError, match="cycle_budget must be <= 2"):
+        MachineConfig(cycle_budget=2**53 + 1)
+    quiet = lin_image([np.zeros((2, 1), dtype=np.uint16)])  # no row ever fires
+    with pytest.raises(ConfigError, match="cycle budget must be in"):
+        stochastic.run_stochastic(quiet, [0], 2**53 + 3, "power_conscious")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = MachineConfig(cycle_budget=2**53, strategy="power_conscious")
+        assert machine.infer_stochastic(quiet, [0], cfg).cycles == 2**53
 
 
 # ---- logarithmic inference ----

@@ -86,7 +86,7 @@ def test_train_model_floor_applies():
     rng = np.random.default_rng(4)
     X = np.concatenate([rng.normal(0.0, 1.0, 100), rng.normal(60.0, 1.0, 100)])[:, None]
     m = modelkit.train_model(X, np.repeat([0, 1], 100), classes=2, bins=64)
-    like, floor = m.likelihood[0], logprob.min_prob(8)
+    like, floor = m.likelihood[0], logprob.MIN_PROB
     assert like[0].min() == floor and like[1].min() == floor
     assert np.all(like >= floor) and like.max() == 1.0
 
@@ -452,7 +452,7 @@ def scalar_fit(kind, samples, scale_floor=None):
     return loc, max(scale, float(scale_floor))
 
 
-def scalar_train(X, y, classes, bins, kind, span=4.0, floor=logprob.min_prob(8)):
+def scalar_train(X, y, classes, bins, kind, span=4.0, floor=logprob.MIN_PROB):
     """One scalar fit per feature and per (class, feature); returns the
     likelihood tables and raw-domain bin edges."""
     tables, edges = [], []
@@ -571,7 +571,7 @@ def compile_cases(draw):
 @given(compile_cases())
 def test_compile_equals_per_block_encode(case):
     model, prior_values = case
-    for mode, width, encode in (("logarithmic", 8, logprob.encode_array),
+    for mode, width, encode in (("logarithmic", 8, lambda p, _: logprob.encode_array(p)),
                                 ("stochastic", 8, stochastic.quantize_linear_array),
                                 ("stochastic", 16, stochastic.quantize_linear_array)):
         image = modelkit.compile_model(model, mode, width, prior_values)

@@ -82,19 +82,18 @@ def test_sweep_latches_once_and_builds_the_law_only_for_power_conscious(
     _, lin = runner.images_for_model(prep)
     laws = count_calls(monkeypatch, stochastic, "mask_law")
     latches = count_calls(monkeypatch, machine.MemoryImage, "latch")
-    pts = runner.sweep_cycles(prep, lin[8], budgets=[4, 8], trials=3, seed=5,
-                              strategies=strategies)
-    assert (len(latches), len(laws)) == (1, law_calls)
-    # trials_point given no plan (as `sim` calls it) builds one for its trials
-    cfg = machine.MachineConfig(cycle_budget=4, strategy=strategies[-1])
-    runner.trials_point(prep, lin[8], cfg, 3, (5,))
-    assert (len(latches), len(laws)) == (2, 2 * law_calls)
-    # without a plan every pass latches and builds its own law
+    # trials_point given no plan (as `sim` calls it) builds one for its trials,
+    # and a law only for a power-conscious run
+    for strategy in strategies:
+        runner.trials_point(prep, lin[8], machine.MachineConfig(4, strategy), 3, (5,))
+    assert (len(latches), len(laws)) == (len(strategies), law_calls)
+    # a sweep runs both strategies from one plan
+    pts = runner.sweep_cycles(prep, lin[8], budgets=[4, 8], trials=3, seed=5)
+    assert (len(latches), len(laws)) == (len(strategies) + 1, law_calls + 1)
+    # without a plan every pass latches and every power-conscious one builds its own law
     monkeypatch.setattr(runner, "split_plan", lambda *args: None)
-    assert runner.sweep_cycles(prep, lin[8], budgets=[4, 8], trials=3, seed=5,
-                               strategies=strategies) == pts
-    passes = len(strategies) * 2 * 3
-    assert (len(latches), len(laws)) == (2 + passes, 2 * law_calls + 2 * 3 * law_calls)
+    assert runner.sweep_cycles(prep, lin[8], budgets=[4, 8], trials=3, seed=5) == pts
+    assert (len(latches), len(laws)) == (len(strategies) + 1 + 2 * 2 * 3, law_calls + 1 + 2 * 3)
 
 
 @pytest.mark.parametrize("strategies, law_calls", [(("conventional",), 0),
@@ -105,15 +104,17 @@ def test_filter_sweep_builds_one_pair_law_only_for_power_conscious(
     prep = runner.prepare(tasks.sleep_like_spec(seed=8, train_size=400, test_size=30))
     _, lin = runner.images_for_model(prep)
     laws = count_calls(monkeypatch, stochastic, "mask_law")
-    pts = runner.sweep_cycles(prep, lin[8], budgets=[4, 8], trials=3, seed=5,
-                              strategies=strategies)
+    for strategy in strategies:
+        runner.trials_point(prep, lin[8], machine.MachineConfig(4, strategy), 3, (5,))
     # one law over every (step, previous winner or unknown state) pair
-    assert [codes.shape[0] for codes, *_ in laws] == [30 * (lin[8].rows + 1)] * law_calls
+    pair_law = [30 * (lin[8].rows + 1)]
+    assert [codes.shape[0] for codes, *_ in laws] == pair_law * law_calls
+    pts = runner.sweep_cycles(prep, lin[8], budgets=[4, 8], trials=3, seed=5)
+    assert [codes.shape[0] for codes, *_ in laws] == pair_law * (law_calls + 1)
     # without a plan every power-conscious pass builds its own pair law
     monkeypatch.setattr(runner, "split_plan", lambda *args: None)
-    assert runner.sweep_cycles(prep, lin[8], budgets=[4, 8], trials=3, seed=5,
-                               strategies=strategies) == pts
-    assert len(laws) == law_calls * (1 + 2 * 3)
+    assert runner.sweep_cycles(prep, lin[8], budgets=[4, 8], trials=3, seed=5) == pts
+    assert len(laws) == law_calls + 1 + 2 * 3
 
 
 def test_sweep_plan_pickles_with_its_law(monkeypatch):
@@ -158,10 +159,14 @@ def test_energy_report_prices_each_point_on_its_own_image(monkeypatch):
     prep = runner.prepare(tasks.gesture_like_spec(seed=8, train_size=60, test_size=20))
     log_img, lin = runner.images_for_model(prep, widths=(16,))
     table = energy.example_cost_table()
-    rep = runner.energy_report(prep, log_img, lin[16], [4], 1, 5, table)
+    pts = runner.sweep_cycles(prep, lin[16], [4], 1, 5)
+    rep = energy.crossover(log_img, lin[16], table, pts)
     by = {p.strategy: p.energy_j for p in rep.points}
     rows, cols = log_img.rows, log_img.columns
     assert by["logarithmic"] == energy.energy_of(
         energy.count_events("logarithmic", rows, cols, 8), table)
     assert by["conventional"] == energy.energy_of(
         energy.count_events("stochastic", rows, cols, 16, cycles=4), table)
+    # a power-conscious point at its own measured mean cycles
+    assert by["power_conscious"] == energy.energy_of(
+        energy.count_events("stochastic", rows, cols, 16, cycles=pts[1].mean_cycles), table)

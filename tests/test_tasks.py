@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -209,8 +210,8 @@ def test_generate_deterministic():
 
 
 def test_generate_absorbing_chain():
-    spec = tasks.sleep_like_spec(seed=3, train_size=40, test_size=10,
-                                 self_transition=1.0)
+    spec = dataclasses.replace(tasks.sleep_like_spec(seed=3, train_size=40, test_size=10),
+                               transition=tuple(map(tuple, np.eye(4).tolist())))
     train, test = tasks.generate(spec)
     assert len(set(train.labels.tolist())) == 1
     assert len(set(test.labels.tolist())) == 1
