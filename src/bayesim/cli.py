@@ -98,11 +98,9 @@ _OPTIONS = {
     "seed": _Option("int", lo=0),
     "trials": _Option("int", lo=1),
     "bins": _Option("int", lo=1),
-    "classes": _Option("int"),
     "budget": _Option("int", help="stochastic cycle budget (sweep: for --kind ber)"),
     "width": _Option("int", allowed=stochastic.WIDTHS,
                      help="code width (sweep --kind bits always sweeps 8 and 16)"),
-    "prior_values": _Option("int", help="value count of the transition column (filter models)"),
     "alpha": _Option("float"),
     "filter": _Option("bool", help="estimate transitions for the recursive filter"),
     "text": _Option("bool", help="also write a readable .txt dump"),
@@ -266,16 +264,16 @@ def cmd_train(args) -> int:
     out = Path(opts.require("out"))
     dist = opts.get("dist", "gaussian")
     bins = opts.get("bins", 64)
-    alpha = opts.get("alpha", 1.0)
     filtered = opts.get("filter", False)
-    classes = opts.get("classes")
-    classes = classes if classes is not None else int(ds.labels.max()) + 1
-    model = modelkit.train_model(ds.features, ds.labels, classes, bins, kind=dist,
-                                 with_transitions=filtered, alpha=alpha)
+    if not filtered:  # alpha smooths only the transitions a filter model fits
+        opts.refuse(("alpha",), "a model without --filter")
+    alpha = opts.get("alpha", 1.0) if filtered else 1.0
+    model = modelkit.train_model(ds.features, ds.labels, int(ds.labels.max()) + 1, bins,
+                                 kind=dist, with_transitions=filtered, alpha=alpha)
     out.parent.mkdir(parents=True, exist_ok=True)
     modelkit.save_model(out, model)
     opts.write_sidecar(out)
-    print(f"train: {classes} classes x {model.features} features -> {out}")
+    print(f"train: {model.classes} classes x {model.features} features -> {out}")
     return 0
 
 
@@ -285,7 +283,7 @@ def cmd_compile(args) -> int:
     out = Path(opts.require("out"))
     mode = opts.get("mode", "logarithmic")
     width = opts.get("width", 8)
-    image = modelkit.compile_model(model, mode, width, opts.get("prior_values"))
+    image = modelkit.compile_model(model, mode, width)
     out.parent.mkdir(parents=True, exist_ok=True)
     machine.save_image(out, image)
     if opts.get("text", False):
@@ -416,9 +414,9 @@ def cmd_report(args) -> int:
 _COMMANDS = {
     "gen": (cmd_gen, "generate a synthetic dataset", "task spec seed out"),
     "train": (cmd_train, "fit a model from a feature CSV",
-              "data dist bins classes alpha filter out"),
+              "data dist bins alpha filter out"),
     "compile": (cmd_compile, "quantize a model into a memory image",
-                "model mode width prior_values text out"),
+                "model mode width text out"),
     "sim": (cmd_sim, "score one image on a test CSV",
             "model image data budget strategy trials seed out"),
     "sweep": (cmd_sweep, "accuracy sweeps over cycles, ber or code width",

@@ -27,10 +27,6 @@ class TrainingError(ValidationError):
     """Model fitting failed (too few samples, wrong sign, ...)."""
 
 
-class CompileError(ValidationError):
-    """Model and machine geometry do not match."""
-
-
 class FormatError(ValidationError):
     """Malformed serialized artifact (image, model, dataset, config)."""
 

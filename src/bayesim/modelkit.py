@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import logprob, stochastic
-from .errors import (CompileError, ConfigError, DomainError, FormatError, TrainingError,
-                     ValidationError, check_int, parse_json, read_text)
+from .errors import (ConfigError, DomainError, FormatError, TrainingError, ValidationError,
+                     check_int, parse_json, read_text)
 from .machine import KINDS as CODE_KINDS, MODES, MemoryImage, check_addresses, walk
 
 KINDS = ("gaussian", "lognormal")
@@ -99,14 +99,15 @@ class BayesModel:
 
     ``likelihood[c]`` is a (classes, bins[c]) table of probabilities in
     (0, 1]; ``bin_edges[c]`` has bins[c] + 1 raw-domain boundaries.
-    ``transition`` is None for plain naive-Bayes models.
+    ``transition`` is None for plain naive-Bayes models.  The prior is
+    uniform (`_prior`): class weighting is the transition column's job in
+    filter models, and the naive arrangement has no prior column.
     """
 
     classes: int
     features: int
     bins: tuple
     likelihood: list
-    prior: np.ndarray
     transition: np.ndarray | None
     bin_edges: list
 
@@ -126,14 +127,6 @@ class BayesModel:
         if bad.any():
             c = int(np.searchsorted(np.cumsum(self.bins), np.argmax(bad), side="right"))
             raise ConfigError(f"feature {c}: likelihoods must lie in (0, 1]")
-        self.prior = np.asarray(self.prior, dtype=float)
-        p = self.prior
-        if p.shape != (self.classes,) or not np.all(np.isfinite(p) & (p >= 0)):
-            raise ConfigError("prior must be a finite non-negative vector over classes")
-        s = self.prior.sum()
-        if not s > 0:
-            raise ConfigError("prior must have positive mass")
-        self.prior = self.prior / s
         if self.transition is not None:
             self.transition = np.asarray(self.transition, dtype=float)
             if self.transition.shape != (self.classes, self.classes):
@@ -177,9 +170,7 @@ def train_model(
     a pooled fit over the whole feature column.  Each class table is that
     class's density on the shared grid; a whole column is then rescaled by
     its single largest value, which keeps every entry in (0, 1] without
-    disturbing the posterior ordering.  The prior is uniform: class
-    weighting is the transition column's job in filter models, and the
-    naive arrangement has no prior column.
+    disturbing the posterior ordering.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or np.ndim(labels) != 1 or X.shape[0] != len(labels):
@@ -241,7 +232,6 @@ def train_model(
         features=cols,
         bins=bins,
         likelihood=tables,
-        prior=np.full(classes, 1.0 / classes),
         transition=transition,
         bin_edges=edge_list,
     )
@@ -255,8 +245,7 @@ def bin_observations(model: BayesModel, features) -> np.ndarray:
     return np.stack([bin_index(model.bin_edges[c], X[:, c]) for c in range(model.features)], axis=1)
 
 
-def compile_model(model: BayesModel, mode: str, width: int = 8,
-                  prior_values: int | None = None) -> MemoryImage:
+def compile_model(model: BayesModel, mode: str, width: int = 8) -> MemoryImage:
     """Quantize the model's tables into the memory image of a ``mode``
     machine with ``width``-bit codes.
 
@@ -266,23 +255,15 @@ def compile_model(model: BayesModel, mode: str, width: int = 8,
     p(class row | previous class v), address ``classes`` is the uniform
     unknown-state entry, and any remaining addresses are parked at
     probability zero since they are never driven.  Column 0 holds
-    ``prior_values`` addresses, by default the smallest power of two above
-    ``classes`` (so 4 classes get the 8-value column of the fabricated
-    part); naive models have no such column and refuse ``prior_values``.
+    ``1 << classes.bit_length()`` addresses, the smallest power of two
+    above ``classes`` (so 4 classes get the 8-value column of the
+    fabricated part); naive models have no such column.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
-    filtered = model.transition is not None
-    if not filtered and prior_values is not None:
-        raise ConfigError("--prior-values applies to filter models only")
-
     prob_blocks = []
-    if filtered:
-        v0 = 1 << model.classes.bit_length() if prior_values is None else prior_values
-        if v0 < model.classes + 1:
-            raise CompileError(f"transition column holds {v0} values, "
-                               f"needs >= classes+1 = {model.classes + 1}")
-        col0 = np.zeros((model.classes, v0), dtype=float)
+    if model.transition is not None:
+        col0 = np.zeros((model.classes, 1 << model.classes.bit_length()), dtype=float)
         col0[:, : model.classes] = model.transition.T  # [row, prev] = p(row | prev)
         col0[:, model.classes] = 1.0 / model.classes
         prob_blocks.append(col0)
@@ -344,10 +325,16 @@ def _posterior(model: BayesModel, weights: np.ndarray, obs: np.ndarray) -> Oracl
     return OracleResult(post, winner, degenerate)
 
 
+def _prior(classes: int) -> np.ndarray:
+    """Every model's prior: ``classes`` equal weights, normalized."""
+    p = np.full(classes, 1.0 / classes)
+    return p / p.sum()
+
+
 def oracle_infer(model: BayesModel, obs) -> OracleResult:
     """Exact float posterior over classes of one bin-address vector
     (features,) or a batch (N, features); ties go to the lowest index."""
-    return _posterior(model, model.prior, check_addresses(obs, model.bins))
+    return _posterior(model, _prior(model.classes), check_addresses(obs, model.bins))
 
 
 def oracle_filter(model: BayesModel, obs_seq) -> list:
@@ -373,7 +360,7 @@ def model_to_json(model: BayesModel) -> str:
         "features": model.features,
         "bins": list(model.bins),
         "likelihood": [t.tolist() for t in model.likelihood],
-        "prior": model.prior.tolist(),
+        "prior": _prior(model.classes).tolist(),
         "transition": None if model.transition is None else model.transition.tolist(),
         "bin_edges": [e.tolist() for e in model.bin_edges],
     }
@@ -381,23 +368,27 @@ def model_to_json(model: BayesModel) -> str:
 
 
 def model_from_json(text: str, source: str = "<model>") -> BayesModel:
+    """The model in ``text``; its prior must be uniform, as a machine's is."""
     doc = parse_json(text, source)
     if not isinstance(doc, dict) or doc.get("version") != _MODEL_VERSION:
         raise FormatError(f"{source}: not a version-{_MODEL_VERSION} model file")
     try:
-        return BayesModel(
+        model = BayesModel(
             classes=doc["classes"],
             features=doc["features"],
             bins=tuple(doc["bins"]),
             likelihood=doc["likelihood"],
-            prior=doc["prior"],
             transition=doc["transition"],
             bin_edges=doc["bin_edges"],
         )
+        p = np.asarray(doc["prior"], dtype=float)
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{source}: bad model fields ({exc})") from exc
+    if p.shape != (model.classes,) or not (np.all(p == p[0]) and 0 < p[0] < np.inf):
+        raise ConfigError(f"prior must be {model.classes} equal positive weights")
+    return model
 
 
 def save_model(path, model: BayesModel) -> None:

@@ -312,13 +312,12 @@ def load_task_spec(path) -> SyntheticTaskSpec:
         raise FormatError(f"{path}: bad task spec ({exc})") from exc
 
 
-def save_dataset(path, ds: Dataset, fs: float = 0.0, dt: float = 0.0,
-                 manifest: str | None = None) -> None:
+def save_dataset(path, ds: Dataset, manifest: str | None = None) -> None:
     """Write a feature dataset CSV; floats keep full round-trip precision."""
     tail = "" if manifest is None else f" manifest={manifest}"
     with open(path, "w", newline="") as fh:
         fh.write(f"# bayesim-dataset version={_DATASET_VERSION} kind=features "
-                 f"fs={fs!r} dt={dt!r} columns={ds.features.shape[1]}{tail}\n")
+                 f"fs=0.0 dt=0.0 columns={ds.features.shape[1]}{tail}\n")
         w = csv.writer(fh)
         for row, label in zip(ds.features, ds.labels):
             w.writerow([int(label)] + [repr(float(v)) for v in row])

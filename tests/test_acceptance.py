@@ -95,7 +95,7 @@ def test_criterion_03_oracle_agreement_with_margin():
     for _ in range(n_models):
         like = [2.0 ** rng.uniform(-10.0, 0.0, size=(4, 1)) for _ in range(4)]
         like = [t / t.max() for t in like]
-        m = modelkit.BayesModel(4, 4, (1,) * 4, like, np.full(4, 0.25), None, edges)
+        m = modelkit.BayesModel(4, 4, (1,) * 4, like, None, edges)
         img = modelkit.compile_model(m, "logarithmic")
         oracle = modelkit.oracle_infer(m, [0, 0, 0, 0])
         got = machine.infer_logarithmic(img, [0, 0, 0, 0]).winner

@@ -95,8 +95,8 @@ def models(draw, with_transitions=False):
                                             max_size=classes),
                                    min_size=classes, max_size=classes)))
         transition = t / t.sum(axis=1, keepdims=True)
-    return BayesModel(classes, len(bins), tuple(bins), like, np.full(classes, 1.0 / classes),
-                      transition, [np.arange(b + 1, dtype=float) for b in bins])
+    return BayesModel(classes, len(bins), tuple(bins), like, transition,
+                      [np.arange(b + 1, dtype=float) for b in bins])
 
 
 @SETTINGS

@@ -292,6 +292,8 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     pj_cost = tmp_path / "pj.json"  # picojoules must not be read as joules
     energy.save_cost_table(pj_cost, energy.example_cost_table())
     pj_cost.write_text(pj_cost.read_text().replace('"J"', '"pJ"'))
+    skewed = tmp_path / "skewed.json"  # a prior no compiled image can hold
+    skewed.write_text(json.dumps({**doc, "prior": [0.97, 0.01, 0.01, 0.01]}))
     cases = [
         ["compile", "--model", junk, "--out", img],
         ["compile", "--model", huge, "--out", img],
@@ -321,6 +323,10 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
          "--grid", 8, "--trials", 1, "--out", tmp_path / "g"],
         ["sim", "--model", model, "--image", lin, "--data", out / "test.csv",  # 2**53 + 1
          "--budget", 9007199254740993, "--strategy", "power_conscious", "--out", tmp_path / "g"],
+        ["train", "--data", out / "train.csv", "--alpha", 0.5, "--out", tmp_path / "x.json"],
+        ["compile", "--model", skewed, "--out", img],
+        ["sim", "--model", skewed, "--image", log, "--data", out / "test.csv",
+         "--out", tmp_path / "g"],
     ]
     capsys.readouterr()
     for argv in cases:
@@ -332,7 +338,6 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     # a flag the command would accept and then ignore is refused by name
     sweep = ["sweep", "--model", model, "--data", out / "test.csv", "--out", tmp_path / "g"]
     unused = [
-        ("--prior-values", ["compile", "--model", model, "--prior-values", 3, "--out", img]),
         ("--budget", [*sweep, "--kind", "cycles", "--budget", 16]),
         ("--budget", [*sweep, "--kind", "bits", "--budget", 16]),
         ("--width", [*sweep, "--kind", "bits", "--width", 16]),
@@ -341,7 +346,7 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
         assert run(*argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag in err, argv
-    assert not img.exists()
+    assert not img.exists() and not (tmp_path / "x.json").exists()
     assert not any((tmp_path / "g" / f).exists() for f in (
         "sim.csv", "sweep_cycles.csv", "sweep_ber.csv", "sweep_bits.csv", "energy.csv"))
     # a flag and a config value are read by the same checker
@@ -369,8 +374,8 @@ def test_compile_refuses_a_float_class_count(tmp_path, capsys):
 # every command's flags; --filter and --text are switches and take no value
 COMMAND_FLAGS = {
     "gen": {"--task", "--spec", "--seed", "--out"},
-    "train": {"--data", "--dist", "--bins", "--classes", "--alpha", "--filter", "--out"},
-    "compile": {"--model", "--mode", "--width", "--prior-values", "--text", "--out"},
+    "train": {"--data", "--dist", "--bins", "--alpha", "--filter", "--out"},
+    "compile": {"--model", "--mode", "--width", "--text", "--out"},
     "sim": {"--model", "--image", "--data", "--budget", "--strategy", "--trials", "--seed",
             "--out"},
     "sweep": {"--kind", "--model", "--data", "--grid", "--budget", "--width", "--trials",
@@ -393,6 +398,12 @@ def test_parser_accepts_exactly_each_commands_flags(capsys):
         for flag in flags:
             argv = [command, flag] + ([] if flag in ("--filter", "--text") else ["v"])
             assert getattr(parser.parse_args(argv), flag[2:].replace("-", "_")) is not None
+    # the class count is max(label) + 1, and column 0 always holds
+    # 1 << classes.bit_length() values
+    for argv in (["train", "--classes", "4"], ["compile", "--prior-values", "8"]):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
 
 
 def test_single_class_machine_is_always_right(tmp_path):
@@ -405,8 +416,7 @@ def test_single_class_machine_is_always_right(tmp_path):
         lines.append("0," + ",".join(repr(float(v)) for v in rng.normal(size=2)))
     data.write_text("\n".join(lines) + "\n")
     model = out / "m.json"
-    assert run("train", "--data", data, "--bins", 4, "--classes", 1,
-               "--out", model) == 0
+    assert run("train", "--data", data, "--bins", 4, "--out", model) == 0
     assert run("sweep", "--kind", "cycles", "--model", model, "--data", data,
                "--grid", "1", "--trials", 2, "--seed", 1, "--out", out) == 0
     rows = read_rows(out / "sweep_cycles.csv")
@@ -444,7 +454,10 @@ def test_bad_config_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc,named", [({"sim": {"budgett": 7}}, "no option 'budgett'"),
                                        ({"simm": {"budget": 7}}, "'simm' is not a command"),
-                                       ({"sim": {"text": True}}, "no option 'text'")])
+                                       ({"sim": {"text": True}}, "no option 'text'"),
+                                       ({"train": {"classes": 4}}, "no option 'classes'"),
+                                       ({"compile": {"prior_values": 8}},
+                                        "no option 'prior_values'")])
 def test_config_keys_the_command_does_not_take_are_refused(tmp_path, capsys, doc, named):
     out = tmp_path / "k"
     assert run("gen", "--task", "gesture_like", "--seed", 3, "--out", out) == 0

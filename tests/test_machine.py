@@ -119,7 +119,7 @@ def test_non_integer_addresses_are_refused(bad):
     log, lin = log_image(blocks), lin_image(blocks)
     model = modelkit.BayesModel(classes=2, features=2, bins=(3, 2),
                                 likelihood=[np.full((2, 3), 0.5), np.full((2, 2), 0.5)],
-                                prior=np.full(2, 0.5), transition=None,
+                                transition=None,
                                 bin_edges=[np.arange(4.0), np.arange(3.0)])
     steps = [[v] for v in bad]  # a filter's feature addresses; column 0 holds rows + 1 values
     calls = [(machine.infer_logarithmic, log, bad), (modelkit.oracle_infer, model, bad),

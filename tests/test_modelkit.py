@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bayesim import logprob, machine, modelkit, stochastic
-from bayesim.errors import CompileError, ConfigError, TrainingError
+from bayesim.errors import ConfigError, FormatError, TrainingError
 from bayesim.modelkit import BayesModel
 
 
-def toy_model(likelihood, transition=None, prior=None):
+def toy_model(likelihood, transition=None):
     """2-feature model with the given (classes, 2) column tables."""
     tables = [np.asarray(t, dtype=float) for t in likelihood]
     classes = tables[0].shape[0]
@@ -20,7 +20,6 @@ def toy_model(likelihood, transition=None, prior=None):
         features=len(tables),
         bins=tuple(t.shape[1] for t in tables),
         likelihood=tables,
-        prior=np.full(classes, 1.0 / classes) if prior is None else prior,
         transition=transition,
         bin_edges=[np.arange(t.shape[1] + 1, dtype=float) for t in tables],
     )
@@ -144,9 +143,10 @@ def test_model_rejects_non_finite_tables():
     nan_like = [np.array([[0.9, np.nan], [0.3, 0.8]])]
     with pytest.raises(ConfigError):
         toy_model(nan_like)
+    doc = json.loads(modelkit.model_to_json(toy_model(like)))
     for bad in (np.nan, np.inf):
-        with pytest.raises(ConfigError):
-            toy_model(like, prior=np.array([bad, 1.0]))
+        with pytest.raises(ConfigError, match="prior"):
+            modelkit.model_from_json(json.dumps({**doc, "prior": [bad, 1.0]}))
         t = trans.copy()
         t[0, 0] = bad
         with pytest.raises(ConfigError):
@@ -155,7 +155,7 @@ def test_model_rejects_non_finite_tables():
         edges = m.bin_edges[0].copy()
         edges[-1] = bad
         with pytest.raises(ConfigError):
-            BayesModel(m.classes, m.features, m.bins, m.likelihood, m.prior, None, [edges])
+            BayesModel(m.classes, m.features, m.bins, m.likelihood, None, [edges])
 
 
 # ---- training ----
@@ -255,9 +255,26 @@ def test_compile_filter_prior_column():
     assert np.all(img.blocks[0][:, :4] == 16)
     # undriven addresses park at p=0, the top code
     assert np.all(img.blocks[0][:, 5:] == 255)
-    # the unknown-state entry needs an address of its own
-    with pytest.raises(CompileError):
-        modelkit.compile_model(m, "logarithmic", prior_values=4)
+
+
+def test_filter_winners_do_not_depend_on_column0_padding():
+    # column 0 needs only rows + 1 addresses; a hand-built image holding
+    # rows + 3 there (7 for 4 classes, against the compiled 8) runs the same
+    rng = np.random.default_rng(17)
+    like = [np.maximum(rng.uniform(size=(4, b)), 1e-3) for b in (5, 3)]
+    m = toy_model(like, transition=rng.dirichlet(np.ones(4), size=4))
+    steps = np.stack([rng.integers(0, b, 40) for b in (5, 3)], axis=1)
+    for mode, width in (("logarithmic", 8), ("stochastic", 8), ("stochastic", 16)):
+        img = modelkit.compile_model(m, mode, width)
+        assert img.values_per_column[0] == 8
+        col0 = img.blocks[0][:, : m.classes + 3]
+        narrow = machine.MemoryImage([col0, *img.blocks[1:]], img.width, img.kind)
+        configs = [machine.MachineConfig(16, s) for s in stochastic.STRATEGIES]
+        for cfg in configs if mode == "stochastic" else [machine.MachineConfig()]:
+            a = machine.run_filter(img, steps, cfg, seed=5)
+            b = machine.run_filter(narrow, steps, cfg, seed=5)
+            assert a.winner.tolist() == b.winner.tolist()
+            assert np.array_equal(a.scores, b.scores) and np.array_equal(a.cycles, b.cycles)
 
 
 def test_compile_decode_round_trip_bound():
@@ -371,6 +388,19 @@ def test_model_json_round_trip(tmp_path):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("prior", [[0.97, 0.01, 0.01], [0.0] * 3, [-1.0] * 3, [1.0] * 2,
+                                   [[1.0] * 3], "uniform"])
+def test_model_json_refuses_a_prior_no_machine_holds(prior):
+    # the only prior a compiled image can hold is the uniform one
+    rng = np.random.default_rng(41)
+    m = toy_model([np.maximum(rng.uniform(size=(3, 4)), 1e-6) for _ in range(2)])
+    doc = json.loads(modelkit.model_to_json(m))
+    assert doc["prior"] == [1 / 3] * 3
+    modelkit.model_from_json(json.dumps({**doc, "prior": [1, 1, 1]}))
+    with pytest.raises(ConfigError if prior != "uniform" else FormatError):
+        modelkit.model_from_json(json.dumps({**doc, "prior": prior}))
+
+
 @pytest.mark.parametrize("field,value", [("classes", 3.0), ("classes", True),
                                          ("features", 2.0), ("features", False),
                                          ("bins", [4, 4.5]), ("bins", [4, True])])
@@ -399,7 +429,7 @@ def test_model_value_errors_name_the_feature():
     edges = [np.arange(3.0), np.arange(4.0)]
 
     def model(tables=tables, edges=edges):
-        return BayesModel(2, 2, (2, 3), tables, np.ones(2), None, edges)
+        return BayesModel(2, 2, (2, 3), tables, None, edges)
     model()  # feature 1's first edge lies below feature 0's last one: allowed
     with pytest.raises(ConfigError, match="feature 1: likelihoods"):
         model(tables=[tables[0], np.array([[0.5, 0.5, 0.5], [0.5, np.nan, 0.5]])])
@@ -418,8 +448,7 @@ def test_machine_matches_oracle_under_margin():
     for _ in range(300):
         like = [2.0 ** rng.uniform(-10, 0, size=(4, 1)) for _ in range(4)]
         like = [t / t.max() for t in like]
-        m = BayesModel(4, 4, (1,) * 4, like, np.full(4, 0.25), None,
-                       [np.array([0.0, 1.0])] * 4)
+        m = BayesModel(4, 4, (1,) * 4, like, None, [np.array([0.0, 1.0])] * 4)
         img = modelkit.compile_model(m, "logarithmic")
         res = modelkit.oracle_infer(m, [0, 0, 0, 0])
         top2 = np.sort(res.posterior)[-2:]
@@ -561,28 +590,22 @@ def compile_cases(draw):
     transition = None
     if draw(st.booleans()):
         transition = rng.dirichlet(np.ones(classes), size=classes)
-    model = BayesModel(classes, len(bins), bins, tables, np.ones(classes), transition,
-                       [np.arange(b + 1.0) for b in bins])
-    prior_values = None if transition is None else draw(st.sampled_from((None, classes + 3)))
-    return model, prior_values
+    return BayesModel(classes, len(bins), bins, tables, transition,
+                      [np.arange(b + 1.0) for b in bins])
 
 
 @BIT_IDENTITY
 @given(compile_cases())
-def test_compile_equals_per_block_encode(case):
-    model, prior_values = case
+def test_compile_equals_per_block_encode(model):
     for mode, width, encode in (("logarithmic", 8, lambda p, _: logprob.encode_array(p)),
                                 ("stochastic", 8, stochastic.quantize_linear_array),
                                 ("stochastic", 16, stochastic.quantize_linear_array)):
-        image = modelkit.compile_model(model, mode, width, prior_values)
+        image = modelkit.compile_model(model, mode, width)
         blocks = list(model.likelihood)
         if model.transition is not None:
-            # column 0: the smallest power of two above classes, unless set
+            # column 0: the smallest power of two above classes
             v0 = image.values_per_column[0]
-            if prior_values is None:
-                assert v0 & (v0 - 1) == 0 and v0 // 2 < model.classes + 1 <= v0
-            else:
-                assert v0 == prior_values
+            assert v0 & (v0 - 1) == 0 and v0 // 2 < model.classes + 1 <= v0
             col0 = np.zeros((model.classes, v0))
             col0[:, : model.classes] = model.transition.T
             col0[:, model.classes] = 1.0 / model.classes

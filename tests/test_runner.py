@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from bayesim import energy, machine, modelkit, runner, stochastic, tasks
+from bayesim import energy, machine, runner, stochastic, tasks
 from bayesim.errors import ConfigError
 from child_env import child_env
 
@@ -145,12 +145,6 @@ def test_empty_test_split_is_refused(make):
     # refused by name where the split is made, before anything is latched or sampled
     with pytest.raises(ConfigError, match="the test split is empty"):
         runner.Prepared(prep.model, prep.test_obs[:0], prep.test_labels[:0])
-
-
-def test_prior_values_refused_for_naive_model():
-    prep = runner.prepare(tasks.gesture_like_spec(seed=8, train_size=60, test_size=20))
-    with pytest.raises(ConfigError, match="--prior-values"):
-        modelkit.compile_model(prep.model, "logarithmic", prior_values=3)
 
 
 def test_energy_report_prices_each_point_on_its_own_image(monkeypatch):

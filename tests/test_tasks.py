@@ -380,7 +380,9 @@ def test_dataset_round_trip_exact(tmp_path):
     feats = np.column_stack([train.features, np.full(len(train), np.pi)])
     ds = tasks.Dataset(feats, train.labels)
     path = tmp_path / "d.csv"
-    tasks.save_dataset(path, ds, fs=100.0, dt=0.01)
+    tasks.save_dataset(path, ds)
+    assert path.read_text().startswith(
+        f"# bayesim-dataset version=1 kind=features fs=0.0 dt=0.0 columns={feats.shape[1]}\n")
     back = tasks.load_dataset(path)
     assert np.array_equal(back.features, ds.features)  # repr round trip
     assert np.array_equal(back.labels, ds.labels)
