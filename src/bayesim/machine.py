@@ -32,7 +32,7 @@ from .stochastic import InferenceResult
 MODES = ("logarithmic", "stochastic")
 KINDS = ("log", "linear")  # code family stored in an image; a MODES[i] machine reads KINDS[i]
 PAIR_LAW_MAX = 1 << 21  # law entries a filter plan may hold; a longer filter steps
-_INT64 = np.dtype(np.int64)  # compared as a dtype: a latch checks its addresses every step
+_INT64 = np.dtype(np.int64)  # compared as a dtype: a conventional filter latches every step
 
 _MAGIC = b"BIMG"
 _VERSION = 1
@@ -140,8 +140,13 @@ class MemoryImage:
         Returns the latched codes, (rows, C) or (N, rows, C).  Addresses
         are checked by `check_addresses`.
         """
-        addr = check_addresses(obs, self._sizes)
-        return np.ascontiguousarray(self._codes[addr + self._offsets].swapaxes(-1, -2))
+        return np.ascontiguousarray(self.gather(check_addresses(obs, self._sizes)))
+
+    def gather(self, addr) -> np.ndarray:
+        """The codes, (..., rows, C), of int64 addresses that `check_addresses`
+        has already passed against this image's values per column.  Unchecked, a
+        bad address reads another column's codes or raises IndexError."""
+        return self._codes[addr + self._offsets].swapaxes(-1, -2)
 
     def __eq__(self, other):
         return (
@@ -229,19 +234,24 @@ def load_image(path) -> MemoryImage:
         return MemoryImage.from_bytes(fh.read())
 
 
-def infer_logarithmic(image: MemoryImage, obs) -> InferenceResult:
-    """Deterministic inference of one address vector (C,) or a batch (N, C):
-    lowest saturating code sum wins.
+def _log_scores(latched):
+    """Scores and winners of latched log codes (..., rows, C): the lowest
+    saturating code sum wins.
 
     All addends are non-negative, so clamping the final sum at the top
     code equals saturating after every intermediate add.  Ties go to the
     lowest row index (priority-encoder behavior).
     """
+    scores = np.minimum(latched.sum(axis=-1, dtype=np.int64), logprob.TOP)
+    return scores, scores.argmin(axis=-1)
+
+
+def infer_logarithmic(image: MemoryImage, obs) -> InferenceResult:
+    """Deterministic inference of one address vector (C,) or a batch (N, C),
+    scored by `_log_scores`, with one `energy.count_events` call."""
     if image.kind != "log":
         raise ConfigError("logarithmic inference needs a log-code image")
-    latched = image.latch(obs)
-    scores = np.minimum(latched.sum(axis=-1, dtype=np.int64), logprob.TOP)
-    winner = np.argmin(scores, axis=-1)
+    scores, winner = _log_scores(image.latch(obs))
     n = len(winner) if winner.ndim else 1
     counts = energy.count_events("logarithmic", image.rows, image.columns, image.width,
                                  presentations=n)
@@ -320,33 +330,43 @@ def run_filter(image: MemoryImage, feature_addresses,
     ``image.rows`` (the unknown state `modelkit.compile_model` puts after the
     classes), afterwards by the previous step's winner.  ``feature_addresses``
     is a (steps, columns-1) table of observation addresses for the remaining
-    columns.  Stochastic steps draw from one stream seeded by ``seed`` (an
-    int or a numpy Generator) under ``config``; the image's kind picks the
-    machine.  A power-conscious run `decide`s every pair of the sequence's `filter_plan`
-    (``plan``, built here when None) with its step's (stop, mask, tie)
-    uniforms and `walk`s the winners; other runs step one call at a time.
-    Returns one InferenceResult with one presentation per step.
+    columns.  The image's kind picks the machine.  A log image checks the
+    whole sequence once, then scores each step's gathered codes by
+    `_log_scores`; it ignores ``seed`` and ``config``.  Stochastic steps draw
+    from one stream seeded by ``seed`` (an int or a numpy Generator) under
+    ``config``.  A power-conscious run `decide`s every pair of the sequence's
+    `filter_plan` (``plan``, built here when None) with its step's (stop,
+    mask, tie) uniforms and `walk`s the winners; a conventional run steps one
+    `infer_stochastic` call at a time.  Returns one InferenceResult with one
+    presentation per step.
     """
     feats = _filter_steps(image, feature_addresses)
     steps, a = len(feats), image.rows + 1
     if plan is not None and (plan.image is not image or len(plan.codes) != steps * a):
         raise ConfigError("plan was not built for this image and sequence")
-    rng = np.random.default_rng(seed)
-    power_conscious = image.kind == "linear" and config.strategy == "power_conscious"
-    if power_conscious:
-        plan = plan or filter_plan(image, feats)
-    if power_conscious and plan is not None:
+    if image.kind == "log":
+        table = np.empty((steps, image.columns), dtype=np.int64)
+        table[:, 0], table[:, 1:] = image.rows, feats  # column 0 at the unknown state
+        addr = check_addresses(table, image.values_per_column)  # every step, before any is scored
+        scores = np.empty((steps, image.rows), dtype=np.int64)
+        winner = np.empty(steps, dtype=np.int64)
+        prev = image.rows
+        for t, row in enumerate(addr):
+            row[0] = prev
+            scores[t], prev = _log_scores(image.gather(row))
+            winner[t] = prev
+        cycles = np.ones(steps, dtype=np.int64)
+    elif config.strategy == "power_conscious" and (plan := plan or filter_plan(image, feats)):
+        rng = np.random.default_rng(seed)
         uniforms = np.repeat(rng.random((steps, 3)), a, axis=0)  # as steps' (1, 3) draws
         counters, winners, cycles = stochastic.decide(plan, uniforms, config.cycle_budget)
         winner = np.array(walk(winners.reshape(steps, a), image.rows))
         pair = np.arange(steps) * a + np.concatenate(([image.rows], winner[:-1]))
         scores, cycles = counters[pair], cycles[pair]
     else:
-        results, prev = [], image.rows
+        rng, results, prev = np.random.default_rng(seed), [], image.rows
         for step in feats:
-            obs = np.concatenate(([prev], step))
-            res = (infer_logarithmic(image, obs) if image.kind == "log"
-                   else infer_stochastic(image, obs, config, seed=rng))
+            res = infer_stochastic(image, np.concatenate(([prev], step)), config, seed=rng)
             results.append(res)
             prev = res.winner
         scores = np.array([r.scores for r in results])

@@ -9,6 +9,7 @@ import pytest
 from bayesim import machine, modelkit, stochastic
 from bayesim.errors import ConfigError, DomainError, FormatError
 from bayesim.machine import MachineConfig, MemoryImage
+from test_runner import count_calls
 
 
 def log_image(columns, width=8):
@@ -298,6 +299,43 @@ def test_run_filter_stochastic_deterministic_per_seed():
     b = machine.run_filter(img, feats, config=cfg, seed=21)
     assert np.array_equal(a.scores, b.scores)
     assert (a.winner.tolist(), a.cycles.tolist()) == (b.winner.tolist(), b.cycles.tolist())
+
+
+FILTER_BLOCKS = [np.random.default_rng(5).integers(0, 256, size=(2, v), dtype=np.uint16)
+                 for v in (3, 2, 4)]  # column 0: two states + the unknown state
+
+
+@pytest.mark.parametrize("kind, strategy", [("log", "conventional"),
+                                            ("linear", "conventional"),
+                                            ("linear", "power_conscious")],
+                         ids=["log", "conventional", "power_conscious"])
+@pytest.mark.parametrize("feature", [0, 1])
+@pytest.mark.parametrize("bad", ["out of range", "negative", "cross-column"])
+def test_run_filter_refuses_a_bad_address_in_the_last_step(kind, strategy, feature, bad):
+    img = MemoryImage(FILTER_BLOCKS, width=8, kind=kind)
+    size = img.values_per_column[feature + 1]
+    # a cross-column address is its column's value count: a flat gather would
+    # read the first value of the next column
+    last = [0, 0]
+    last[feature] = {"out of range": size + 3, "negative": -1, "cross-column": size}[bad]
+    feats = [[0, 0], [1, 3], [0, 2], last]
+    # the error names the image column, where column 0 is the transition column
+    with pytest.raises(ConfigError, match=f"out of range for column {feature + 1}$"):
+        machine.run_filter(img, feats, MachineConfig(8, strategy))
+
+
+def test_log_filter_checks_addresses_and_counts_events_once(monkeypatch):
+    img = log_image(FILTER_BLOCKS)
+    feats = np.random.default_rng(6).integers(0, [2, 4], size=(50, 2))
+    checks = count_calls(monkeypatch, machine, "check_addresses")
+    prices = count_calls(monkeypatch, machine.energy, "count_events")
+    calls = count_calls(monkeypatch, machine, "infer_logarithmic")
+    rngs = count_calls(monkeypatch, np.random, "default_rng")
+    res = machine.run_filter(img, feats)
+    assert (len(checks), len(prices), len(calls), len(rngs)) == (1, 1, 0, 0)
+    assert res.winner.tolist() == filter_oracle(FILTER_BLOCKS, feats.tolist(), img.rows)
+    assert res.event_counts == machine.energy.count_events(
+        "logarithmic", img.rows, img.columns, img.width, cycles=50, presentations=50)
 
 
 # ---- image container ----

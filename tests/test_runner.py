@@ -65,9 +65,9 @@ def test_sweep_points_worker_invariant(monkeypatch):
 def count_calls(monkeypatch, owner, name):
     calls, inner = [], getattr(owner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return inner(*args)
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
     return calls
