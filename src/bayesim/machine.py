@@ -31,8 +31,7 @@ from .stochastic import InferenceResult
 
 MODES = ("logarithmic", "stochastic")
 KINDS = ("log", "linear")  # code family stored in an image; a MODES[i] machine reads KINDS[i]
-PAIR_LAW_MAX = 1 << 21  # law entries a filter plan may hold; a longer filter steps
-_INT64 = np.dtype(np.int64)  # compared as a dtype: a conventional filter latches every step
+PAIR_LAW_MAX = 1 << 21  # law entries a filter's pair law may hold; a longer filter steps
 
 _MAGIC = b"BIMG"
 _VERSION = 1
@@ -59,7 +58,7 @@ def _int64_array(values, what: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.dtype.kind not in "iu":
         raise ConfigError(f"{what} must be integers, got {arr.dtype} values")
-    return arr if arr.dtype == _INT64 else arr.astype(np.int64)
+    return arr if arr.dtype == np.int64 else arr.astype(np.int64)
 
 
 def check_addresses(obs, sizes) -> np.ndarray:
@@ -308,14 +307,12 @@ def _filter_steps(image: MemoryImage, feature_addresses) -> np.ndarray:
     return feats
 
 
-def filter_plan(image: MemoryImage, feature_addresses) -> stochastic.RunPlan | None:
+def filter_plan(image: MemoryImage, feature_addresses) -> stochastic.RunPlan:
     """A `stochastic.plan` of every (step, column-0 address) pair of a sequence,
-    step-major, for the addresses 0..rows (``rows`` is the unknown state); None when
-    its law would pass `stochastic.LAW_MAX_ROWS` rows or `PAIR_LAW_MAX` entries."""
+    step-major, for the addresses 0..rows (``rows`` is the unknown state): one
+    latch of ``(steps * (rows + 1), C)`` addresses, from an image of either kind."""
     feats = _filter_steps(image, feature_addresses)
     rows, cols = image.rows, image.columns
-    if rows > stochastic.LAW_MAX_ROWS or len(feats) * (rows + 1) << rows > PAIR_LAW_MAX:
-        return None
     pairs = np.empty((len(feats), rows + 1, cols), dtype=np.int64)
     pairs[:, :, 0] = np.arange(rows + 1)
     pairs[:, :, 1:] = feats[:, np.newaxis]
@@ -330,48 +327,48 @@ def run_filter(image: MemoryImage, feature_addresses,
     ``image.rows`` (the unknown state `modelkit.compile_model` puts after the
     classes), afterwards by the previous step's winner.  ``feature_addresses``
     is a (steps, columns-1) table of observation addresses for the remaining
-    columns.  The image's kind picks the machine.  A log image checks the
-    whole sequence once, then scores each step's gathered codes by
-    `_log_scores`; it ignores ``seed`` and ``config``.  Stochastic steps draw
-    from one stream seeded by ``seed`` (an int or a numpy Generator) under
-    ``config``.  A power-conscious run `decide`s every pair of the sequence's
-    `filter_plan` (``plan``, built here when None) with its step's (stop,
-    mask, tie) uniforms and `walk`s the winners; a conventional run steps one
-    `infer_stochastic` call at a time.  Returns one InferenceResult with one
-    presentation per step.
+    columns.  A pass runs from the sequence's `filter_plan` (``plan``, built
+    here when None; one of another image object or sequence is refused).  A
+    power-conscious run whose pair law fits `stochastic.LAW_MAX_ROWS` rows and
+    `PAIR_LAW_MAX` entries `decide`s every pair with its step's (stop, mask,
+    tie) uniforms and `walk`s the winners.  Every other run steps, reading
+    pair ``t * (rows + 1) + previous winner`` at step t: a log image scores
+    it by `_log_scores` and ignores ``seed`` and ``config``; a linear image
+    draws it by `stochastic.sample` from one stream seeded by ``seed`` (an
+    int or a numpy Generator), as one `infer_stochastic` call per step would.
+    Returns one InferenceResult with one presentation per step.
     """
     feats = _filter_steps(image, feature_addresses)
-    steps, a = len(feats), image.rows + 1
-    if plan is not None and (plan.image is not image or len(plan.codes) != steps * a):
+    steps, rows = len(feats), image.rows
+    a = rows + 1
+    if plan is None:
+        plan = filter_plan(image, feats)
+    elif (plan.image is not image or len(plan.codes) != steps * a
+          or not np.array_equal(plan.addresses[::a, 1:], feats)):
         raise ConfigError("plan was not built for this image and sequence")
-    if image.kind == "log":
-        table = np.empty((steps, image.columns), dtype=np.int64)
-        table[:, 0], table[:, 1:] = image.rows, feats  # column 0 at the unknown state
-        addr = check_addresses(table, image.values_per_column)  # every step, before any is scored
-        scores = np.empty((steps, image.rows), dtype=np.int64)
-        winner = np.empty(steps, dtype=np.int64)
-        prev = image.rows
-        for t, row in enumerate(addr):
-            row[0] = prev
-            scores[t], prev = _log_scores(image.gather(row))
-            winner[t] = prev
-        cycles = np.ones(steps, dtype=np.int64)
-    elif config.strategy == "power_conscious" and (plan := plan or filter_plan(image, feats)):
+    budget, strategy = config.cycle_budget, config.strategy
+    if (image.kind == "linear" and strategy == "power_conscious"
+            and rows <= stochastic.LAW_MAX_ROWS and steps * a << rows <= PAIR_LAW_MAX):
         rng = np.random.default_rng(seed)
         uniforms = np.repeat(rng.random((steps, 3)), a, axis=0)  # as steps' (1, 3) draws
-        counters, winners, cycles = stochastic.decide(plan, uniforms, config.cycle_budget)
-        winner = np.array(walk(winners.reshape(steps, a), image.rows))
-        pair = np.arange(steps) * a + np.concatenate(([image.rows], winner[:-1]))
+        counters, winners, cycles = stochastic.decide(plan, uniforms, budget)
+        winner = np.array(walk(winners.reshape(steps, a), rows))
+        pair = np.arange(steps) * a + np.concatenate(([rows], winner[:-1]))
         scores, cycles = counters[pair], cycles[pair]
     else:
-        rng, results, prev = np.random.default_rng(seed), [], image.rows
-        for step in feats:
-            res = infer_stochastic(image, np.concatenate(([prev], step)), config, seed=rng)
-            results.append(res)
-            prev = res.winner
-        scores = np.array([r.scores for r in results])
-        winner = np.array([r.winner for r in results])
-        cycles = np.array([r.cycles for r in results])
-    counts = energy.count_events(image.mode, image.rows, image.columns, image.width,
+        scores = np.empty((steps, rows), dtype=np.int64)
+        winner = np.empty(steps, dtype=np.int64)
+        cycles = np.ones(steps, dtype=np.int64)
+        codes, log, prev = plan.codes, image.kind == "log", rows
+        rng = None if log else np.random.default_rng(seed)
+        for t in range(steps):
+            k = t * a + prev
+            if log:
+                scores[t], prev = _log_scores(codes[k])
+            else:
+                one = stochastic.RunPlan(image, codes[k:k + 1], False, plan.addresses[k:k + 1])
+                (scores[t],), (prev,), (cycles[t],) = stochastic.sample(one, rng, budget, strategy)
+            winner[t] = prev
+    counts = energy.count_events(image.mode, rows, image.columns, image.width,
                                  cycles=int(cycles.sum()), presentations=steps)
     return InferenceResult(scores, winner, cycles, counts)

@@ -124,7 +124,7 @@ class StochasticEval:
 
 def split_plan(prep: Prepared, image: machine.MemoryImage):
     """The test split latched once on ``image``: a naive model's `stochastic.plan`,
-    or a filter model's `machine.filter_plan` (None when the filter steps)."""
+    or a filter model's `machine.filter_plan` of every (step, previous winner) pair."""
     if prep.filtered:
         return machine.filter_plan(image, prep.test_obs)
     return stochastic.plan(image, prep.test_obs)

@@ -95,12 +95,14 @@ def mask_law(codes, width: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class RunPlan:
     """The codes (N, R, C) of a presentation set latched from ``image`` by
-    `plan`; ``single`` marks one address vector.  ``cum_law``, the cumulative
-    law of the non-empty masks (None above `LAW_MAX_ROWS`), is built on first use."""
+    `plan` at ``addresses``; ``single`` marks one address vector.  ``cum_law``,
+    the cumulative law of the non-empty masks (None above `LAW_MAX_ROWS`), is
+    built on first use."""
 
     image: object
     codes: np.ndarray
     single: bool
+    addresses: np.ndarray
 
     @cached_property
     def cum_law(self) -> np.ndarray | None:
@@ -153,12 +155,11 @@ def decide(run: RunPlan, uniforms: np.ndarray, budget: int) -> tuple:
 
 
 def plan(image, obs) -> RunPlan:
-    """Check the image kind and the addresses ``obs`` (C,) or (N, C), and
-    latch the codes once."""
-    if image.kind != "linear":
-        raise ConfigError("stochastic run needs a linear-code image")
+    """Check the addresses ``obs`` (C,) or (N, C) and latch the codes once, from
+    an image of either kind; `run_stochastic` refuses a log image's plan."""
+    obs = np.asarray(obs)
     latched = image.latch(obs)
-    return RunPlan(image, latched.reshape(-1, *latched.shape[-2:]), latched.ndim == 2)
+    return RunPlan(image, latched.reshape(-1, *latched.shape[-2:]), latched.ndim == 2, obs)
 
 
 def run_stochastic(
@@ -185,6 +186,8 @@ def run_stochastic(
     exactly when any of its scores is non-zero; a conventional one never
     stops early.  ``rng_mode`` accepts only ``"column_shared"``.
     """
+    if image.kind != "linear":
+        raise ConfigError("stochastic run needs a linear-code image")
     if not 1 <= budget <= MAX_BUDGET:
         raise ConfigError(f"cycle budget must be in [1, 2**53], got {budget}")
     if strategy not in STRATEGIES:
@@ -194,40 +197,46 @@ def run_stochastic(
     run = obs if isinstance(obs, RunPlan) else plan(image, obs)
     if run.image is not image:
         raise ConfigError("plan was not built for this image")
-    codes = run.codes
-    n, rows, cols = codes.shape
-
-    rng = np.random.default_rng(seed)
-    if strategy == "power_conscious" and rows <= LAW_MAX_ROWS:
-        counters, winner, cycles = decide(run, rng.random((n, 3)), budget)
-    else:
-        dtype = np.uint8 if image.width == 8 else np.uint16
-        # one draw per column per cycle, seen by every row of the column
-        draws = rng.integers(0, 1 << image.width, size=(n, budget, 1, cols), dtype=dtype)
-        ties = rng.random(n)
-        # AND the columns into (N, budget, R) one at a time, never (N, budget, R, C)
-        fire = draws[..., 0] < codes[:, np.newaxis, :, 0]
-        col = np.empty_like(fire)
-        for c in range(1, cols):
-            np.less(draws[..., c], codes[:, np.newaxis, :, c], out=col)
-            fire &= col
-        if strategy == "conventional":
-            counters = fire.sum(axis=1, dtype=np.int64)
-            cycles = np.full(n, budget)
-            candidates = counters == counters.max(axis=1, keepdims=True)
-        else:
-            # no row fires before the first fire cycle, so the counters are
-            # that cycle's fire pattern; with no fire at all every row ties
-            any_fire = fire.any(axis=2)
-            stopped, first = any_fire.any(axis=1), any_fire.argmax(axis=1)
-            cycles = np.where(stopped, first + 1, budget).astype(np.int64)
-            counters = fire[np.arange(n), first].astype(np.int64) * stopped[:, np.newaxis]
-            candidates = counters.astype(bool) | ~stopped[:, np.newaxis]
-        k = candidates.sum(axis=1)
-        pick = np.minimum((ties * k).astype(np.int64), k - 1)
-        winner = (candidates.cumsum(axis=1) > pick[:, np.newaxis]).argmax(axis=1)
+    counters, winner, cycles = sample(run, np.random.default_rng(seed), budget, strategy)
+    n, rows, cols = run.codes.shape
     counts = energy.count_events("stochastic", rows, cols, image.width, cycles=int(cycles.sum()),
                                  presentations=n)
     if run.single:
         return InferenceResult(counters[0], int(winner[0]), int(cycles[0]), counts)
     return InferenceResult(counters, winner, cycles, counts)
+
+
+def sample(run: RunPlan, rng, budget: int, strategy: str) -> tuple:
+    """(counters, winner, cycles) of every presentation of ``run``, drawn from
+    the Generator ``rng`` as `run_stochastic` describes.  The caller checks the
+    image kind, the budget and the strategy."""
+    codes, width = run.codes, run.image.width
+    n, rows, cols = codes.shape
+    if strategy == "power_conscious" and rows <= LAW_MAX_ROWS:
+        return decide(run, rng.random((n, 3)), budget)
+    dtype = np.uint8 if width == 8 else np.uint16
+    # one draw per column per cycle, seen by every row of the column
+    draws = rng.integers(0, 1 << width, size=(n, budget, 1, cols), dtype=dtype)
+    ties = rng.random(n)
+    # AND the columns into (N, budget, R) one at a time, never (N, budget, R, C)
+    fire = draws[..., 0] < codes[:, np.newaxis, :, 0]
+    col = np.empty_like(fire)
+    for c in range(1, cols):
+        np.less(draws[..., c], codes[:, np.newaxis, :, c], out=col)
+        fire &= col
+    if strategy == "conventional":
+        counters = fire.sum(axis=1, dtype=np.int64)
+        cycles = np.full(n, budget)
+        candidates = counters == counters.max(axis=1, keepdims=True)
+    else:
+        # no row fires before the first fire cycle, so the counters are
+        # that cycle's fire pattern; with no fire at all every row ties
+        any_fire = fire.any(axis=2)
+        stopped, first = any_fire.any(axis=1), any_fire.argmax(axis=1)
+        cycles = np.where(stopped, first + 1, budget).astype(np.int64)
+        counters = fire[np.arange(n), first].astype(np.int64) * stopped[:, np.newaxis]
+        candidates = counters.astype(bool) | ~stopped[:, np.newaxis]
+    k = candidates.sum(axis=1)
+    pick = np.minimum((ties * k).astype(np.int64), k - 1)
+    winner = (candidates.cumsum(axis=1) > pick[:, np.newaxis]).argmax(axis=1)
+    return counters, winner, cycles

@@ -370,10 +370,12 @@ def test_plan_for_another_mode_or_image_is_refused():
         # the sampler has one RNG model: every row of a column sees its draw
         with pytest.raises(ConfigError, match="rng mode"):
             stochastic.run_stochastic(img, plan, 8, strategy, "per_cell")
-    with pytest.raises(ConfigError):
-        machine.infer_stochastic(MemoryImage([codes], 8, "log"), [0], MachineConfig())
-    with pytest.raises(ConfigError):
-        stochastic.plan(MemoryImage([codes], 8, "log"), [[0]])
+    log = MemoryImage([codes], 8, "log")
+    with pytest.raises(ConfigError, match="linear-code image"):
+        machine.infer_stochastic(log, [0], MachineConfig())
+    # a log image latches a plan (a log filter steps on one), but no stochastic run reads it
+    with pytest.raises(ConfigError, match="linear-code image"):
+        stochastic.run_stochastic(log, stochastic.plan(log, [[0]]), 8)
     with pytest.raises(ConfigError):
         stochastic.plan(img, [[2]])
 
@@ -463,13 +465,14 @@ def assert_steps_one_call_at_a_time(res, img, cfg, feats, seed):
 @given(filter_runs(modes=("stochastic",), rows=stochastic.LAW_MAX_ROWS + 1))
 def test_filter_above_row_cap_steps(run):
     img, cfg, feats, seed = run
-    assert machine.filter_plan(img, feats) is None
-    res = machine.run_filter(img, feats, config=cfg, seed=seed)
+    plan = machine.filter_plan(img, feats)
+    res = machine.run_filter(img, feats, config=cfg, seed=seed, plan=plan)
+    assert "cum_law" not in vars(plan)  # no law is built: every step draws cycle by cycle
     assert_steps_one_call_at_a_time(res, img, cfg, feats, seed)
 
 
 @SETTINGS
-@given(filter_runs(modes=("stochastic",)))
+@given(filter_runs())
 def test_filter_plan_call_equals_plain_call(run):
     img, cfg, feats, seed = run
     plan = machine.filter_plan(img, feats)
@@ -478,6 +481,11 @@ def test_filter_plan_call_equals_plain_call(run):
         c = MachineConfig(cfg.cycle_budget, strategy)
         assert_same_result(machine.run_filter(img, feats, c, seed, plan=plan),
                            machine.run_filter(img, feats, c, seed))
+    if img.kind == "log":  # a log filter steps on its plan; no stochastic run reads it
+        with pytest.raises(ConfigError, match="linear-code image"):
+            stochastic.run_stochastic(img, plan, cfg.cycle_budget, cfg.strategy)
+        with pytest.raises(ConfigError, match="linear-code image"):
+            machine.infer_stochastic(img, plan, cfg)
 
 
 def test_filter_plan_bounds_its_pair_law(monkeypatch):
@@ -485,10 +493,6 @@ def test_filter_plan_bounds_its_pair_law(monkeypatch):
     img = lin([rng.integers(0, 256, (2, 4)), rng.integers(0, 256, (2, 3))])
     feats, cfg = rng.integers(0, 3, (10, 1)), MachineConfig(20, "power_conscious")
     entries = len(feats) * 3 * 4  # (steps, rows + 1 addresses, 2**rows masks)
-    monkeypatch.setattr(machine, "PAIR_LAW_MAX", entries)
-    assert machine.filter_plan(img, feats).codes.shape == (30, 2, 2)
-    monkeypatch.setattr(machine, "PAIR_LAW_MAX", entries - 1)
-    assert machine.filter_plan(img, feats) is None
     inner, laws = stochastic.mask_law, []
 
     def counted(codes, *rest):
@@ -496,19 +500,29 @@ def test_filter_plan_bounds_its_pair_law(monkeypatch):
         return inner(codes, *rest)
 
     monkeypatch.setattr(stochastic, "mask_law", counted)
-    res = machine.run_filter(img, feats, cfg, seed=4)
-    assert laws == [(1, 2, 2)] * len(feats)  # one law per step, none for the pairs
+    monkeypatch.setattr(machine, "PAIR_LAW_MAX", entries)
+    machine.run_filter(img, feats, cfg, seed=4)
+    assert laws == [(30, 2, 2)]  # one law over the pairs
+    monkeypatch.setattr(machine, "PAIR_LAW_MAX", entries - 1)
+    plan = machine.filter_plan(img, feats)
+    assert plan.codes.shape == (30, 2, 2)
+    res = machine.run_filter(img, feats, cfg, seed=4, plan=plan)
+    assert "cum_law" not in vars(plan)  # no law is built for the pairs
+    assert laws == [(30, 2, 2)] + [(1, 2, 2)] * len(feats)  # one law per step
     assert_steps_one_call_at_a_time(res, img, cfg, feats, 4)
 
 
 def test_filter_plan_for_another_image_or_sequence_is_refused():
-    img = lin([[[10, 200, 30], [128, 255, 40]], [[5, 6], [7, 8]]])
     feats = [[0], [1], [1]]
-    plan = machine.filter_plan(img, feats)
-    for other, seq in [(machine.inject_errors(img, 0.0), feats), (img, feats[:2])]:
-        for strategy in stochastic.STRATEGIES:
-            with pytest.raises(ConfigError, match="plan was not built"):
-                machine.run_filter(other, seq, MachineConfig(8, strategy), plan=plan)
+    for kind in machine.KINDS:
+        img = MemoryImage([[[10, 200, 30], [128, 255, 40]], [[5, 6], [7, 8]]], 8, kind)
+        plan = machine.filter_plan(img, feats)
+        # another sequence of the same length latches other codes at its last step
+        for other, seq in [(machine.inject_errors(img, 0.0), feats), (img, feats[:2]),
+                           (img, [[0], [1], [0]])]:
+            for strategy in stochastic.STRATEGIES:
+                with pytest.raises(ConfigError, match="plan was not built"):
+                    machine.run_filter(other, seq, MachineConfig(8, strategy), plan=plan)
 
 
 @pytest.mark.parametrize("mode,kind", [("logarithmic", "log"), ("stochastic", "linear")])

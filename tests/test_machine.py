@@ -338,6 +338,20 @@ def test_log_filter_checks_addresses_and_counts_events_once(monkeypatch):
         "logarithmic", img.rows, img.columns, img.width, cycles=50, presentations=50)
 
 
+def test_conventional_filter_checks_addresses_and_counts_events_once(monkeypatch):
+    img = lin_image(FILTER_BLOCKS)
+    feats = np.random.default_rng(6).integers(0, [2, 4], size=(600, 2))
+    checks = count_calls(monkeypatch, machine, "check_addresses")
+    prices = count_calls(monkeypatch, machine.energy, "count_events")
+    calls = count_calls(monkeypatch, machine, "infer_stochastic")
+    runs = count_calls(monkeypatch, stochastic, "run_stochastic")
+    rngs = count_calls(monkeypatch, np.random, "default_rng")
+    res = machine.run_filter(img, feats, MachineConfig(8, "conventional"), seed=3)
+    assert (len(checks), len(prices), len(calls), len(runs), len(rngs)) == (1, 1, 0, 0, 1)
+    assert res.event_counts == machine.energy.count_events(
+        "stochastic", img.rows, img.columns, img.width, cycles=8 * 600, presentations=600)
+
+
 # ---- image container ----
 
 def test_image_round_trip(tmp_path):
