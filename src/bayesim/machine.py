@@ -10,11 +10,12 @@ column) pair and reduces each row to a score:
 * stochastic mode: scores are fire counters driven by bitstream sampling
   (see :mod:`bayesim.stochastic`).
 
-`run_filter` chains inferences over a sequence: column 0 is a transition
-column addressed by the previous winner (or address ``rows``, the unknown state,
-at step 0), which is how the recursive filter feeds back hard decisions.
-Every call, on one presentation, a batch or a filtered sequence, returns
-one `InferenceResult`.
+Every call takes a batch (N, C) of N >= 1 presentations, one address per
+column.  `run_filter` chains inferences over a sequence: column 0 is a
+transition column addressed by the previous winner (or address ``rows``, the
+unknown state, at step 0), which is how the recursive filter feeds back hard
+decisions.  Every call, on a batch or a filtered sequence, returns one
+`InferenceResult` with one presentation per batch row or step.
 """
 
 from __future__ import annotations
@@ -53,21 +54,25 @@ class MachineConfig:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
 
 
-def _int64_array(values, what: str) -> np.ndarray:
-    """``values`` as int64; bool, float, string or object values raise ConfigError."""
+def _integer_array(values, what: str) -> np.ndarray:
+    """``values`` as an integer array; bool, float, string or object values raise ConfigError."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "iu":
         raise ConfigError(f"{what} must be integers, got {arr.dtype} values")
-    return arr if arr.dtype == np.int64 else arr.astype(np.int64)
+    return arr
 
 
 def check_addresses(obs, sizes) -> np.ndarray:
-    """The address rule: ``obs`` is one integer vector (C,) or batch (N, C) of
-    addresses with 0 <= obs[..., c] < sizes[c].  Returns them as int64; other
-    dtypes, a bad shape, or a bad address in any row raise ConfigError."""
-    addr = _int64_array(obs, "addresses")
-    if addr.ndim not in (1, 2) or addr.shape[-1] != len(sizes):
-        raise ConfigError(f"expected {len(sizes)} addresses per vector, got shape {addr.shape}")
+    """The address rule: ``obs`` is a batch (N, C) of N >= 1 integer address
+    vectors with 0 <= obs[n, c] < sizes[c].  Returns them as int64; other
+    dtypes, any other shape, an empty batch, or a bad address in any row
+    raise ConfigError."""
+    addr = _integer_array(obs, "addresses").astype(np.int64, copy=False)
+    if addr.ndim != 2 or addr.shape[1] != len(sizes):
+        raise ConfigError(f"expected a (presentations, {len(sizes)}) address batch, "
+                          f"got shape {addr.shape}")
+    if not len(addr):
+        raise ConfigError("empty batch: need at least one presentation")
     bad = addr.view(np.uint64) >= np.asarray(sizes, dtype=np.uint64)  # negatives wrap high
     if bad.any():
         ix = tuple(np.argwhere(bad)[0])
@@ -80,7 +85,8 @@ class MemoryImage:
 
     ``blocks[c]`` is an (rows, V[c]) view of the stored integer codes of
     column c; ``kind`` says how to read them ("log" or "linear") and
-    ``width`` how many bits each code has.
+    ``width`` how many bits each code has.  Bool, float, string or object
+    blocks raise ConfigError, as addresses of those dtypes do.
     """
 
     def __init__(self, blocks, width: int, kind: str):
@@ -94,7 +100,7 @@ class MemoryImage:
         if not blocks:
             raise ConfigError("image needs at least one column")
         top = (1 << width) - 1
-        arrs = [np.asarray(b) for b in blocks]
+        arrs = [_integer_array(b, f"column {c} codes") for c, b in enumerate(blocks)]
         for c, arr in enumerate(arrs):
             if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
                 raise ConfigError(f"column {c}: block must be a 2-d (rows, values) table")
@@ -133,12 +139,8 @@ class MemoryImage:
         return tuple(b.shape[1] for b in self.blocks)
 
     def latch(self, obs) -> np.ndarray:
-        """Read the codes addressed by ``obs``: one address vector (C,) or a
-        batch of them (N, C), one value address per column.
-
-        Returns the latched codes, (rows, C) or (N, rows, C).  Addresses
-        are checked by `check_addresses`.
-        """
+        """Read the codes addressed by ``obs``, a batch (N, C) of address
+        vectors checked by `check_addresses`: the latched codes (N, rows, C)."""
         return np.ascontiguousarray(self.gather(check_addresses(obs, self._sizes)))
 
     def gather(self, addr) -> np.ndarray:
@@ -246,22 +248,20 @@ def _log_scores(latched):
 
 
 def infer_logarithmic(image: MemoryImage, obs) -> InferenceResult:
-    """Deterministic inference of one address vector (C,) or a batch (N, C),
-    scored by `_log_scores`, with one `energy.count_events` call."""
+    """Deterministic inference of a batch (N, C) of addresses, scored by
+    `_log_scores`, with one `energy.count_events` call."""
     if image.kind != "log":
         raise ConfigError("logarithmic inference needs a log-code image")
     scores, winner = _log_scores(image.latch(obs))
-    n = len(winner) if winner.ndim else 1
+    n = len(winner)
     counts = energy.count_events("logarithmic", image.rows, image.columns, image.width,
                                  presentations=n)
-    if winner.ndim:
-        return InferenceResult(scores, winner, np.ones(n, dtype=np.int64), counts)
-    return InferenceResult(scores, int(winner), 1, counts)
+    return InferenceResult(scores, winner, np.ones(n, dtype=np.int64), counts)
 
 
 def infer_stochastic(image: MemoryImage, obs, config: MachineConfig, seed=0) -> InferenceResult:
-    """Sampling inference of addresses (C,) or (N, C), or of a `stochastic.plan`
-    of them, under the configured strategy, with one `stochastic.run_stochastic` call.
+    """Sampling inference of a batch (N, C) of addresses, or of a `stochastic.plan`
+    of one, under the configured strategy, with one `stochastic.run_stochastic` call.
 
     ``seed`` is an int or a numpy Generator, so repeated calls can share
     one stream.  The run refuses a log-code image.
@@ -301,7 +301,7 @@ def _filter_steps(image: MemoryImage, feature_addresses) -> np.ndarray:
     if v0 < image.rows + 1:
         raise ConfigError(f"transition column holds {v0} values, "
                           f"needs >= rows+1 = {image.rows + 1}")
-    feats = _int64_array(feature_addresses, "feature addresses")
+    feats = _integer_array(feature_addresses, "feature addresses")
     if feats.ndim != 2 or feats.shape[1] != image.columns - 1 or not len(feats):
         raise ConfigError(f"feature addresses must be (steps >= 1, {image.columns - 1})")
     return feats
@@ -366,7 +366,7 @@ def run_filter(image: MemoryImage, feature_addresses,
             if log:
                 scores[t], prev = _log_scores(codes[k])
             else:
-                one = stochastic.RunPlan(image, codes[k:k + 1], False, plan.addresses[k:k + 1])
+                one = stochastic.RunPlan(image, codes[k:k + 1], plan.addresses[k:k + 1])
                 (scores[t],), (prev,), (cycles[t],) = stochastic.sample(one, rng, budget, strategy)
             winner[t] = prev
     counts = energy.count_events(image.mode, rows, image.columns, image.width,

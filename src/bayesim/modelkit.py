@@ -238,10 +238,12 @@ def train_model(
 
 
 def bin_observations(model: BayesModel, features) -> np.ndarray:
-    """Raw feature rows -> per-feature bin addresses, shape (samples, features)."""
-    X = np.atleast_2d(np.asarray(features, dtype=float))
-    if X.shape[1] != model.features:
-        raise ConfigError(f"expected {model.features} features, got {X.shape[1]}")
+    """Raw feature rows (samples >= 1, features) -> their bin addresses, the
+    same shape; any other shape raises ConfigError."""
+    X = np.asarray(features, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.features or not len(X):
+        raise ConfigError(f"expected a (samples, {model.features}) feature table, "
+                          f"got shape {X.shape}")
     return np.stack([bin_index(model.bin_edges[c], X[:, c]) for c in range(model.features)], axis=1)
 
 
@@ -297,20 +299,19 @@ def check_layout(model: BayesModel, image: MemoryImage) -> None:
 
 @dataclass
 class OracleResult:
-    """Posterior of one observation vector, or of a batch: then
-    ``posterior`` is (N, classes) and ``winner`` and ``degenerate`` are
-    (N,) arrays."""
+    """Posteriors of a batch of N observation vectors: ``posterior`` is
+    (N, classes), ``winner`` and ``degenerate`` are (N,)."""
 
     posterior: np.ndarray
-    winner: int | np.ndarray
-    degenerate: bool | np.ndarray  # all products were zero; posterior fell back to uniform
+    winner: np.ndarray
+    degenerate: np.ndarray  # all products were zero; posterior fell back to uniform
 
 
 def _posterior(model: BayesModel, weights: np.ndarray, obs: np.ndarray) -> OracleResult:
     """Class weights times every feature's likelihood, in feature order,
     then normalized; ``weights`` (..., classes) broadcasts against the
     checked addresses ``obs`` (..., features)."""
-    # C order: each row is then summed exactly as a single vector would be
+    # C order: each batch row is then summed exactly as that row's batch of one
     post = np.array(np.broadcast_to(weights, obs.shape[:-1] + (model.classes,)), dtype=float,
                     order="C")
     for c, table in enumerate(model.likelihood):
@@ -319,10 +320,7 @@ def _posterior(model: BayesModel, weights: np.ndarray, obs: np.ndarray) -> Oracl
     degenerate = s[..., 0] == 0.0
     post = np.divide(post, s, out=np.full_like(post, 1.0 / model.classes),
                      where=~degenerate[..., np.newaxis])
-    winner = np.argmax(post, axis=-1)
-    if obs.ndim == 1:
-        return OracleResult(post, int(winner), bool(degenerate))
-    return OracleResult(post, winner, degenerate)
+    return OracleResult(post, np.argmax(post, axis=-1), degenerate)
 
 
 def _prior(classes: int) -> np.ndarray:
@@ -332,8 +330,8 @@ def _prior(classes: int) -> np.ndarray:
 
 
 def oracle_infer(model: BayesModel, obs) -> OracleResult:
-    """Exact float posterior over classes of one bin-address vector
-    (features,) or a batch (N, features); ties go to the lowest index."""
+    """Exact float posteriors over classes of a batch (N, features) of bin
+    addresses; ties go to the lowest index."""
     return _posterior(model, _prior(model.classes), check_addresses(obs, model.bins))
 
 
@@ -346,7 +344,7 @@ def oracle_filter(model: BayesModel, obs_seq) -> list:
     winner sequence."""
     if model.transition is None:
         raise ConfigError("filter needs a model with transitions")
-    obs = check_addresses(np.atleast_2d(obs_seq), model.bins)
+    obs = check_addresses(obs_seq, model.bins)
     n = model.classes
     weights = np.vstack([model.transition, np.full(n, 1.0 / n)])  # previous winner, or unknown
     steps = np.broadcast_to(obs[:, np.newaxis, :], (obs.shape[0], n + 1, model.features))

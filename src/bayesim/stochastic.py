@@ -4,8 +4,8 @@ A probability is held as a plain k-bit integer v with P = v / 2**k.  Each
 cycle every stored code is turned into one Bernoulli bit by comparing a
 fresh uniform draw against v; AND-ing the bits of a row multiplies the
 probabilities, and per-row counters accumulate the resulting fire events.
-`run_stochastic` simulates a whole batch of independent presentations in
-one call and returns an `InferenceResult`, the result type of every
+`run_stochastic` simulates a whole batch (N, C) of independent presentations
+in one call and returns an `InferenceResult`, the result type of every
 machine call.
 
 Two run strategies, both breaking ties by a uniform pick among the tied rows:
@@ -56,19 +56,19 @@ def quantize_linear_array(p: np.ndarray, k: int = 8) -> np.ndarray:
 
 @dataclass
 class InferenceResult:
-    """One machine call's inferences.  For one presentation ``winner`` and
-    ``cycles`` are ints and ``scores`` is (rows,); for N presentations (a
-    batch, or a filter's N steps) they are (N,) and (N, rows) arrays.  A
-    logarithmic presentation runs one cycle; ``event_counts`` is the total."""
+    """One machine call's inferences of N presentations (a batch, or a
+    filter's N steps): ``scores`` is (N, rows), ``winner`` and ``cycles`` are
+    (N,).  A logarithmic presentation runs one cycle; ``event_counts`` is the
+    total."""
 
     scores: np.ndarray  # log: saturating score sums; stochastic: fire counters
-    winner: int | np.ndarray
-    cycles: int | np.ndarray
+    winner: np.ndarray
+    cycles: np.ndarray
     event_counts: energy.EventCounts
 
     @property
     def cycles_used(self) -> int:
-        return int(np.sum(self.cycles))
+        return int(self.cycles.sum())
 
 
 def mask_law(codes, width: int) -> np.ndarray:
@@ -94,14 +94,12 @@ def mask_law(codes, width: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RunPlan:
-    """The codes (N, R, C) of a presentation set latched from ``image`` by
-    `plan` at ``addresses``; ``single`` marks one address vector.  ``cum_law``,
-    the cumulative law of the non-empty masks (None above `LAW_MAX_ROWS`), is
-    built on first use."""
+    """The codes (N, R, C) of a batch latched from ``image`` by `plan` at the
+    (N, C) ``addresses``.  ``cum_law``, the cumulative law of the non-empty
+    masks (None above `LAW_MAX_ROWS`), is built on first use."""
 
     image: object
     codes: np.ndarray
-    single: bool
     addresses: np.ndarray
 
     @cached_property
@@ -155,11 +153,9 @@ def decide(run: RunPlan, uniforms: np.ndarray, budget: int) -> tuple:
 
 
 def plan(image, obs) -> RunPlan:
-    """Check the addresses ``obs`` (C,) or (N, C) and latch the codes once, from
+    """Check a batch (N, C) of addresses ``obs`` and latch the codes once, from
     an image of either kind; `run_stochastic` refuses a log image's plan."""
-    obs = np.asarray(obs)
-    latched = image.latch(obs)
-    return RunPlan(image, latched.reshape(-1, *latched.shape[-2:]), latched.ndim == 2, obs)
+    return RunPlan(image, image.latch(obs), np.asarray(obs))
 
 
 def run_stochastic(
@@ -170,8 +166,8 @@ def run_stochastic(
     rng_mode: str = "column_shared",  # its one value; kept for the benchmark (ROADMAP item 1)
     seed=0,
 ) -> InferenceResult:
-    """Run stochastic inference of one address vector (C,) or a batch (N, C)
-    on a linear-code memory image.
+    """Run stochastic inference of a batch (N, C) of addresses on a
+    linear-code memory image.
 
     Memory is read once up front (``image.latch``) and the latched codes are
     reused every cycle; ``obs`` may instead be a `plan` of ``image``.
@@ -201,8 +197,6 @@ def run_stochastic(
     n, rows, cols = run.codes.shape
     counts = energy.count_events("stochastic", rows, cols, image.width, cycles=int(cycles.sum()),
                                  presentations=n)
-    if run.single:
-        return InferenceResult(counters[0], int(winner[0]), int(cycles[0]), counts)
     return InferenceResult(counters, winner, cycles, counts)
 
 

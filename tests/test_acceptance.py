@@ -97,11 +97,11 @@ def test_criterion_03_oracle_agreement_with_margin():
         like = [t / t.max() for t in like]
         m = modelkit.BayesModel(4, 4, (1,) * 4, like, None, edges)
         img = modelkit.compile_model(m, "logarithmic")
-        oracle = modelkit.oracle_infer(m, [0, 0, 0, 0])
-        got = machine.infer_logarithmic(img, [0, 0, 0, 0]).winner
-        hit = got == oracle.winner
+        oracle = modelkit.oracle_infer(m, [[0, 0, 0, 0]])
+        got = machine.infer_logarithmic(img, [[0, 0, 0, 0]]).winner[0]
+        hit = got == oracle.winner[0]
         agree_all += hit
-        top2 = np.sort(oracle.posterior)[-2:]
+        top2 = np.sort(oracle.posterior[0])[-2:]
         if math.log2(top2[1] / top2[0]) > (4 + 1) / 8:
             margin_n += 1
             agree_margin += hit
@@ -119,8 +119,8 @@ def test_criterion_04_stochastic_calibration():
     trials = 1000
     within = 0
     for _ in range(trials):
-        res = stochastic.run_stochastic(img, [0, 0], budget=255, seed=rng)
-        within += abs(res.scores[0] / 255 - 0.25) <= bound
+        res = stochastic.run_stochastic(img, [[0, 0]], budget=255, seed=rng)
+        within += abs(res.scores[0, 0] / 255 - 0.25) <= bound
     frac = within / trials
     note(4, frac >= 0.99, f"{100 * frac:.1f}% of {trials} trials within "
                           f"3 sigma = {bound:.4f} of 0.25 (need >= 99%)")

@@ -1,10 +1,10 @@
 """Batched inference equals one presentation at a time.
 
 `infer_logarithmic` and the oracles score a whole batch in one call; these
-properties pin them to per-vector calls and `oracle_filter` to a per-step
-float reference.  The logarithmic filter is pinned to the brute-force
-filter of test_machine on random images, and a filter's result to its
-per-step calls.  The stochastic sampler draws a whole batch at once:
+properties pin them to calls on one batch row at a time, and `oracle_filter`
+to a per-step float reference.  The logarithmic filter is pinned to the
+brute-force filter of test_machine on random images, and a filter's result
+to its per-step calls.  The stochastic sampler draws a whole batch at once:
 properties pin its counters, stop cycles, winners and totals, and
 chi-square tests on one batch of identical presentations pin its winner
 split, stop-cycle law and tie-breaks to their exact laws.  Conventional
@@ -58,10 +58,9 @@ def test_batched_log_inference_equals_per_vector(data):
     img = data.draw(log_images())
     obs = data.draw(address_batches(img.values_per_column))
     batch = machine.infer_logarithmic(img, obs)
-    one = [machine.infer_logarithmic(img, o) for o in obs]
-    assert np.array_equal(batch.scores, np.array([r.scores for r in one]))
-    assert batch.winner.tolist() == [r.winner for r in one]
-    assert all(isinstance(r.winner, int) for r in one)
+    one = [machine.infer_logarithmic(img, obs[i:i + 1]) for i in range(len(obs))]
+    assert np.array_equal(batch.scores, np.concatenate([r.scores for r in one]))
+    assert batch.winner.tolist() == np.concatenate([r.winner for r in one]).tolist()
 
 
 @SETTINGS
@@ -78,7 +77,7 @@ def test_log_filter_equals_brute_force(data):
     assert res.winner.tolist() == winners
     prev = [rows] + winners[:-1]
     for scores, p, step in zip(res.scores, prev, feats):
-        assert np.array_equal(scores, machine.infer_logarithmic(img, [p, *step]).scores)
+        assert np.array_equal(scores, machine.infer_logarithmic(img, [[p, *step]]).scores[0])
 
 
 @st.composite
@@ -105,10 +104,10 @@ def test_batched_oracle_is_bit_equal_to_per_vector(data):
     m = data.draw(models())
     obs = data.draw(address_batches(m.bins))
     batch = modelkit.oracle_infer(m, obs)
-    one = [modelkit.oracle_infer(m, o) for o in obs]
-    assert np.array_equal(batch.posterior, np.array([r.posterior for r in one]))
-    assert batch.winner.tolist() == [r.winner for r in one]
-    assert batch.degenerate.tolist() == [r.degenerate for r in one]
+    one = [modelkit.oracle_infer(m, obs[i:i + 1]) for i in range(len(obs))]
+    assert np.array_equal(batch.posterior, np.concatenate([r.posterior for r in one]))
+    assert batch.winner.tolist() == np.concatenate([r.winner for r in one]).tolist()
+    assert batch.degenerate.tolist() == np.concatenate([r.degenerate for r in one]).tolist()
 
 
 def oracle_filter_reference(model, obs_seq):
@@ -257,14 +256,12 @@ def power_conscious_reference(img, obs, budget, strategy="power_conscious", seed
 
 @SETTINGS
 @given(st.one_of(sampler_runs(strategies=("power_conscious",)),
-                 sampler_runs(strategies=("power_conscious",), rows=stochastic.LAW_MAX_ROWS)),
-       st.booleans())
-def test_power_conscious_kernel_equals_per_presentation_reference(run, single):
+                 sampler_runs(strategies=("power_conscious",), rows=stochastic.LAW_MAX_ROWS)))
+def test_power_conscious_kernel_equals_per_presentation_reference(run):
     img, obs, opts = run
-    res = stochastic.run_stochastic(img, obs[0] if single else obs, **opts)
-    got = list(zip(np.atleast_2d(res.scores).tolist(), np.atleast_1d(res.cycles).tolist(),
-                   np.atleast_1d(res.winner).tolist()))
-    assert got == power_conscious_reference(img, obs[:1] if single else obs, **opts)
+    res = stochastic.run_stochastic(img, obs, **opts)
+    got = list(zip(res.scores.tolist(), res.cycles.tolist(), res.winner.tolist()))
+    assert got == power_conscious_reference(img, obs, **opts)
 
 
 EDGE_UNIFORMS = (0.0, 1.0 - 2.0**-53)  # the ends of rng.random's [0, 1)
@@ -302,18 +299,6 @@ def test_decide_on_quiet_runs_and_edge_uniforms_equals_reference(data):
 
 @SETTINGS
 @given(sampler_runs())
-def test_batch_of_one_is_the_single_vector_call(run):
-    img, obs, opts = run
-    one = stochastic.run_stochastic(img, obs[0], **opts)
-    batch = stochastic.run_stochastic(img, obs[:1], **opts)
-    assert np.array_equal(batch.scores, one.scores[np.newaxis])
-    assert (batch.cycles.tolist(), batch.winner.tolist()) == ([one.cycles], [one.winner])
-    assert batch.event_counts == one.event_counts
-    assert isinstance(one.winner, int) and isinstance(one.cycles, int)
-
-
-@SETTINGS
-@given(sampler_runs())
 def test_sampler_counters_cycles_and_winners(run):
     img, obs, opts = run
     res = stochastic.run_stochastic(img, obs, **opts)
@@ -342,7 +327,7 @@ def assert_same_result(a, b):
 @given(st.one_of(sampler_runs(), sampler_runs(rows=stochastic.LAW_MAX_ROWS + 1)), st.booleans())
 def test_plan_call_equals_plain_call(run, single):
     img, obs, opts = run
-    obs = obs[0] if single else obs
+    obs = obs[:1] if single else obs
     plan = stochastic.plan(img, obs)
     # conventional first: the plan's law is built by the first power-conscious
     # call and reused by the second
@@ -372,7 +357,7 @@ def test_plan_for_another_mode_or_image_is_refused():
             stochastic.run_stochastic(img, plan, 8, strategy, "per_cell")
     log = MemoryImage([codes], 8, "log")
     with pytest.raises(ConfigError, match="linear-code image"):
-        machine.infer_stochastic(log, [0], MachineConfig())
+        machine.infer_stochastic(log, [[0]], MachineConfig())
     # a log image latches a plan (a log filter steps on one), but no stochastic run reads it
     with pytest.raises(ConfigError, match="linear-code image"):
         stochastic.run_stochastic(log, stochastic.plan(log, [[0]]), 8)
@@ -406,7 +391,7 @@ def test_log_batch_totals_equal_per_presentation_totals(data):
     img = data.draw(log_images())
     obs = data.draw(address_batches(img.values_per_column))
     res = machine.infer_logarithmic(img, obs)
-    one = [machine.infer_logarithmic(img, o) for o in obs]
+    one = [machine.infer_logarithmic(img, [o]) for o in obs]
     assert res.cycles_used == sum(r.cycles_used for r in one) == len(obs)
     assert np.array_equal(event_fields(res.event_counts),
                           sum(event_fields(r.event_counts) for r in one))
@@ -438,15 +423,15 @@ def test_filter_totals_equal_per_step_totals(run):
     rng, prev, steps = np.random.default_rng(seed), img.rows, []
     for step in feats:
         if img.kind == "log":
-            steps.append(machine.infer_logarithmic(img, [prev, *step]))
+            steps.append(machine.infer_logarithmic(img, [[prev, *step]]))
         else:
-            steps.append(machine.infer_stochastic(img, [prev, *step], cfg, seed=rng))
-        prev = steps[-1].winner
+            steps.append(machine.infer_stochastic(img, [[prev, *step]], cfg, seed=rng))
+        prev = steps[-1].winner[0]
     assert res.scores.shape == (len(feats), img.rows)
     assert res.winner.shape == res.cycles.shape == (len(feats),)
-    assert np.array_equal(res.scores, [r.scores for r in steps])
-    assert res.winner.tolist() == [r.winner for r in steps]
-    assert res.cycles.tolist() == [r.cycles for r in steps]
+    assert np.array_equal(res.scores, np.concatenate([r.scores for r in steps]))
+    assert res.winner.tolist() == np.concatenate([r.winner for r in steps]).tolist()
+    assert res.cycles.tolist() == np.concatenate([r.cycles for r in steps]).tolist()
     assert res.cycles_used == sum(r.cycles_used for r in steps)
     assert np.array_equal(event_fields(res.event_counts),
                           sum(event_fields(r.event_counts) for r in steps))
@@ -455,10 +440,10 @@ def test_filter_totals_equal_per_step_totals(run):
 def assert_steps_one_call_at_a_time(res, img, cfg, feats, seed):
     rng, prev = np.random.default_rng(seed), img.rows
     for t, step in enumerate(feats):
-        one = machine.infer_stochastic(img, [prev, *step], cfg, seed=rng)
-        assert (res.winner[t], res.cycles[t]) == (one.winner, one.cycles)
-        assert np.array_equal(res.scores[t], one.scores)
-        prev = one.winner
+        one = machine.infer_stochastic(img, [[prev, *step]], cfg, seed=rng)
+        assert (res.winner[t], res.cycles[t]) == (one.winner[0], one.cycles[0])
+        assert np.array_equal(res.scores[t], one.scores[0])
+        prev = one.winner[0]
 
 
 @SETTINGS

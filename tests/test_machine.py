@@ -48,40 +48,40 @@ def test_config_rejects_bad_fields():
         MachineConfig(cycle_budget=2**53 + 1)
     quiet = lin_image([np.zeros((2, 1), dtype=np.uint16)])  # no row ever fires
     with pytest.raises(ConfigError, match="cycle budget must be in"):
-        stochastic.run_stochastic(quiet, [0], 2**53 + 3, "power_conscious")
+        stochastic.run_stochastic(quiet, [[0]], 2**53 + 3, "power_conscious")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cfg = MachineConfig(cycle_budget=2**53, strategy="power_conscious")
-        assert machine.infer_stochastic(quiet, [0], cfg).cycles == 2**53
+        assert machine.infer_stochastic(quiet, [[0]], cfg).cycles[0] == 2**53
 
 
 # ---- logarithmic inference ----
 
 def test_infer_log_example():
     img = log_image([[[4], [16]], [[8], [0]]])
-    res = machine.infer_logarithmic(img, [0, 0])
-    assert list(res.scores) == [12, 16]
-    assert res.winner == 0
+    res = machine.infer_logarithmic(img, [[0, 0]])
+    assert list(res.scores[0]) == [12, 16]
+    assert res.winner[0] == 0
     assert res.cycles_used == 1
 
 
 def test_infer_log_saturates():
     img = log_image([[[200], [0]], [[100], [0]]])
-    res = machine.infer_logarithmic(img, [0, 0])
-    assert res.scores[0] == 255
-    assert res.winner == 1
+    res = machine.infer_logarithmic(img, [[0, 0]])
+    assert res.scores[0, 0] == 255
+    assert res.winner[0] == 1
 
 
 def test_infer_log_all_zero_tie():
     img = log_image([np.zeros((3, 2), dtype=np.uint16)] * 2)
-    res = machine.infer_logarithmic(img, [0, 1])
-    assert list(res.scores) == [0, 0, 0]
-    assert res.winner == 0  # lowest index on ties
+    res = machine.infer_logarithmic(img, [[0, 1]])
+    assert list(res.scores[0]) == [0, 0, 0]
+    assert res.winner[0] == 0  # lowest index on ties
 
 
 def test_infer_log_event_counts():
     img = log_image([np.zeros((4, 8), dtype=np.uint16)] * 4)
-    counts = machine.infer_logarithmic(img, [0, 0, 0, 0]).event_counts
+    counts = machine.infer_logarithmic(img, [[0, 0, 0, 0]]).event_counts
     assert counts.mem_read_bits == 128  # 4*4*8
     assert counts.add_ops == 16
     assert counts.register_writes == 4
@@ -91,24 +91,37 @@ def test_infer_log_event_counts():
 def test_infer_log_rejects_bad_input():
     img = log_image([[[4], [16]]])
     with pytest.raises(ConfigError):
-        machine.infer_logarithmic(img, [2])
+        machine.infer_logarithmic(img, [[2]])
     with pytest.raises(ConfigError):
-        machine.infer_logarithmic(lin_image([[[4], [16]]]), [0])
+        machine.infer_logarithmic(lin_image([[[4], [16]]]), [[0]])
 
 
 def test_image_latch_reads_one_code_per_cell():
     img = log_image([[[1, 2], [3, 4]], [[5, 6, 7], [8, 9, 10]]])
-    assert img.latch([1, 2]).tolist() == [[2, 7], [4, 10]]
+    assert img.latch([[1, 2]]).tolist() == [[[2, 7], [4, 10]]]
 
 
 def test_bad_address_is_config_error_on_both_datapaths():
     log = log_image([np.zeros((2, 4), dtype=np.uint16)])
     lin = lin_image([np.zeros((2, 4), dtype=np.uint16)])
-    for bad in ([4], [-1], [0, 0]):
-        with pytest.raises(ConfigError):
-            machine.infer_logarithmic(log, bad)
-        with pytest.raises(ConfigError):
-            stochastic.run_stochastic(lin, bad, budget=8)
+    model = modelkit.BayesModel(classes=2, features=1, bins=(4,),
+                                likelihood=[np.full((2, 4), 0.5)],
+                                transition=np.full((2, 2), 0.5), bin_edges=[np.arange(5.0)])
+    empty = np.zeros((0, 1), dtype=np.int64)
+    # every call takes an (N, C) batch with N >= 1: a (C,) vector, an (N, C, 1)
+    # batch and an empty batch are refused like a bad address or column count
+    for bad in ([[4]], [[-1]], [[0, 0]], [0], [[[0]]], empty):
+        calls = [(machine.infer_logarithmic, log, bad), (stochastic.plan, lin, bad),
+                 (log.latch, bad), (modelkit.oracle_infer, model, bad),
+                 (modelkit.oracle_filter, model, bad)]
+        calls += [(stochastic.run_stochastic, lin, bad, 8, strategy)
+                  for strategy in stochastic.STRATEGIES]
+        for fn, *args in calls:
+            with pytest.raises(ConfigError, match="empty batch" if bad is empty else None):
+                fn(*args)
+    for raw in ([0.5], [[[0.5]]], np.zeros((0, 1)), [[0.5, 0.5]]):
+        with pytest.raises(ConfigError, match="feature table"):
+            modelkit.bin_observations(model, raw)
 
 
 @pytest.mark.parametrize("bad", [[1.7, 0.2], [True, False], [np.nan, 0], ["1", "0"]],
@@ -123,7 +136,7 @@ def test_non_integer_addresses_are_refused(bad):
                                 transition=None,
                                 bin_edges=[np.arange(4.0), np.arange(3.0)])
     steps = [[v] for v in bad]  # a filter's feature addresses; column 0 holds rows + 1 values
-    calls = [(machine.infer_logarithmic, log, bad), (modelkit.oracle_infer, model, bad),
+    calls = [(machine.infer_logarithmic, log, [bad]), (modelkit.oracle_infer, model, [bad]),
              (machine.run_filter, log, steps), (machine.filter_plan, lin, steps)]
     calls += [(machine.run_filter, lin, steps, MachineConfig(8, strategy))
               for strategy in stochastic.STRATEGIES]
@@ -131,7 +144,17 @@ def test_non_integer_addresses_are_refused(bad):
         with pytest.raises(ConfigError, match="must be integers"):
             fn(*args)
     with pytest.raises(ConfigError, match="must be integers"):
-        stochastic.run_stochastic(lin, bad, budget=8)
+        stochastic.run_stochastic(lin, [bad], budget=8)
+
+
+@pytest.mark.parametrize("codes", [[[1.5, 2.7]], [[True, False]], [[np.nan, 0]], [["1", "0"]]],
+                         ids=["float", "bool", "nan", "str"])
+def test_non_integer_codes_are_refused(codes):
+    # no float code is truncated ([[1.5, 2.7]] to [[1, 2]]), no bool or string
+    # cast, and NaN is a ConfigError, not a cast through a RuntimeWarning
+    for kind in machine.KINDS:
+        with pytest.raises(ConfigError, match="column 0 codes must be integers"):
+            MemoryImage([np.array(codes)], 8, kind)
 
 
 # ---- stochastic inference ----
@@ -139,16 +162,16 @@ def test_non_integer_addresses_are_refused(bad):
 def test_infer_stochastic_saturated_image():
     img = lin_image([np.full((3, 1), 255, dtype=np.uint16)] * 2)
     cfg = MachineConfig(strategy="power_conscious", cycle_budget=16)
-    res = machine.infer_stochastic(img, [0, 0], cfg, seed=4)
+    res = machine.infer_stochastic(img, [[0, 0]], cfg, seed=4)
     assert res.cycles_used == 1
-    assert list(res.scores) == [1, 1, 1]  # every row fires at once
-    assert 0 <= res.winner < 3
+    assert list(res.scores[0]) == [1, 1, 1]  # every row fires at once
+    assert 0 <= res.winner[0] < 3
 
 
 def test_infer_stochastic_counts_scale_with_cycles():
     img = lin_image([np.full((4, 1), 255, dtype=np.uint16)] * 4)
     cfg = MachineConfig(cycle_budget=100)
-    counts = machine.infer_stochastic(img, [0] * 4, cfg, seed=1).event_counts
+    counts = machine.infer_stochastic(img, [[0] * 4], cfg, seed=1).event_counts
     assert counts.rng_draws == 400  # one per column per cycle
     assert counts.and_compare_ops == 1600
     assert counts.counter_increments == 400
@@ -159,20 +182,20 @@ def test_infer_stochastic_counts_scale_with_cycles():
 def test_infer_stochastic_equal_rows_balanced():
     img = lin_image([np.full((4, 1), 180, dtype=np.uint16)] * 2)
     cfg = MachineConfig(cycle_budget=20_000)
-    res = machine.infer_stochastic(img, [0, 0], cfg, seed=77)
+    res = machine.infer_stochastic(img, [[0, 0]], cfg, seed=77)
     p = (180 / 256) ** 2
     bound = 3 * np.sqrt(p * (1 - p) / 20_000)
     for r in range(4):
-        assert abs(res.scores[r] / 20_000 - p) <= 2 * bound
+        assert abs(res.scores[0, r] / 20_000 - p) <= 2 * bound
 
 
 def test_infer_stochastic_deterministic():
     img = lin_image([np.arange(8, dtype=np.uint16).reshape(2, 4) * 30])
     cfg = MachineConfig(cycle_budget=64)
-    a = machine.infer_stochastic(img, [1], cfg, seed=99)
-    b = machine.infer_stochastic(img, [1], cfg, seed=99)
+    a = machine.infer_stochastic(img, [[1]], cfg, seed=99)
+    b = machine.infer_stochastic(img, [[1]], cfg, seed=99)
     assert np.array_equal(a.scores, b.scores)
-    assert (a.winner, a.cycles_used) == (b.winner, b.cycles_used)
+    assert (a.winner[0], a.cycles_used) == (b.winner[0], b.cycles_used)
 
 
 # ---- fault injection ----

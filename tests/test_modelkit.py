@@ -296,26 +296,26 @@ def test_compile_decode_round_trip_bound():
 def test_oracle_infer_normalizes():
     like = [np.array([[0.4], [0.2]]), np.array([[0.5], [0.5]])]
     m = toy_model(like)
-    res = modelkit.oracle_infer(m, [0, 0])
-    assert res.posterior == pytest.approx([2 / 3, 1 / 3])
-    assert res.winner == 0
-    assert not res.degenerate
+    res = modelkit.oracle_infer(m, [[0, 0]])
+    assert res.posterior[0] == pytest.approx([2 / 3, 1 / 3])
+    assert res.winner[0] == 0
+    assert not res.degenerate[0]
 
 
 def test_oracle_infer_single_class():
     m = toy_model([np.array([[0.7]]), np.array([[0.9]])])
-    res = modelkit.oracle_infer(m, [0, 0])
-    assert res.posterior == pytest.approx([1.0])
-    assert res.winner == 0
+    res = modelkit.oracle_infer(m, [[0, 0]])
+    assert res.posterior[0] == pytest.approx([1.0])
+    assert res.winner[0] == 0
 
 
 def test_oracle_infer_underflow_degenerate():
     tiny = 1e-200
     m = toy_model([np.array([[tiny], [tiny]])] * 2)
-    res = modelkit.oracle_infer(m, [0, 0])
-    assert res.degenerate
-    assert res.posterior == pytest.approx([0.5, 0.5])
-    assert res.winner == 0
+    res = modelkit.oracle_infer(m, [[0, 0]])
+    assert res.degenerate[0]
+    assert res.posterior[0] == pytest.approx([0.5, 0.5])
+    assert res.winner[0] == 0
 
 
 def test_oracle_infer_scale_invariance():
@@ -326,7 +326,7 @@ def test_oracle_infer_scale_invariance():
     scaled[1] = scaled[1] * 0.125  # one column rescaled
     m2 = toy_model(scaled)
     for obs in [(0, 0, 0), (1, 2, 0), (2, 1, 2)]:
-        assert modelkit.oracle_infer(m1, obs).winner == modelkit.oracle_infer(m2, obs).winner
+        assert modelkit.oracle_infer(m1, [obs]).winner == modelkit.oracle_infer(m2, [obs]).winner
 
 
 def test_oracle_infer_brute_force_agreement():
@@ -335,11 +335,11 @@ def test_oracle_infer_brute_force_agreement():
         like = [np.maximum(rng.uniform(size=(4, 4)), 1e-6) for _ in range(4)]
         m = toy_model(like)
         obs = rng.integers(0, 4, size=4)
-        res = modelkit.oracle_infer(m, obs)
+        res = modelkit.oracle_infer(m, [obs])
         products = [
             np.prod([like[c][r, obs[c]] for c in range(4)]) for r in range(4)
         ]
-        assert res.winner == int(np.argmax(products))
+        assert res.winner[0] == int(np.argmax(products))
 
 
 def test_oracle_filter_sticky_constant():
@@ -450,13 +450,13 @@ def test_machine_matches_oracle_under_margin():
         like = [t / t.max() for t in like]
         m = BayesModel(4, 4, (1,) * 4, like, None, [np.array([0.0, 1.0])] * 4)
         img = modelkit.compile_model(m, "logarithmic")
-        res = modelkit.oracle_infer(m, [0, 0, 0, 0])
-        top2 = np.sort(res.posterior)[-2:]
+        res = modelkit.oracle_infer(m, [[0, 0, 0, 0]])
+        top2 = np.sort(res.posterior[0])[-2:]
         margin = math.log2(top2[1] / top2[0]) if top2[0] > 0 else math.inf
         if margin > (4 + 1) / 8:
             checked += 1
-            got = machine.infer_logarithmic(img, [0, 0, 0, 0]).winner
-            agree += got == res.winner
+            got = machine.infer_logarithmic(img, [[0, 0, 0, 0]]).winner[0]
+            agree += got == res.winner[0]
     assert checked > 100  # the margin filter must leave real coverage
     assert agree == checked
 

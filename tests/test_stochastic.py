@@ -50,26 +50,26 @@ def test_bit_rule_edges():
 def test_run_validations():
     img = linear_image([np.full((2, 4), 128, dtype=np.uint16)])
     with pytest.raises(ConfigError):
-        stochastic.run_stochastic(img, [0], budget=0)
+        stochastic.run_stochastic(img, [[0]], budget=0)
     with pytest.raises(ConfigError):
-        stochastic.run_stochastic(img, [0, 1], budget=8)
+        stochastic.run_stochastic(img, [[0, 1]], budget=8)
     with pytest.raises(ConfigError):
-        stochastic.run_stochastic(img, [0], budget=8, strategy="eager")
+        stochastic.run_stochastic(img, [[0]], budget=8, strategy="eager")
     with pytest.raises(ConfigError):
-        stochastic.run_stochastic(img, [0], budget=8, rng_mode="row_shared")
+        stochastic.run_stochastic(img, [[0]], budget=8, rng_mode="row_shared")
     with pytest.raises(ConfigError):
-        stochastic.run_stochastic(img, [4], budget=8)
+        stochastic.run_stochastic(img, [[4]], budget=8)
     log_img = MemoryImage([np.zeros((2, 4), dtype=np.uint16)], width=8, kind="log")
     with pytest.raises(ConfigError):
-        stochastic.run_stochastic(log_img, [0], budget=8)
+        stochastic.run_stochastic(log_img, [[0]], budget=8)
 
 
 def test_counter_estimates_product():
     # 1 row, 2 columns at P=0.5 each: counter/budget ~ 0.25
     img = linear_image([[[128]], [[128]]])
-    res = stochastic.run_stochastic(img, [0, 0], budget=10_000, seed=42)
-    assert res.cycles == 10_000
-    p_hat = res.scores[0] / 10_000
+    res = stochastic.run_stochastic(img, [[0, 0]], budget=10_000, seed=42)
+    assert res.cycles[0] == 10_000
+    p_hat = res.scores[0, 0] / 10_000
     assert abs(p_hat - 0.25) <= 3 * np.sqrt(0.25 * 0.75 / 10_000)
 
 
@@ -80,9 +80,9 @@ def test_power_conscious_geometric_stop():
     stops = 0
     trials = 2000
     for _ in range(trials):
-        res = stochastic.run_stochastic(img, [0], budget=16,
+        res = stochastic.run_stochastic(img, [[0]], budget=16,
                                         strategy="power_conscious", seed=rng)
-        if res.cycles == 1:
+        if res.cycles[0] == 1:
             assert res.scores.any()  # stopped early: a row fired
             stops += 1
     p = 255 / 256
@@ -117,9 +117,9 @@ def test_power_conscious_first_fire_split():
     trials = 30_000
     wins = 0
     for _ in range(trials):
-        res = stochastic.run_stochastic(img, [0], budget=4096,
+        res = stochastic.run_stochastic(img, [[0]], budget=4096,
                                         strategy="power_conscious", seed=rng)
-        wins += res.winner == 0
+        wins += res.winner[0] == 0
     assert abs(wins / trials - oracle) <= 3 * np.sqrt(oracle * (1 - oracle) / trials)
 
 
@@ -129,8 +129,8 @@ def test_power_conscious_expected_cycles():
     rng = np.random.default_rng(23)
     trials = 2000
     cycles = [
-        stochastic.run_stochastic(img, [0], budget=64,
-                                  strategy="power_conscious", seed=rng).cycles
+        stochastic.run_stochastic(img, [[0]], budget=64,
+                                  strategy="power_conscious", seed=rng).cycles[0]
         for _ in range(trials)
     ]
     mean = np.mean(cycles)
@@ -140,11 +140,11 @@ def test_power_conscious_expected_cycles():
 
 def test_power_conscious_no_fire_path():
     img = linear_image([[[0], [0]]])
-    res = stochastic.run_stochastic(img, [0], budget=32,
+    res = stochastic.run_stochastic(img, [[0]], budget=32,
                                     strategy="power_conscious", seed=9)
-    assert res.cycles == 32
-    assert list(res.scores) == [0, 0]
-    assert res.winner in (0, 1)
+    assert res.cycles[0] == 32
+    assert list(res.scores[0]) == [0, 0]
+    assert res.winner[0] in (0, 1)
 
 
 def test_column_shared_dominance():
@@ -152,8 +152,8 @@ def test_column_shared_dominance():
     img = linear_image([[[200], [100]], [[150], [150]]])
     for seed in range(25):
         for budget in (1, 7, 64):
-            res = stochastic.run_stochastic(img, [0, 0], budget=budget, seed=seed)
-            assert res.scores[0] >= res.scores[1]
+            res = stochastic.run_stochastic(img, [[0, 0]], budget=budget, seed=seed)
+            assert res.scores[0, 0] >= res.scores[0, 1]
 
 
 def test_per_cycle_rate_column_shared():
@@ -161,11 +161,11 @@ def test_per_cycle_rate_column_shared():
     # sharing a column's draw correlates rows, not columns
     img = linear_image([[[192], [64]], [[128], [128]]])
     expect = [(192 / 256) * 0.5, (64 / 256) * 0.5]
-    res = stochastic.run_stochastic(img, [0, 0], budget=20_000, seed=31)
+    res = stochastic.run_stochastic(img, [[0, 0]], budget=20_000, seed=31)
     for r in (0, 1):
         p = expect[r]
         bound = 3 * np.sqrt(p * (1 - p) / 20_000)
-        assert abs(res.scores[r] / 20_000 - p) <= bound
+        assert abs(res.scores[0, r] / 20_000 - p) <= bound
 
 
 def test_per_cell_rng_mode_is_refused():
@@ -173,7 +173,7 @@ def test_per_cell_rng_mode_is_refused():
     img = linear_image([[[192], [64]], [[128], [128]]])
     for strategy in stochastic.STRATEGIES:
         with pytest.raises(ConfigError, match="per_cell"):
-            stochastic.run_stochastic(img, [0, 0], budget=8, strategy=strategy,
+            stochastic.run_stochastic(img, [[0, 0]], budget=8, strategy=strategy,
                                       rng_mode="per_cell")
 
 
@@ -187,20 +187,20 @@ def test_counters_bounded_by_cycles():
         )
         budget = int(rng.integers(1, 80))
         strat = ("conventional", "power_conscious")[int(rng.integers(0, 2))]
-        res = stochastic.run_stochastic(img, [0] * cols, budget=budget,
+        res = stochastic.run_stochastic(img, [[0] * cols], budget=budget,
                                         strategy=strat, seed=int(rng.integers(1 << 30)))
-        assert 1 <= res.cycles <= budget
+        assert 1 <= res.cycles[0] <= budget
         assert np.all(res.scores >= 0)
-        assert np.all(res.scores <= res.cycles)
-        assert 0 <= res.winner < rows
+        assert np.all(res.scores <= res.cycles[0])
+        assert 0 <= res.winner[0] < rows
 
 
 def test_determinism():
     img = linear_image([np.arange(12, dtype=np.uint16).reshape(3, 4) * 20])
-    a = stochastic.run_stochastic(img, [2], budget=64, seed=1234)
-    b = stochastic.run_stochastic(img, [2], budget=64, seed=1234)
+    a = stochastic.run_stochastic(img, [[2]], budget=64, seed=1234)
+    b = stochastic.run_stochastic(img, [[2]], budget=64, seed=1234)
     assert np.array_equal(a.scores, b.scores)
-    assert (a.winner, a.cycles, a.event_counts) == (b.winner, b.cycles, b.event_counts)
+    assert (a.winner[0], a.cycles[0], a.event_counts) == (b.winner[0], b.cycles[0], b.event_counts)
 
 
 def enumerated_mask_law(codes):

@@ -225,7 +225,7 @@ def test_generate_chance_level_when_emissions_identical():
     train, test = tasks.generate(spec)
     m = modelkit.train_model(train.features, train.labels, 4, bins=16)
     obs = modelkit.bin_observations(m, test.features)
-    acc = np.mean([modelkit.oracle_infer(m, o).winner == t
+    acc = np.mean([modelkit.oracle_infer(m, [o]).winner[0] == t
                    for o, t in zip(obs, test.labels)])
     # chance is 1/4; binomial 3 sigma on 800 test points
     assert abs(acc - 0.25) <= 3 * np.sqrt(0.25 * 0.75 / 800)
