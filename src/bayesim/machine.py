@@ -67,7 +67,8 @@ def check_addresses(obs, sizes) -> np.ndarray:
     vectors with 0 <= obs[n, c] < sizes[c].  Returns them as int64; other
     dtypes, any other shape, an empty batch, or a bad address in any row
     raise ConfigError."""
-    addr = _integer_array(obs, "addresses").astype(np.int64, copy=False)
+    given = _integer_array(obs, "addresses")
+    addr = given.astype(np.int64, copy=False)
     if addr.ndim != 2 or addr.shape[1] != len(sizes):
         raise ConfigError(f"expected a (presentations, {len(sizes)}) address batch, "
                           f"got shape {addr.shape}")
@@ -76,7 +77,7 @@ def check_addresses(obs, sizes) -> np.ndarray:
     bad = addr.view(np.uint64) >= np.asarray(sizes, dtype=np.uint64)  # negatives wrap high
     if bad.any():
         ix = tuple(np.argwhere(bad)[0])
-        raise ConfigError(f"address {addr[ix]} out of range for column {ix[-1]}")
+        raise ConfigError(f"address {given[ix]} out of range for column {ix[-1]}")
     return addr
 
 
@@ -271,8 +272,8 @@ def infer_stochastic(image: MemoryImage, obs, config: MachineConfig, seed=0) -> 
 
 def inject_errors(image: MemoryImage, ber: float, seed=0) -> MemoryImage:
     """Return a copy of the image with every stored bit flipped independently
-    with probability ``ber``.  The flip pattern is frozen by ``seed``; the
-    input image is never modified."""
+    with probability ``ber``.  The flip pattern is drawn from ``seed``, an int
+    or a numpy Generator; the input image is never modified."""
     if not 0.0 <= ber <= 1.0:
         raise DomainError(f"bit error rate {ber} outside [0, 1]")
     rng = np.random.default_rng(seed)

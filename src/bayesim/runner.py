@@ -1,9 +1,9 @@
 """Shared drivers: dataset -> model -> images -> accuracy sweeps.
 
-Everything here is deterministic given the base seed.  Per-point seeds are
-derived from the base seed plus the grid coordinates of the point, so a
-sweep gives identical numbers whether it runs serially or on a worker
-pool, and regardless of completion order.
+Everything here is deterministic given the base seed.  A sweep point's
+trials draw in turn from one stream seeded by the base seed plus the point's
+grid coordinates, so a sweep gives identical numbers whether it runs serially
+or on a worker pool, and regardless of completion order.
 """
 
 from __future__ import annotations
@@ -131,10 +131,10 @@ def split_plan(prep: Prepared, image: machine.MemoryImage):
 
 
 def eval_stochastic(prep: Prepared, image: machine.MemoryImage,
-                    config: machine.MachineConfig, seed: int, plan=None) -> StochasticEval:
-    """One stochastic pass over the test split with a fresh seeded stream:
-    one batched call for naive models, the filter for filter models, each
-    from the `split_plan` ``plan`` when given."""
+                    config: machine.MachineConfig, seed, plan=None) -> StochasticEval:
+    """One stochastic pass over the test split, drawn from ``seed`` (an int, or a
+    numpy Generator read on from where it stands): one batched call for naive
+    models, the filter for filter models, each from the `split_plan` ``plan`` if given."""
     if prep.filtered:
         res = machine.run_filter(image, prep.test_obs, config=config, seed=seed, plan=plan)
     else:
@@ -172,11 +172,11 @@ def trial_std(xs) -> float:
 
 def trials_point(prep: Prepared, image: machine.MemoryImage, cfg: machine.MachineConfig,
                  trials: int, seed_parts, plan=None) -> CyclesPoint:
-    """Mean and spread of ``trials`` stochastic passes from one `split_plan`;
-    trial t runs on ``point_seed(*seed_parts, t)``."""
+    """Mean and spread of ``trials`` stochastic passes from one `split_plan`,
+    drawn in turn from one stream seeded by ``point_seed(*seed_parts)``."""
     plan = plan or split_plan(prep, image)
-    evals = [eval_stochastic(prep, image, cfg, point_seed(*seed_parts, t), plan)
-             for t in range(trials)]
+    rng = np.random.default_rng(point_seed(*seed_parts))
+    evals = [eval_stochastic(prep, image, cfg, rng, plan) for _ in range(trials)]
     accs = [e.accuracy for e in evals]
     return CyclesPoint(image.width, cfg.strategy, cfg.cycle_budget,
                        float(np.mean(accs)), trial_std(accs), trials,
@@ -206,16 +206,15 @@ class BerPoint:
 
 
 def _ber_point(prep, image, cfg, ber, trials, seed, m_ix, b_ix):
+    faults = np.random.default_rng(point_seed(seed, 2, m_ix, b_ix))
+    # runs are keyed by machine only and every pass draws a fixed amount, so all
+    # ber levels draw the same runs (common random numbers) and differ by corruption
+    runs = None if cfg is None else np.random.default_rng(point_seed(seed, 3, m_ix))
     accs = []
-    for t in range(trials):
-        corrupted = machine.inject_errors(image, ber, seed=point_seed(seed, 2, m_ix, b_ix, t))
-        if cfg is None:
-            accs.append(eval_log(prep, corrupted))
-        else:
-            # run seed is shared across ber levels (common random numbers),
-            # so accuracy differences isolate the corruption effect
-            accs.append(eval_stochastic(prep, corrupted, cfg,
-                                        point_seed(seed, 3, m_ix, t)).accuracy)
+    for _ in range(trials):
+        corrupted = machine.inject_errors(image, ber, seed=faults)
+        accs.append(eval_log(prep, corrupted) if cfg is None
+                    else eval_stochastic(prep, corrupted, cfg, runs).accuracy)
     return BerPoint("logarithmic" if cfg is None else "stochastic",
                     ber, float(np.mean(accs)), trial_std(accs), trials)
 

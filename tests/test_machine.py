@@ -108,16 +108,24 @@ def test_bad_address_is_config_error_on_both_datapaths():
                                 likelihood=[np.full((2, 4), 0.5)],
                                 transition=np.full((2, 2), 0.5), bin_edges=[np.arange(5.0)])
     empty = np.zeros((0, 1), dtype=np.int64)
+
+    def calls(bad):
+        return [(machine.infer_logarithmic, log, bad), (stochastic.plan, lin, bad),
+                (log.latch, bad), (modelkit.oracle_infer, model, bad),
+                (modelkit.oracle_filter, model, bad)] + [
+                (stochastic.run_stochastic, lin, bad, 8, strategy)
+                for strategy in stochastic.STRATEGIES]
+
     # every call takes an (N, C) batch with N >= 1: a (C,) vector, an (N, C, 1)
     # batch and an empty batch are refused like a bad address or column count
     for bad in ([[4]], [[-1]], [[0, 0]], [0], [[[0]]], empty):
-        calls = [(machine.infer_logarithmic, log, bad), (stochastic.plan, lin, bad),
-                 (log.latch, bad), (modelkit.oracle_infer, model, bad),
-                 (modelkit.oracle_filter, model, bad)]
-        calls += [(stochastic.run_stochastic, lin, bad, 8, strategy)
-                  for strategy in stochastic.STRATEGIES]
-        for fn, *args in calls:
+        for fn, *args in calls(bad):
             with pytest.raises(ConfigError, match="empty batch" if bad is empty else None):
+                fn(*args)
+    # an unsigned address past the int64 range is named as given, not wrapped negative
+    for big in (2**64 - 1, 2**63):
+        for fn, *args in calls(np.array([[big]], dtype=np.uint64)):
+            with pytest.raises(ConfigError, match=f"address {big} out of range for column 0"):
                 fn(*args)
     for raw in ([0.5], [[[0.5]]], np.zeros((0, 1)), [[0.5, 0.5]]):
         with pytest.raises(ConfigError, match="feature table"):

@@ -53,13 +53,67 @@ def test_prepare_and_eval_paths(monkeypatch):
 def test_sweep_points_worker_invariant(monkeypatch):
     spec = tasks.gesture_like_spec(seed=8, train_size=60, test_size=20)
     prep = runner.prepare(spec)
-    _, lin = runner.images_for_model(prep)
+    log_img, lin = runner.images_for_model(prep)
+    cfg = machine.MachineConfig(8, "power_conscious")
     got = []
     for workers in ("1", "2"):
         monkeypatch.setenv("BAYESIM_THREADS", workers)
         pts = runner.sweep_cycles(prep, lin[8], budgets=[4, 8], trials=2, seed=5)
-        got.append(pts)
+        ber = runner.sweep_ber(prep, log_img, lin[8], cfg, bers=(0.0, 0.05), trials=2, seed=5)
+        got.append((pts, ber))
     assert got[0] == got[1]  # the plan is pickled to the two workers
+
+
+@pytest.mark.parametrize("make", [tasks.gesture_like_spec, tasks.sleep_like_spec])
+@pytest.mark.parametrize("strategy", stochastic.STRATEGIES)
+def test_trials_point_draws_its_trials_in_turn_from_one_stream(make, strategy):
+    prep = runner.prepare(make(seed=8, train_size=400, test_size=20))
+    _, lin = runner.images_for_model(prep)
+    cfg, parts = machine.MachineConfig(8, strategy), (5, 1, 8, 0, 1)
+    rng = np.random.default_rng(runner.point_seed(*parts))
+    evals = [runner.eval_stochastic(prep, lin[8], cfg, rng) for _ in range(3)]
+    accs = [e.accuracy for e in evals]
+    assert runner.trials_point(prep, lin[8], cfg, 3, parts) == runner.CyclesPoint(
+        8, strategy, 8, float(np.mean(accs)), runner.trial_std(accs), 3,
+        float(np.mean([e.mean_cycles for e in evals])))
+
+
+def test_power_conscious_trials_are_rows_of_one_uniform_block(monkeypatch):
+    prep = runner.prepare(tasks.gesture_like_spec(seed=8, train_size=60, test_size=20))
+    _, lin = runner.images_for_model(prep)
+    parts, trials, budget = (5, 1, 8, 1, 0), 4, 8
+    passes, inner = [], runner.eval_stochastic
+
+    def recorded(*args):
+        passes.append(inner(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(runner, "eval_stochastic", recorded)
+    runner.trials_point(prep, lin[8], machine.MachineConfig(budget, "power_conscious"),
+                        trials, parts)
+    # trial t decides row t of one (trials, N, 3) block of the point's stream
+    plan, n = runner.split_plan(prep, lin[8]), len(prep.test_labels)
+    block = np.random.default_rng(runner.point_seed(*parts)).random((trials, n, 3))
+    want = []
+    for t in range(trials):
+        _, winner, cycles = stochastic.decide(plan, block[t], budget)
+        want.append((runner.accuracy(winner, prep.test_labels), int(cycles.sum()) / n))
+    assert [(e.accuracy, e.mean_cycles) for e in passes] == want
+    assert len(set(want)) > 1  # the trials read on, they do not replay one draw
+
+
+def test_each_sweep_point_seeds_once(monkeypatch):
+    monkeypatch.setenv("BAYESIM_THREADS", "1")
+    prep = runner.prepare(tasks.gesture_like_spec(seed=8, train_size=60, test_size=20))
+    log_img, lin = runner.images_for_model(prep)
+    seeds = count_calls(monkeypatch, runner, "point_seed")
+    runner.sweep_cycles(prep, lin[8], budgets=[4, 8], trials=3, seed=5)
+    assert len(seeds) == 2 * 2  # one per (strategy, budget) point, not one per trial
+    # every ber level draws the same runs, so two error-free levels agree
+    cfg = machine.MachineConfig(8, "conventional")
+    pts = runner.sweep_ber(prep, log_img, lin[8], cfg, bers=(0.0, 0.0), trials=3, seed=5)
+    stoch = [p for p in pts if p.machine == "stochastic"]
+    assert len(stoch) == 2 and stoch[0] == stoch[1] and stoch[0].std_acc > 0
 
 
 def count_calls(monkeypatch, owner, name):
