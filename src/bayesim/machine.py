@@ -297,39 +297,40 @@ def walk(table, start: int) -> list:
     return path
 
 
-def _filter_steps(image: MemoryImage, feature_addresses) -> np.ndarray:
-    v0 = image.values_per_column[0]
-    if v0 < image.rows + 1:
-        raise ConfigError(f"transition column holds {v0} values, "
-                          f"needs >= rows+1 = {image.rows + 1}")
-    feats = _integer_array(feature_addresses, "feature addresses")
-    if feats.ndim != 2 or feats.shape[1] != image.columns - 1 or not len(feats):
-        raise ConfigError(f"feature addresses must be (steps >= 1, {image.columns - 1})")
-    return feats
+class FilterPlan(stochastic.RunPlan):
+    """A `filter_plan`: the codes of every (step, column-0 address) pair of a
+    sequence, as `run_filter` reads them; a batch's `stochastic.plan` is not one."""
 
 
-def filter_plan(image: MemoryImage, feature_addresses) -> stochastic.RunPlan:
-    """A `stochastic.plan` of every (step, column-0 address) pair of a sequence,
-    step-major, for the addresses 0..rows (``rows`` is the unknown state): one
-    latch of ``(steps * (rows + 1), C)`` addresses, from an image of either kind."""
-    feats = _filter_steps(image, feature_addresses)
+def filter_plan(image: MemoryImage, feature_addresses) -> FilterPlan:
+    """Check a (steps, C - 1) table of feature addresses and latch each step
+    once, then repeat its codes for the column-0 addresses 0..rows (``rows`` is
+    the unknown state): the codes (steps * (rows + 1), R, C) of every (step,
+    address) pair, step-major, from an image of either kind."""
     rows, cols = image.rows, image.columns
-    pairs = np.empty((len(feats), rows + 1, cols), dtype=np.int64)
-    pairs[:, :, 0] = np.arange(rows + 1)
-    pairs[:, :, 1:] = feats[:, np.newaxis]
-    return stochastic.plan(image, pairs.reshape(-1, cols))
+    if image.values_per_column[0] < rows + 1:
+        raise ConfigError(f"transition column holds {image.values_per_column[0]} values, "
+                          f"needs >= rows+1 = {rows + 1}")
+    feats = _integer_array(feature_addresses, "feature addresses")
+    if feats.ndim != 2 or feats.shape[1] != cols - 1 or not len(feats):
+        raise ConfigError(f"feature addresses must be (steps >= 1, {cols - 1})")
+    # unsigned addresses stay unsigned, so a bad one is named as given
+    table = np.empty((len(feats), cols), np.uint64 if feats.dtype.kind == "u" else np.int64)
+    table[:, 0], table[:, 1:] = rows, feats
+    codes = np.repeat(image.latch(table), rows + 1, axis=0)
+    codes.reshape(len(feats), rows + 1, rows, cols)[..., 0] = image.blocks[0][:, :rows + 1].T
+    return FilterPlan(image, codes)
 
 
 def run_filter(image: MemoryImage, feature_addresses,
-               config: MachineConfig = MachineConfig(), seed=0, plan=None):
+               config: MachineConfig = MachineConfig(), seed=0):
     """Recursive inference over a sequence with hard-decision feedback.
 
     Column 0 is the transition/prior column: at step 0 it is addressed by
     ``image.rows`` (the unknown state `modelkit.compile_model` puts after the
     classes), afterwards by the previous step's winner.  ``feature_addresses``
     is a (steps, columns-1) table of observation addresses for the remaining
-    columns.  A pass runs from the sequence's `filter_plan` (``plan``, built
-    here when None; one of another image object or sequence is refused).  A
+    columns, or its `filter_plan` (one of another image object is refused).  A
     power-conscious run whose pair law fits `stochastic.LAW_MAX_ROWS` rows and
     `PAIR_LAW_MAX` entries `decide`s every pair with its step's (stop, mask,
     tie) uniforms and `walk`s the winners.  Every other run steps, reading
@@ -339,14 +340,13 @@ def run_filter(image: MemoryImage, feature_addresses,
     int or a numpy Generator), as one `infer_stochastic` call per step would.
     Returns one InferenceResult with one presentation per step.
     """
-    feats = _filter_steps(image, feature_addresses)
-    steps, rows = len(feats), image.rows
+    plan = (feature_addresses if isinstance(feature_addresses, FilterPlan)
+            else filter_plan(image, feature_addresses))
+    if plan.image is not image:
+        raise ConfigError("plan was not built for this image")
+    rows = image.rows
     a = rows + 1
-    if plan is None:
-        plan = filter_plan(image, feats)
-    elif (plan.image is not image or len(plan.codes) != steps * a
-          or not np.array_equal(plan.addresses[::a, 1:], feats)):
-        raise ConfigError("plan was not built for this image and sequence")
+    steps = len(plan.codes) // a
     budget, strategy = config.cycle_budget, config.strategy
     if (image.kind == "linear" and strategy == "power_conscious"
             and rows <= stochastic.LAW_MAX_ROWS and steps * a << rows <= PAIR_LAW_MAX):
@@ -367,7 +367,7 @@ def run_filter(image: MemoryImage, feature_addresses,
             if log:
                 scores[t], prev = _log_scores(codes[k])
             else:
-                one = stochastic.RunPlan(image, codes[k:k + 1], plan.addresses[k:k + 1])
+                one = stochastic.RunPlan(image, codes[k:k + 1])
                 (scores[t],), (prev,), (cycles[t],) = stochastic.sample(one, rng, budget, strategy)
             winner[t] = prev
     counts = energy.count_events(image.mode, rows, image.columns, image.width,

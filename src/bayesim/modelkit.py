@@ -186,7 +186,8 @@ def train_model(
     bins = tuple(check_int("bins", b, 1) for b in ((bins,) * cols if np.isscalar(bins) else bins))
     if len(bins) != cols:
         raise TrainingError("bins must be one size or one per feature")
-    counts = np.bincount(y, minlength=classes)
+    # with more than samples // 2 classes one is short: count no class past that
+    counts = np.bincount(y[y <= len(y) // 2], minlength=min(classes, len(y) // 2 + 1))
     if counts.min() < 2:
         r = int(np.argmax(counts < 2))
         raise TrainingError(f"class {r} has {counts[r]} samples, need >= 2")

@@ -124,7 +124,7 @@ class StochasticEval:
 
 def split_plan(prep: Prepared, image: machine.MemoryImage):
     """The test split latched once on ``image``: a naive model's `stochastic.plan`,
-    or a filter model's `machine.filter_plan` of every (step, previous winner) pair."""
+    or a filter model's `machine.filter_plan`, which latches each step once."""
     if prep.filtered:
         return machine.filter_plan(image, prep.test_obs)
     return stochastic.plan(image, prep.test_obs)
@@ -133,12 +133,11 @@ def split_plan(prep: Prepared, image: machine.MemoryImage):
 def eval_stochastic(prep: Prepared, image: machine.MemoryImage,
                     config: machine.MachineConfig, seed, plan=None) -> StochasticEval:
     """One stochastic pass over the test split, drawn from ``seed`` (an int, or a
-    numpy Generator read on from where it stands): one batched call for naive
-    models, the filter for filter models, each from the `split_plan` ``plan`` if given."""
-    if prep.filtered:
-        res = machine.run_filter(image, prep.test_obs, config=config, seed=seed, plan=plan)
-    else:
-        res = machine.infer_stochastic(image, plan or prep.test_obs, config, seed=seed)
+    numpy Generator read on from where it stands): one `run_filter` call for filter
+    models, one batched `infer_stochastic` call for naive ones, given the
+    `split_plan` ``plan`` in place of the test split if there is one."""
+    run = machine.run_filter if prep.filtered else machine.infer_stochastic
+    res = run(image, plan or prep.test_obs, config, seed=seed)
     n = len(prep.test_labels)
     return StochasticEval(accuracy(res.winner, prep.test_labels), int(res.cycles.sum()) / n)
 

@@ -94,13 +94,12 @@ def mask_law(codes, width: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RunPlan:
-    """The codes (N, R, C) of a batch latched from ``image`` by `plan` at the
-    (N, C) ``addresses``.  ``cum_law``, the cumulative law of the non-empty
-    masks (None above `LAW_MAX_ROWS`), is built on first use."""
+    """The codes (N, R, C) of N presentations latched once from ``image``: a
+    batch's `plan`, or a `machine.filter_plan`.  ``cum_law``, the cumulative law
+    of the non-empty masks (None above `LAW_MAX_ROWS`), is built on first use."""
 
     image: object
     codes: np.ndarray
-    addresses: np.ndarray
 
     @cached_property
     def cum_law(self) -> np.ndarray | None:
@@ -155,7 +154,7 @@ def decide(run: RunPlan, uniforms: np.ndarray, budget: int) -> tuple:
 def plan(image, obs) -> RunPlan:
     """Check a batch (N, C) of addresses ``obs`` and latch the codes once, from
     an image of either kind; `run_stochastic` refuses a log image's plan."""
-    return RunPlan(image, image.latch(obs), np.asarray(obs))
+    return RunPlan(image, image.latch(obs))
 
 
 def run_stochastic(

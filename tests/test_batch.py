@@ -16,6 +16,7 @@ from a `stochastic.plan`, or a filter from a `machine.filter_plan`, equals
 the call that latches for itself.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -451,7 +452,7 @@ def assert_steps_one_call_at_a_time(res, img, cfg, feats, seed):
 def test_filter_above_row_cap_steps(run):
     img, cfg, feats, seed = run
     plan = machine.filter_plan(img, feats)
-    res = machine.run_filter(img, feats, config=cfg, seed=seed, plan=plan)
+    res = machine.run_filter(img, plan, config=cfg, seed=seed)
     assert "cum_law" not in vars(plan)  # no law is built: every step draws cycle by cycle
     assert_steps_one_call_at_a_time(res, img, cfg, feats, seed)
 
@@ -464,7 +465,7 @@ def test_filter_plan_call_equals_plain_call(run):
     # conventional first: the pair law is built by the first power-conscious call
     for strategy in ("conventional", "power_conscious", "power_conscious"):
         c = MachineConfig(cfg.cycle_budget, strategy)
-        assert_same_result(machine.run_filter(img, feats, c, seed, plan=plan),
+        assert_same_result(machine.run_filter(img, plan, c, seed),
                            machine.run_filter(img, feats, c, seed))
     if img.kind == "log":  # a log filter steps on its plan; no stochastic run reads it
         with pytest.raises(ConfigError, match="linear-code image"):
@@ -491,7 +492,7 @@ def test_filter_plan_bounds_its_pair_law(monkeypatch):
     monkeypatch.setattr(machine, "PAIR_LAW_MAX", entries - 1)
     plan = machine.filter_plan(img, feats)
     assert plan.codes.shape == (30, 2, 2)
-    res = machine.run_filter(img, feats, cfg, seed=4, plan=plan)
+    res = machine.run_filter(img, plan, cfg, seed=4)
     assert "cum_law" not in vars(plan)  # no law is built for the pairs
     assert laws == [(30, 2, 2)] + [(1, 2, 2)] * len(feats)  # one law per step
     assert_steps_one_call_at_a_time(res, img, cfg, feats, 4)
@@ -502,12 +503,38 @@ def test_filter_plan_for_another_image_or_sequence_is_refused():
     for kind in machine.KINDS:
         img = MemoryImage([[[10, 200, 30], [128, 255, 40]], [[5, 6], [7, 8]]], 8, kind)
         plan = machine.filter_plan(img, feats)
-        # another sequence of the same length latches other codes at its last step
-        for other, seq in [(machine.inject_errors(img, 0.0), feats), (img, feats[:2]),
-                           (img, [[0], [1], [0]])]:
-            for strategy in stochastic.STRATEGIES:
-                with pytest.raises(ConfigError, match="plan was not built"):
-                    machine.run_filter(other, seq, MachineConfig(8, strategy), plan=plan)
+        # an equal image object is another one: a plan is refused by identity
+        other = machine.inject_errors(img, 0.0)
+        for strategy in stochastic.STRATEGIES:
+            with pytest.raises(ConfigError, match="plan was not built"):
+                machine.run_filter(other, plan, MachineConfig(8, strategy))
+
+
+def test_filter_plan_peaks_below_twice_its_codes():
+    # the sleep geometry: each step is latched once and its codes repeated per
+    # column-0 address, with no int64 table of every (step, address) pair
+    rng = np.random.default_rng(5)
+    blocks = [rng.integers(0, 256, (4, 8)) for _ in range(4)]
+    feats = rng.integers(0, 8, (20_000, 3))
+    for kind in machine.KINDS:
+        img = MemoryImage(blocks, 8, kind)
+        tracemalloc.start()
+        try:
+            plan = machine.filter_plan(img, feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.codes.shape == (20_000 * 5, 4, 4)
+        assert peak < 2 * plan.codes.nbytes
+
+
+def test_a_batch_plan_is_not_a_filter_plan():
+    for kind in machine.KINDS:
+        img = MemoryImage([[[10, 200, 30], [128, 255, 40]], [[5, 6], [7, 8]]], 8, kind)
+        batch = stochastic.plan(img, [[0, 0], [2, 1], [1, 1]])
+        for strategy in stochastic.STRATEGIES:
+            with pytest.raises(ConfigError, match="feature addresses must be integers"):
+                machine.run_filter(img, batch, MachineConfig(8, strategy))
 
 
 @pytest.mark.parametrize("mode,kind", [("logarithmic", "log"), ("stochastic", "linear")])

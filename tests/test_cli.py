@@ -423,6 +423,17 @@ def test_single_class_machine_is_always_right(tmp_path):
     assert all(float(r["mean_acc"]) == 1.0 for r in rows)
 
 
+@pytest.mark.parametrize("label", [10**15, 2**63 - 1])
+def test_train_on_a_very_large_label_exits_two(tmp_path, capsys, label):
+    data = tmp_path / "train.csv"
+    lines = ["# bayesim-dataset version=1 kind=features fs=0.0 dt=0.0 columns=2"]
+    lines += [f"{y},0.5,1.5" for y in (0, 0, 0, 0, label)]
+    data.write_text("\n".join(lines) + "\n")
+    assert run("train", "--data", data, "--out", tmp_path / "m.json") == 2
+    assert "class 1 has 0 samples, need >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_config_file_defaults_and_flag_priority(tmp_path):
     out = tmp_path / "r"
     cfg = tmp_path / "cfg.json"

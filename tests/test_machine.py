@@ -104,6 +104,8 @@ def test_image_latch_reads_one_code_per_cell():
 def test_bad_address_is_config_error_on_both_datapaths():
     log = log_image([np.zeros((2, 4), dtype=np.uint16)])
     lin = lin_image([np.zeros((2, 4), dtype=np.uint16)])
+    prior = [np.zeros((2, 3), dtype=np.uint16), np.zeros((2, 4), dtype=np.uint16)]
+    prior_log, prior_lin = log_image(prior), lin_image(prior)  # column 0 holds rows + 1 values
     model = modelkit.BayesModel(classes=2, features=1, bins=(4,),
                                 likelihood=[np.full((2, 4), 0.5)],
                                 transition=np.full((2, 2), 0.5), bin_edges=[np.arange(5.0)])
@@ -116,16 +118,26 @@ def test_bad_address_is_config_error_on_both_datapaths():
                 (stochastic.run_stochastic, lin, bad, 8, strategy)
                 for strategy in stochastic.STRATEGIES]
 
+    def filter_calls(bad):
+        return [(machine.filter_plan, img, bad) for img in (prior_log, prior_lin)] + [
+                (machine.run_filter, img, bad, MachineConfig(8, strategy))
+                for img in (prior_log, prior_lin) for strategy in stochastic.STRATEGIES]
+
     # every call takes an (N, C) batch with N >= 1: a (C,) vector, an (N, C, 1)
     # batch and an empty batch are refused like a bad address or column count
     for bad in ([[4]], [[-1]], [[0, 0]], [0], [[[0]]], empty):
         for fn, *args in calls(bad):
             with pytest.raises(ConfigError, match="empty batch" if bad is empty else None):
                 fn(*args)
-    # an unsigned address past the int64 range is named as given, not wrapped negative
+    # an unsigned address past the int64 range is named as given, not wrapped negative,
+    # in a batch and in a filter's feature addresses alike
     for big in (2**64 - 1, 2**63):
-        for fn, *args in calls(np.array([[big]], dtype=np.uint64)):
+        bad = np.array([[big]], dtype=np.uint64)
+        for fn, *args in calls(bad):
             with pytest.raises(ConfigError, match=f"address {big} out of range for column 0"):
+                fn(*args)
+        for fn, *args in filter_calls(bad):
+            with pytest.raises(ConfigError, match=f"address {big} out of range for column 1"):
                 fn(*args)
     for raw in ([0.5], [[[0.5]]], np.zeros((0, 1)), [[0.5, 0.5]]):
         with pytest.raises(ConfigError, match="feature table"):

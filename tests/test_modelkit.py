@@ -217,6 +217,15 @@ def test_class_count_error_names_the_class():
         modelkit.train_model(X, [0, 0, 1, 2, 2], classes=3, bins=4)
 
 
+@pytest.mark.parametrize("label", [10**15, 2**63 - 1])
+def test_a_very_large_label_names_the_first_short_class(label):
+    # no count array of label + 1 classes is built: 10**15 of them ran out of
+    # memory, and 2**63 of them overflowed
+    X = np.zeros((5, 2))
+    with pytest.raises(TrainingError, match="class 1 has 0 samples, need >= 2"):
+        modelkit.train_model(X, np.array([0, 0, 0, 0, label]), classes=label + 1, bins=4)
+
+
 def test_train_model_refuses_bins_below_one():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(20, 2))
