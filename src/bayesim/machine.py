@@ -23,6 +23,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -236,24 +237,25 @@ def load_image(path) -> MemoryImage:
         return MemoryImage.from_bytes(fh.read())
 
 
-def _log_scores(latched):
-    """Scores and winners of latched log codes (..., rows, C): the lowest
-    saturating code sum wins.
+def _log_scores(sums):
+    """Scores and winners of int64 log-code row sums (..., rows): the lowest
+    saturating sum wins.
 
     All addends are non-negative, so clamping the final sum at the top
     code equals saturating after every intermediate add.  Ties go to the
     lowest row index (priority-encoder behavior).
     """
-    scores = np.minimum(latched.sum(axis=-1, dtype=np.int64), logprob.TOP)
+    scores = np.minimum(sums, logprob.TOP)
     return scores, scores.argmin(axis=-1)
 
 
 def infer_logarithmic(image: MemoryImage, obs) -> InferenceResult:
     """Deterministic inference of a batch (N, C) of addresses, scored by
-    `_log_scores`, with one `energy.count_events` call."""
+    `_log_scores` on the latched codes' row sums, with one
+    `energy.count_events` call."""
     if image.kind != "log":
         raise ConfigError("logarithmic inference needs a log-code image")
-    scores, winner = _log_scores(image.latch(obs))
+    scores, winner = _log_scores(image.latch(obs).sum(axis=-1, dtype=np.int64))
     n = len(winner)
     counts = energy.count_events("logarithmic", image.rows, image.columns, image.width,
                                  presentations=n)
@@ -298,15 +300,31 @@ def walk(table, start: int) -> list:
 
 
 class FilterPlan(stochastic.RunPlan):
-    """A `filter_plan`: the codes of every (step, column-0 address) pair of a
-    sequence, as `run_filter` reads them; a batch's `stochastic.plan` is not one."""
+    """A `filter_plan`: the codes (steps, R, C) of each step latched once with
+    column 0 at the unknown state, and ``transition``, column 0's codes
+    (rows + 1, R) at the addresses 0..rows.  The codes of a (step, previous
+    winner) pair exist only while the pair law is built and inside the step
+    being run; a batch's `stochastic.plan` is not one."""
+
+    @property
+    def transition(self) -> np.ndarray:
+        return self.image.blocks[0][:, :self.image.rows + 1].T
+
+    @cached_property
+    def cum_law(self) -> np.ndarray | None:
+        """The law of every (step, previous winner) pair, step-major, from the
+        pair codes (steps * (rows + 1), R, C), which are dropped once it is
+        built."""
+        steps, rows, cols = self.codes.shape
+        pairs = np.repeat(self.codes, rows + 1, axis=0)
+        pairs.reshape(steps, rows + 1, rows, cols)[..., 0] = self.transition
+        return stochastic.RunPlan(self.image, pairs).cum_law
 
 
 def filter_plan(image: MemoryImage, feature_addresses) -> FilterPlan:
     """Check a (steps, C - 1) table of feature addresses and latch each step
-    once, then repeat its codes for the column-0 addresses 0..rows (``rows`` is
-    the unknown state): the codes (steps * (rows + 1), R, C) of every (step,
-    address) pair, step-major, from an image of either kind."""
+    once, with column 0 at the unknown state ``rows``, from an image of either
+    kind; no (step, previous winner) pair is materialised."""
     rows, cols = image.rows, image.columns
     if image.values_per_column[0] < rows + 1:
         raise ConfigError(f"transition column holds {image.values_per_column[0]} values, "
@@ -317,9 +335,7 @@ def filter_plan(image: MemoryImage, feature_addresses) -> FilterPlan:
     # unsigned addresses stay unsigned, so a bad one is named as given
     table = np.empty((len(feats), cols), np.uint64 if feats.dtype.kind == "u" else np.int64)
     table[:, 0], table[:, 1:] = rows, feats
-    codes = np.repeat(image.latch(table), rows + 1, axis=0)
-    codes.reshape(len(feats), rows + 1, rows, cols)[..., 0] = image.blocks[0][:, :rows + 1].T
-    return FilterPlan(image, codes)
+    return FilterPlan(image, image.latch(table))
 
 
 def run_filter(image: MemoryImage, feature_addresses,
@@ -330,23 +346,27 @@ def run_filter(image: MemoryImage, feature_addresses,
     ``image.rows`` (the unknown state `modelkit.compile_model` puts after the
     classes), afterwards by the previous step's winner.  ``feature_addresses``
     is a (steps, columns-1) table of observation addresses for the remaining
-    columns, or its `filter_plan` (one of another image object is refused).  A
-    power-conscious run whose pair law fits `stochastic.LAW_MAX_ROWS` rows and
-    `PAIR_LAW_MAX` entries `decide`s every pair with its step's (stop, mask,
-    tie) uniforms and `walk`s the winners.  Every other run steps, reading
-    pair ``t * (rows + 1) + previous winner`` at step t: a log image scores
-    it by `_log_scores` and ignores ``seed`` and ``config``; a linear image
-    draws it by `stochastic.sample` from one stream seeded by ``seed`` (an
-    int or a numpy Generator), as one `infer_stochastic` call per step would.
-    Returns one InferenceResult with one presentation per step.
+    columns, or its `filter_plan` (one of another image object, or a batch's
+    `stochastic.plan`, is refused).  A power-conscious run whose pair law fits
+    `stochastic.LAW_MAX_ROWS` rows and `PAIR_LAW_MAX` entries `decide`s every
+    (step, previous winner) pair with its step's (stop, mask, tie) uniforms and
+    `walk`s the winners.  Every other run steps, building only the pair it
+    reads: a log image scores step t after winner v by `_log_scores` of the
+    step's feature-code sums plus ``transition[v]``'s codes, and ignores
+    ``seed`` and ``config``; a linear image writes ``transition[v]`` into
+    column 0 of step t in one copy of the plan's codes per pass and draws it by
+    `stochastic.sample` from one stream seeded by ``seed`` (an int or a numpy
+    Generator), as one `infer_stochastic` call per step would.  Returns one
+    InferenceResult with one presentation per step.
     """
+    if type(feature_addresses) is stochastic.RunPlan:
+        raise ConfigError("a batch plan is not a filter plan: build one with filter_plan")
     plan = (feature_addresses if isinstance(feature_addresses, FilterPlan)
             else filter_plan(image, feature_addresses))
     if plan.image is not image:
         raise ConfigError("plan was not built for this image")
-    rows = image.rows
+    rows, steps = image.rows, len(plan.codes)
     a = rows + 1
-    steps = len(plan.codes) // a
     budget, strategy = config.cycle_budget, config.strategy
     if (image.kind == "linear" and strategy == "power_conscious"
             and rows <= stochastic.LAW_MAX_ROWS and steps * a << rows <= PAIR_LAW_MAX):
@@ -360,16 +380,20 @@ def run_filter(image: MemoryImage, feature_addresses,
         scores = np.empty((steps, rows), dtype=np.int64)
         winner = np.empty(steps, dtype=np.int64)
         cycles = np.ones(steps, dtype=np.int64)
-        codes, log, prev = plan.codes, image.kind == "log", rows
-        rng = None if log else np.random.default_rng(seed)
-        for t in range(steps):
-            k = t * a + prev
-            if log:
-                scores[t], prev = _log_scores(codes[k])
-            else:
-                one = stochastic.RunPlan(image, codes[k:k + 1])
+        codes, transition, prev = plan.codes, plan.transition, rows
+        if image.kind == "log":
+            features = codes[..., 1:].sum(axis=-1, dtype=np.int64)
+            transition = transition.astype(np.int64)
+            for t in range(steps):
+                scores[t], prev = _log_scores(features[t] + transition[prev])
+                winner[t] = prev
+        else:
+            rng, codes = np.random.default_rng(seed), codes.copy()  # column 0 is rewritten
+            for t in range(steps):
+                codes[t, :, 0] = transition[prev]
+                one = stochastic.RunPlan(image, codes[t:t + 1])
                 (scores[t],), (prev,), (cycles[t],) = stochastic.sample(one, rng, budget, strategy)
-            winner[t] = prev
+                winner[t] = prev
     counts = energy.count_events(image.mode, rows, image.columns, image.width,
                                  cycles=int(cycles.sum()), presentations=steps)
     return InferenceResult(scores, winner, cycles, counts)

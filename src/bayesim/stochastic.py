@@ -95,8 +95,9 @@ def mask_law(codes, width: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class RunPlan:
     """The codes (N, R, C) of N presentations latched once from ``image``: a
-    batch's `plan`, or a `machine.filter_plan`.  ``cum_law``, the cumulative law
-    of the non-empty masks (None above `LAW_MAX_ROWS`), is built on first use."""
+    batch's `plan`, or the steps of a `machine.filter_plan`.  ``cum_law``, the
+    cumulative law of the non-empty masks (None above `LAW_MAX_ROWS`), is built
+    on first use; a filter plan's is over its (step, previous winner) pairs."""
 
     image: object
     codes: np.ndarray
@@ -169,7 +170,8 @@ def run_stochastic(
     linear-code memory image.
 
     Memory is read once up front (``image.latch``) and the latched codes are
-    reused every cycle; ``obs`` may instead be a `plan` of ``image``.
+    reused every cycle; ``obs`` may instead be a `plan` of ``image`` (a
+    `machine.FilterPlan` is refused: its steps stand for a filter's pairs).
     ``seed`` may be an int or an existing numpy Generator (so a caller
     stepping a sequence can keep one stream across steps).  A conventional
     call draws every presentation's bits, in presentation, cycle, column
@@ -192,6 +194,8 @@ def run_stochastic(
     run = obs if isinstance(obs, RunPlan) else plan(image, obs)
     if run.image is not image:
         raise ConfigError("plan was not built for this image")
+    if type(run) is not RunPlan:
+        raise ConfigError("a filter plan is not a batch plan: run it with machine.run_filter")
     counters, winner, cycles = sample(run, np.random.default_rng(seed), budget, strategy)
     n, rows, cols = run.codes.shape
     counts = energy.count_events("stochastic", rows, cols, image.width, cycles=int(cycles.sum()),

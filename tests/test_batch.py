@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bayesim import energy, machine, modelkit, runner, stochastic
+from bayesim import energy, machine, modelkit, runner, stochastic, tasks
 from bayesim.errors import ConfigError
 from bayesim.machine import MachineConfig, MemoryImage
 from bayesim.modelkit import BayesModel
@@ -472,6 +472,9 @@ def test_filter_plan_call_equals_plain_call(run):
             stochastic.run_stochastic(img, plan, cfg.cycle_budget, cfg.strategy)
         with pytest.raises(ConfigError, match="linear-code image"):
             machine.infer_stochastic(img, plan, cfg)
+    else:  # a filter plan's steps stand for its pairs: no batch run reads them
+        with pytest.raises(ConfigError, match="a filter plan is not a batch plan"):
+            stochastic.run_stochastic(img, plan, cfg.cycle_budget, cfg.strategy)
 
 
 def test_filter_plan_bounds_its_pair_law(monkeypatch):
@@ -491,11 +494,59 @@ def test_filter_plan_bounds_its_pair_law(monkeypatch):
     assert laws == [(30, 2, 2)]  # one law over the pairs
     monkeypatch.setattr(machine, "PAIR_LAW_MAX", entries - 1)
     plan = machine.filter_plan(img, feats)
-    assert plan.codes.shape == (30, 2, 2)
+    assert plan.codes.shape == (10, 2, 2)
     res = machine.run_filter(img, plan, cfg, seed=4)
     assert "cum_law" not in vars(plan)  # no law is built for the pairs
     assert laws == [(30, 2, 2)] + [(1, 2, 2)] * len(feats)  # one law per step
     assert_steps_one_call_at_a_time(res, img, cfg, feats, 4)
+
+
+def pair_codes(plan):
+    """The (steps * (rows + 1), R, C) codes of every (step, column-0 address)
+    pair of a filter plan, materialised: each step repeated per address
+    0..rows, with that address's codes written into column 0."""
+    img, rows = plan.image, plan.image.rows
+    pairs = np.repeat(plan.codes, rows + 1, axis=0)
+    pairs.reshape(len(plan.codes), rows + 1, rows, img.columns)[..., 0] = \
+        img.blocks[0][:, :rows + 1].T
+    return pairs
+
+
+def assert_factored_filter_equals_pairs(img, feats):
+    """A filter plan's pair law, or its log steps, equal those of the
+    materialised pair codes bit for bit."""
+    plan = machine.filter_plan(img, feats)
+    pairs = pair_codes(plan)
+    if img.kind == "linear":
+        law = stochastic.mask_law(pairs, img.width)
+        assert plan.cum_law.tobytes() == np.cumsum(law[:, 1:], axis=1).tobytes()
+    else:
+        res = machine.run_filter(img, plan)
+        prev = np.concatenate(([img.rows], res.winner[:-1]))
+        step = pairs[np.arange(len(feats)) * (img.rows + 1) + prev]
+        scores, winner = machine._log_scores(step.sum(axis=-1, dtype=np.int64))
+        assert np.array_equal(res.scores, scores) and np.array_equal(res.winner, winner)
+
+
+@SETTINGS
+@given(st.data())
+def test_factored_filter_plan_equals_its_pair_codes(data):
+    rows = data.draw(st.integers(1, 5))
+    feat_sizes = data.draw(st.lists(st.integers(1, 4), min_size=0, max_size=3))
+    sizes = [data.draw(st.integers(rows + 1, rows + 3))] + feat_sizes
+    feats = data.draw(address_batches(feat_sizes))  # no features: column 0 alone
+    lin_img = data.draw(linear_images(rows, sizes))
+    log_img = machine.inject_errors(data.draw(log_images(rows, sizes)), 1e-2,
+                                    seed=data.draw(st.integers(0, 2**32)))
+    for img in (lin_img, log_img):
+        assert_factored_filter_equals_pairs(img, feats)
+
+
+def test_factored_sleep_filter_equals_its_pair_codes():
+    prep = runner.prepare(tasks.sleep_like_spec(seed=7))
+    log_img, linear = runner.images_for_model(prep, widths=(8, 16))
+    for img in (*linear.values(), log_img, machine.inject_errors(log_img, 1e-2, seed=7)):
+        assert_factored_filter_equals_pairs(img, prep.test_obs)
 
 
 def test_filter_plan_for_another_image_or_sequence_is_refused():
@@ -510,9 +561,10 @@ def test_filter_plan_for_another_image_or_sequence_is_refused():
                 machine.run_filter(other, plan, MachineConfig(8, strategy))
 
 
-def test_filter_plan_peaks_below_twice_its_codes():
-    # the sleep geometry: each step is latched once and its codes repeated per
-    # column-0 address, with no int64 table of every (step, address) pair
+def test_filter_plan_peaks_below_its_pair_codes():
+    # the sleep geometry: each step is latched once, and no (step, address)
+    # pair is materialised, so the latch peaks below the bytes of the
+    # (steps * (rows + 1), R, C) pair codes
     rng = np.random.default_rng(5)
     blocks = [rng.integers(0, 256, (4, 8)) for _ in range(4)]
     feats = rng.integers(0, 8, (20_000, 3))
@@ -524,8 +576,8 @@ def test_filter_plan_peaks_below_twice_its_codes():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert plan.codes.shape == (20_000 * 5, 4, 4)
-        assert peak < 2 * plan.codes.nbytes
+        assert plan.codes.shape == (20_000, 4, 4)
+        assert peak < 20_000 * 5 * plan.codes[0].nbytes
 
 
 def test_a_batch_plan_is_not_a_filter_plan():
@@ -533,7 +585,7 @@ def test_a_batch_plan_is_not_a_filter_plan():
         img = MemoryImage([[[10, 200, 30], [128, 255, 40]], [[5, 6], [7, 8]]], 8, kind)
         batch = stochastic.plan(img, [[0, 0], [2, 1], [1, 1]])
         for strategy in stochastic.STRATEGIES:
-            with pytest.raises(ConfigError, match="feature addresses must be integers"):
+            with pytest.raises(ConfigError, match="a batch plan is not a filter plan"):
                 machine.run_filter(img, batch, MachineConfig(8, strategy))
 
 

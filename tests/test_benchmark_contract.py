@@ -7,7 +7,8 @@ benchmark's layer probe under its tracer, reading the benchmark files only,
 and pins the calls the benchmark rebinds: its gesture rounds time every
 `runner.eval_stochastic` pass that `sweep_cycles` makes, and read the
 budget from the config passed third.  The CLI workload reads power-conscious
-mean cycles back out of ``energy.csv`` by inverting the affine energy model.
+mean cycles back out of ``energy.csv`` by inverting the affine energy model,
+and one full cycle of log_faults slots keeps its recorded outputs digest.
 """
 
 import argparse
@@ -95,3 +96,17 @@ def test_energy_csv_gives_back_power_conscious_mean_cycles(monkeypatch, tmp_path
     assert sorted(got) == sorted(want)
     for b, cycles in want.items():
         assert got[b] == pytest.approx(cycles, rel=1e-9)
+
+
+def test_log_faults_cycle_keeps_its_outputs(monkeypatch):
+    # one full cycle of log_faults slots at seed 7 digests to the benchmark's
+    # recorded outputs_sha256, so a change to the log filter or to fault
+    # injection that moves one score or winner fails here, not only in a run
+    monkeypatch.syspath_prepend(str(BENCH))
+    import run
+    import workloads
+
+    size = workloads.SIZES["log_faults"]["full"]
+    state = workloads.faults_prepare(size)
+    cycle = [workloads.faults_round(state, 7, size, slot).stats for slot in range(size["slots"])]
+    assert run.digest(cycle) == "1ec86518f8b1e549c2ca3c1e17f66bd50b4672b45c5d636993fb7bb56495322a"
