@@ -351,13 +351,13 @@ def run_filter(image: MemoryImage, feature_addresses,
     `stochastic.LAW_MAX_ROWS` rows and `PAIR_LAW_MAX` entries `decide`s every
     (step, previous winner) pair with its step's (stop, mask, tie) uniforms and
     `walk`s the winners.  Every other run steps, building only the pair it
-    reads: a log image scores step t after winner v by `_log_scores` of the
-    step's feature-code sums plus ``transition[v]``'s codes, and ignores
-    ``seed`` and ``config``; a linear image writes ``transition[v]`` into
-    column 0 of step t in one copy of the plan's codes per pass and draws it by
-    `stochastic.sample` from one stream seeded by ``seed`` (an int or a numpy
-    Generator), as one `infer_stochastic` call per step would.  Returns one
-    InferenceResult with one presentation per step.
+    reads: a log image scores step t after winner v in place on row t of the
+    scores, the step's feature-code sums plus ``transition[v]``'s codes clamped
+    as `_log_scores` does, and ignores ``seed`` and ``config``; a linear image
+    writes ``transition[v]`` into column 0 of step t in one copy of the plan's
+    codes per pass and draws it by `stochastic.sample` from one stream seeded by
+    ``seed`` (an int or a Generator), as one `infer_stochastic` call per step
+    would.  Returns one InferenceResult with one presentation per step.
     """
     if type(feature_addresses) is stochastic.RunPlan:
         raise ConfigError("a batch plan is not a filter plan: build one with filter_plan")
@@ -378,22 +378,24 @@ def run_filter(image: MemoryImage, feature_addresses,
         scores, cycles = counters[pair], cycles[pair]
     else:
         scores = np.empty((steps, rows), dtype=np.int64)
-        winner = np.empty(steps, dtype=np.int64)
         cycles = np.ones(steps, dtype=np.int64)
-        codes, transition, prev = plan.codes, plan.transition, rows
+        codes, transition, prev, path = plan.codes, plan.transition, rows, []
         if image.kind == "log":
             features = codes[..., 1:].sum(axis=-1, dtype=np.int64)
-            transition = transition.astype(np.int64)
-            for t in range(steps):
-                scores[t], prev = _log_scores(features[t] + transition[prev])
-                winner[t] = prev
+            transition = list(transition.astype(np.int64))
+            for feature, row in zip(features, scores):
+                np.add(feature, transition[prev], out=row)
+                np.minimum(row, logprob.TOP, out=row)  # _log_scores' saturation, in place
+                prev = row.argmin()  # ties go to the lowest row, as in _log_scores
+                path.append(prev)
         else:
             rng, codes = np.random.default_rng(seed), codes.copy()  # column 0 is rewritten
             for t in range(steps):
                 codes[t, :, 0] = transition[prev]
                 one = stochastic.RunPlan(image, codes[t:t + 1])
                 (scores[t],), (prev,), (cycles[t],) = stochastic.sample(one, rng, budget, strategy)
-                winner[t] = prev
+                path.append(prev)
+        winner = np.array(path, dtype=np.int64)
     counts = energy.count_events(image.mode, rows, image.columns, image.width,
                                  cycles=int(cycles.sum()), presentations=steps)
     return InferenceResult(scores, winner, cycles, counts)

@@ -126,9 +126,9 @@ class RunPlan:
 
 
 def decide(run: RunPlan, uniforms: np.ndarray, budget: int) -> tuple:
-    """(counters, winner, cycles) of power-conscious runs of ``run``, one (stop,
-    mask, tie) row of ``uniforms`` each: a stop cycle truncated geometric in
-    q = 1 - P(no row fires), and one mask from the law of the non-empty masks."""
+    """(counters, winner, cycles) of power-conscious runs of ``run``, one [0, 1)
+    (stop, mask, tie) row of ``uniforms`` each: a stop cycle truncated geometric
+    in q = 1 - P(no row fires), and one mask from the law of the non-empty masks."""
     divisor, fires, q, bits, k, winners = run.outcomes
     stop = np.negative(uniforms[:, 0])
     np.log1p(stop, out=stop)
@@ -144,8 +144,6 @@ def decide(run: RunPlan, uniforms: np.ndarray, budget: int) -> tuple:
     mask *= stopped
     k = k.take(mask)
     pick = np.multiply(uniforms[:, 2], k, out=target).astype(np.int64)  # target is spent
-    k -= 1
-    np.minimum(pick, k, out=pick)
     counters = bits.take(mask, axis=0)
     mask *= bits.shape[1]
     mask += pick
@@ -234,6 +232,6 @@ def sample(run: RunPlan, rng, budget: int, strategy: str) -> tuple:
         counters = fire[np.arange(n), first].astype(np.int64) * stopped[:, np.newaxis]
         candidates = counters.astype(bool) | ~stopped[:, np.newaxis]
     k = candidates.sum(axis=1)
-    pick = np.minimum((ties * k).astype(np.int64), k - 1)
+    pick = (ties * k).astype(np.int64)  # a uniform below 1 times k truncates below k
     winner = (candidates.cumsum(axis=1) > pick[:, np.newaxis]).argmax(axis=1)
     return counters, winner, cycles

@@ -3,8 +3,9 @@
 `infer_logarithmic` and the oracles score a whole batch in one call; these
 properties pin them to calls on one batch row at a time, and `oracle_filter`
 to a per-step float reference.  The logarithmic filter is pinned to the
-brute-force filter of test_machine on random images, and a filter's result
-to its per-step calls.  The stochastic sampler draws a whole batch at once:
+brute-force filter of test_machine on random images, its saturation to
+fixed images whose step sums pass TOP, and a filter's result to its
+per-step calls.  The stochastic sampler draws a whole batch at once:
 properties pin its counters, stop cycles, winners and totals, and
 chi-square tests on one batch of identical presentations pin its winner
 split, stop-cycle law and tie-breaks to their exact laws.  Conventional
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bayesim import energy, machine, modelkit, runner, stochastic, tasks
+from bayesim import energy, logprob, machine, modelkit, runner, stochastic, tasks
 from bayesim.errors import ConfigError
 from bayesim.machine import MachineConfig, MemoryImage
 from bayesim.modelkit import BayesModel
@@ -79,6 +80,23 @@ def test_log_filter_equals_brute_force(data):
     prev = [rows] + winners[:-1]
     for scores, p, step in zip(res.scores, prev, feats):
         assert np.array_equal(scores, machine.infer_logarithmic(img, [[p, *step]]).scores[0])
+
+
+def test_log_filter_saturates_before_its_argmin():
+    # every row's step sum exceeds TOP: every score is TOP and every winner is
+    # row 0, though row 1 has the lowest raw sum
+    trans = np.full((3, 4), 200)
+    img = MemoryImage([trans, np.array([[100, 180], [60, 90], [80, 70]])], 8, "log")
+    res, top = machine.run_filter(img, [[0], [1], [1], [0]]), logprob.TOP
+    assert res.scores.tolist() == [[top] * 3] * 4
+    assert res.winner.tolist() == [0] * 4
+    # rows 0 and 1 exceed TOP with raw sums 400 and 300, row 2 sums to TOP or
+    # TOP - 1: only a clamp before the argmin gives row 0, not row 2 (or 1)
+    trans[2] = 55
+    img = MemoryImage([trans, np.array([[200, 200], [100, 100], [200, 199]])], 8, "log")
+    res = machine.run_filter(img, [[0], [1], [0]])
+    assert res.scores.tolist() == [[top] * 3, [top, top, top - 1], [top] * 3]
+    assert res.winner.tolist() == [0, 2, 0]
 
 
 @st.composite
@@ -266,6 +284,14 @@ def test_power_conscious_kernel_equals_per_presentation_reference(run):
 
 
 EDGE_UNIFORMS = (0.0, 1.0 - 2.0**-53)  # the ends of rng.random's [0, 1)
+
+
+def test_largest_uniform_picks_below_k():
+    # a tie pick is int(u * k) with u < 1, so it needs no clamp at k - 1: the
+    # largest uniform, 1 - 2**-53, truncates to k - 1 for every k up to 2**24
+    for start in range(1, 1 << 24, 1 << 20):
+        k = np.arange(start, start + (1 << 20), dtype=np.int64)
+        assert np.array_equal((EDGE_UNIFORMS[1] * k).astype(np.int64), k - 1)
 
 
 @SETTINGS

@@ -8,7 +8,8 @@ and pins the calls the benchmark rebinds: its gesture rounds time every
 `runner.eval_stochastic` pass that `sweep_cycles` makes, and read the
 budget from the config passed third.  The CLI workload reads power-conscious
 mean cycles back out of ``energy.csv`` by inverting the affine energy model,
-and one full cycle of log_faults slots keeps its recorded outputs digest.
+and one full cycle of log_faults slots, and one gesture_mc slot, keep their
+recorded outputs digests.
 """
 
 import argparse
@@ -110,3 +111,18 @@ def test_log_faults_cycle_keeps_its_outputs(monkeypatch):
     state = workloads.faults_prepare(size)
     cycle = [workloads.faults_round(state, 7, size, slot).stats for slot in range(size["slots"])]
     assert run.digest(cycle) == "1ec86518f8b1e549c2ca3c1e17f66bd50b4672b45c5d636993fb7bb56495322a"
+
+
+def test_gesture_mc_slot_keeps_its_outputs(monkeypatch):
+    # one full-size gesture_mc slot at seed 7 digests to the benchmark's
+    # recorded outputs_sha256, so a change to the sampler's draws, stop cycles
+    # or tie picks that moves one accuracy or mean cycle count fails here
+    monkeypatch.setenv("BAYESIM_THREADS", "1")
+    monkeypatch.syspath_prepend(str(BENCH))
+    import run
+    import workloads
+
+    size = workloads.SIZES["gesture_mc"]["full"]
+    state = workloads.gesture_prepare(size)
+    cycle = [workloads.gesture_round(state, 7, size, slot).stats for slot in range(size["slots"])]
+    assert run.digest(cycle) == "4bfaefa08a353e3bba8ead18eb9d4859bd786da4fa4808df5ea13c552a73e19b"
