@@ -351,13 +351,14 @@ def run_filter(image: MemoryImage, feature_addresses,
     `stochastic.LAW_MAX_ROWS` rows and `PAIR_LAW_MAX` entries `decide`s every
     (step, previous winner) pair with its step's (stop, mask, tie) uniforms and
     `walk`s the winners.  Every other run steps, building only the pair it
-    reads: a log image scores step t after winner v in place on row t of the
-    scores, the step's feature-code sums plus ``transition[v]``'s codes clamped
-    as `_log_scores` does, and ignores ``seed`` and ``config``; a linear image
-    writes ``transition[v]`` into column 0 of step t in one copy of the plan's
-    codes per pass and draws it by `stochastic.sample` from one stream seeded by
-    ``seed`` (an int or a Generator), as one `infer_stochastic` call per step
-    would.  Returns one InferenceResult with one presentation per step.
+    reads: a log image adds step t's feature-code sums to ``transition[v]`` on
+    row t of the scores, whose raw argmin wins (row 0 if that is TOP or more:
+    every row saturates), then clamps the table once as `_log_scores` does,
+    ignoring ``seed`` and ``config``; a linear image writes ``transition[v]``
+    into column 0 of step t in one copy of the plan's codes per pass and draws
+    it by `stochastic.sample` from one stream seeded by ``seed`` (an int or a
+    Generator), as one `infer_stochastic` call per step would.  Returns one
+    InferenceResult with one presentation per step.
     """
     if type(feature_addresses) is stochastic.RunPlan:
         raise ConfigError("a batch plan is not a filter plan: build one with filter_plan")
@@ -385,9 +386,10 @@ def run_filter(image: MemoryImage, feature_addresses,
             transition = list(transition.astype(np.int64))
             for feature, row in zip(features, scores):
                 np.add(feature, transition[prev], out=row)
-                np.minimum(row, logprob.TOP, out=row)  # _log_scores' saturation, in place
                 prev = row.argmin()  # ties go to the lowest row, as in _log_scores
+                prev = 0 if row[prev] >= logprob.TOP else prev  # all saturate: row 0 wins
                 path.append(prev)
+            np.minimum(scores, logprob.TOP, out=scores)  # _log_scores' saturation, once
         else:
             rng, codes = np.random.default_rng(seed), codes.copy()  # column 0 is rewritten
             for t in range(steps):

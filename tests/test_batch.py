@@ -1,11 +1,13 @@
 """Batched inference equals one presentation at a time.
 
 `infer_logarithmic` and the oracles score a whole batch in one call; these
-properties pin them to calls on one batch row at a time, and `oracle_filter`
-to a per-step float reference.  The logarithmic filter is pinned to the
-brute-force filter of test_machine on random images, its saturation to
-fixed images whose step sums pass TOP, and a filter's result to its
-per-step calls.  The stochastic sampler draws a whole batch at once:
+properties pin them to calls on one batch row at a time, and
+`oracle_filter` to a per-step float reference.  The logarithmic filter is
+pinned to the brute-force filter of test_machine on random images, its
+saturation to fixed images whose step sums pass TOP and to a stepwise
+clamp-then-argmin reference on random images whose sums straddle TOP, the
+seed-7 sleep filter to an all-pairs reference, and a filter's result to
+its per-step calls.  The stochastic sampler draws a whole batch at once:
 properties pin its counters, stop cycles, winners and totals, and
 chi-square tests on one batch of identical presentations pin its winner
 split, stop-cycle law and tie-breaks to their exact laws.  Conventional
@@ -97,6 +99,59 @@ def test_log_filter_saturates_before_its_argmin():
     res = machine.run_filter(img, [[0], [1], [0]])
     assert res.scores.tolist() == [[top] * 3, [top, top, top - 1], [top] * 3]
     assert res.winner.tolist() == [0, 2, 0]
+
+
+@st.composite
+def saturating_log_filters(draw):
+    """A log filter whose raw step sums straddle TOP: a transition code and a
+    feature code near TOP / 2 sum to TOP - 3 .. TOP + 3, a code of TOP
+    saturates its row, and a second feature column of 0s and 1s moves sums
+    by one and makes ties at the raw minimum."""
+    rows = draw(st.integers(1, 4))
+    near = st.sampled_from([0, 126, 127, 128, 129, logprob.TOP])
+    v0, v1, v2 = rows + 1, draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    blocks = [np.array(draw(st.lists(st.lists(codes, min_size=v, max_size=v),
+                                     min_size=rows, max_size=rows)))
+              for v, codes in ((v0, near), (v1, near), (v2, st.integers(0, 1)))]
+    feats = draw(address_batches((v1, v2)))
+    return MemoryImage(blocks, 8, "log"), feats
+
+
+@SETTINGS
+@given(saturating_log_filters())
+def test_log_filter_equals_stepwise_clamp_then_argmin(run):
+    img, feats = run
+    res = machine.run_filter(img, feats)
+    winners = filter_oracle(img.blocks, feats, img.rows)  # clamps each step, then argmin
+    table = np.column_stack([[img.rows, *winners[:-1]], feats])
+    scores = np.minimum(img.latch(table).sum(axis=-1, dtype=np.int64), logprob.TOP)
+    assert res.scores.dtype == res.winner.dtype == np.int64
+    assert np.array_equal(res.scores, scores)
+    assert res.winner.tolist() == winners
+
+
+def all_pairs_log_filter(img, feats):
+    """Every (step, previous winner) pair at once: ``min(F[:, None] + G[None],
+    TOP)`` with F the steps' feature sums and G the transition codes, its
+    argmin per pair, then `machine.walk` from the unknown state."""
+    rows = img.rows
+    table = np.column_stack([np.full(len(feats), rows), feats])
+    f = img.latch(table)[..., 1:].sum(axis=-1, dtype=np.int64)
+    g = img.blocks[0][:, :rows + 1].T.astype(np.int64)
+    pairs = np.minimum(f[:, None] + g[None], logprob.TOP)
+    winner = np.array(machine.walk(pairs.argmin(axis=-1), rows), dtype=np.int64)
+    prev = np.concatenate(([rows], winner[:-1]))
+    return pairs[np.arange(len(feats)), prev], winner
+
+
+def test_sleep_log_filter_equals_all_pairs_reference():
+    prep = runner.prepare(tasks.sleep_like_spec(seed=7))
+    log_img = modelkit.compile_model(prep.model, "logarithmic")
+    for img in (log_img, *(machine.inject_errors(log_img, ber, seed=7) for ber in (1e-2, 0.3))):
+        res = machine.run_filter(img, prep.test_obs)
+        scores, winner = all_pairs_log_filter(img, prep.test_obs)
+        assert np.array_equal(res.scores, scores)
+        assert np.array_equal(res.winner, winner)
 
 
 @st.composite
