@@ -42,8 +42,9 @@ class EventCounts:
 
     def __post_init__(self):
         for name in EVENT_KINDS:  # the field names, without dataclasses.fields per call
-            if getattr(self, name) < 0:
-                raise ConfigError(f"negative event count {name}")
+            v = getattr(self, name)
+            if not 0 <= v < math.inf:  # also refuses NaN
+                raise ConfigError(f"{'negative' if v < 0 else 'non-finite'} event count {name}")
 
 
 @dataclass(frozen=True)
@@ -116,8 +117,8 @@ def count_events(
     the measured mean cycles of power-conscious runs); the per-cycle counts
     are then means too.
     """
-    if rows < 1 or cols < 1 or cycles < 1 or presentations < 1:
-        raise ConfigError("rows, cols, cycles and presentations must all be >= 1")
+    if rows < 1 or cols < 1 or not 1 <= cycles < math.inf or presentations < 1:  # NaN too
+        raise ConfigError("rows, cols, cycles and presentations must all be finite and >= 1")
     if mode == "logarithmic":
         return EventCounts(
             mem_read_bits=presentations * cols * rows * width,

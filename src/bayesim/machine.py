@@ -20,6 +20,7 @@ decisions.  Every call, on a batch or a filtered sequence, returns one
 
 from __future__ import annotations
 
+import operator
 import struct
 import zlib
 from dataclasses import dataclass
@@ -351,9 +352,10 @@ def run_filter(image: MemoryImage, feature_addresses,
     `stochastic.LAW_MAX_ROWS` rows and `PAIR_LAW_MAX` entries `decide`s every
     (step, previous winner) pair with its step's (stop, mask, tie) uniforms and
     `walk`s the winners.  Every other run steps, building only the pair it
-    reads: a log image adds step t's feature-code sums to ``transition[v]`` on
-    row t of the scores, whose raw argmin wins (row 0 if that is TOP or more:
-    every row saturates), then clamps the table once as `_log_scores` does,
+    reads: a log image picks step t's winner from the plain-int sums of its
+    feature codes and ``transition[v]``, the first raw minimum winning (row 0
+    if that is TOP or more: every row saturates), then gathers the score table
+    of every step's pair in one add and clamps it once as `_log_scores` does,
     ignoring ``seed`` and ``config``; a linear image writes ``transition[v]``
     into column 0 of step t in one copy of the plan's codes per pass and draws
     it by `stochastic.sample` from one stream seeded by ``seed`` (an int or a
@@ -383,12 +385,13 @@ def run_filter(image: MemoryImage, feature_addresses,
         codes, transition, prev, path = plan.codes, plan.transition, rows, []
         if image.kind == "log":
             features = codes[..., 1:].sum(axis=-1, dtype=np.int64)
-            transition = list(transition.astype(np.int64))
-            for feature, row in zip(features, scores):
-                np.add(feature, transition[prev], out=row)
-                prev = row.argmin()  # ties go to the lowest row, as in _log_scores
-                prev = 0 if row[prev] >= logprob.TOP else prev  # all saturate: row 0 wins
+            prior = transition.tolist()
+            for feature in features.tolist():
+                row = list(map(operator.add, feature, prior[prev]))
+                low = min(row)  # index() finds the first: ties go to the lowest row
+                prev = row.index(low) if low < logprob.TOP else 0  # all saturate: row 0
                 path.append(prev)
+            np.add(features, transition[[rows] + path[:-1]], out=scores)
             np.minimum(scores, logprob.TOP, out=scores)  # _log_scores' saturation, once
         else:
             rng, codes = np.random.default_rng(seed), codes.copy()  # column 0 is rewritten

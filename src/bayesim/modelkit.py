@@ -83,8 +83,8 @@ def estimate_transitions(labels, classes: int, alpha: float = 1.0) -> np.ndarray
     """
     if np.size(labels) == 0:
         raise TrainingError("empty label sequence")
-    if alpha < 0:
-        raise DomainError("alpha must be >= 0")
+    if not 0 <= alpha < math.inf:  # also refuses NaN
+        raise DomainError(f"alpha must be finite and >= 0, got {alpha!r}")
     labels = _class_labels(labels, classes)
     pairs = labels[:-1] * classes + labels[1:]
     counts = np.bincount(pairs, minlength=classes * classes).reshape(classes, classes)

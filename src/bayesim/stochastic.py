@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import energy
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_int
 
 STRATEGIES = ("conventional", "power_conscious")
 WIDTHS = (8, 16)  # linear code widths
@@ -183,7 +183,7 @@ def run_stochastic(
     """
     if image.kind != "linear":
         raise ConfigError("stochastic run needs a linear-code image")
-    if not 1 <= budget <= MAX_BUDGET:
+    if not 1 <= check_int("cycle budget", budget) <= MAX_BUDGET:
         raise ConfigError(f"cycle budget must be in [1, 2**53], got {budget}")
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")

@@ -144,6 +144,27 @@ def all_pairs_log_filter(img, feats):
     return pairs[np.arange(len(feats)), prev], winner
 
 
+@pytest.mark.parametrize("steps", [1, 2000])
+@settings(max_examples=20, deadline=None)
+@given(rows=st.integers(5, 16), v1=st.integers(2, 4), v2=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_wide_long_log_filter_equals_references(steps, rows, v1, v2, seed):
+    # 5..16 rows, above LAW_MAX_ROWS too; codes of 127 + 128 sum to TOP exactly
+    # and equal codes tie; address 0 of column 1 saturates every row
+    rng = np.random.default_rng(seed)
+    codes = [0, 1, 127, 128, logprob.TOP]
+    blocks = [rng.choice(codes, size=(rows, v)) for v in (rows + 1, v1, v2)]
+    blocks[1][:, 0] = logprob.TOP
+    img = MemoryImage(blocks, 8, "log")
+    feats = rng.integers(0, (v1, v2), size=(steps, 2))
+    res = machine.run_filter(img, feats)
+    scores, winner = all_pairs_log_filter(img, feats)
+    assert res.scores.dtype == res.winner.dtype == np.int64
+    assert np.array_equal(res.scores, scores)
+    assert np.array_equal(res.winner, winner)
+    assert res.winner.tolist() == filter_oracle(img.blocks, feats, rows)
+
+
 def test_sleep_log_filter_equals_all_pairs_reference():
     prep = runner.prepare(tasks.sleep_like_spec(seed=7))
     log_img = modelkit.compile_model(prep.model, "logarithmic")

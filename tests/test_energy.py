@@ -75,6 +75,16 @@ def test_count_events_validation():
         energy.EventCounts(mem_read_bits=-1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_event_counts_are_refused(bad):
+    # nan < 0 is false: both were accepted and priced as NaN or inf joules
+    with pytest.raises(ConfigError, match="finite"):
+        energy.count_events("stochastic", 4, 4, 8, cycles=bad)
+    for name in energy.EVENT_KINDS:
+        with pytest.raises(ConfigError, match=f"non-finite event count {name}"):
+            energy.EventCounts(**{name: bad})
+
+
 def test_energy_of_linearity():
     c = energy.count_events("stochastic", 4, 4, 8, cycles=5)
     zero = energy.CostTable(0, 0, 0, 0, 0, 0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bayesim import logprob, machine, modelkit, stochastic
-from bayesim.errors import ConfigError, FormatError, TrainingError
+from bayesim.errors import ConfigError, DomainError, FormatError, TrainingError
 from bayesim.modelkit import BayesModel
 
 
@@ -134,6 +134,18 @@ def test_estimate_transitions_errors():
         modelkit.estimate_transitions([], classes=2)
     with pytest.raises(TrainingError):
         modelkit.estimate_transitions([0, 5], classes=2)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, math.nan, math.inf])
+def test_estimate_transitions_alpha_must_be_finite_and_non_negative(alpha):
+    # NaN and inf gave a NaN matrix, which train_model then reported as
+    # "transition rows must be distributions"
+    with pytest.raises(DomainError, match="alpha must be finite and >= 0"):
+        modelkit.estimate_transitions([0, 1, 0, 1], classes=2, alpha=alpha)
+    X = np.arange(8.0).reshape(4, 2)
+    with pytest.raises(DomainError, match="alpha must be finite and >= 0"):
+        modelkit.train_model(X, [0, 1, 0, 1], classes=2, bins=4, with_transitions=True,
+                             alpha=alpha)
 
 
 def test_model_rejects_non_finite_tables():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bayesim
 from bayesim import stochastic
 from bayesim.errors import ConfigError, DomainError
 from bayesim.machine import MemoryImage
@@ -175,6 +176,14 @@ def test_per_cell_rng_mode_is_refused():
         with pytest.raises(ConfigError, match="per_cell"):
             stochastic.run_stochastic(img, [[0, 0]], budget=8, strategy=strategy,
                                       rng_mode="per_cell")
+
+
+@pytest.mark.parametrize("budget", [10.5, True, "5", None])
+def test_run_refuses_a_budget_that_is_not_an_int(budget):
+    # these escaped bayesim.run_stochastic as a TypeError or ran as budget 1
+    img = linear_image([np.full((2, 4), 128, dtype=np.uint16)])
+    with pytest.raises(ConfigError, match="cycle budget must be an integer"):
+        bayesim.run_stochastic(img, [[0]], budget)
 
 
 def test_counters_bounded_by_cycles():
