@@ -27,7 +27,8 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import __version__, energy, machine, modelkit, runner, stochastic, tasks
-from .errors import ConfigError, FormatError, ValidationError, parse_json, read_text
+from .errors import (ConfigError, FormatError, ValidationError, parse_header, parse_json, read_text,
+                     read_versioned, write_json)
 
 _CSV_VERSION = 1
 
@@ -196,8 +197,7 @@ class Options:
         ``path`` and a timestamp, which stays outside the hash."""
         doc = {**self.manifest(), "hash": self.hash, "content_sha256": _sha256_file(path),
                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
-        side = path.with_name(path.name + ".manifest.json")
-        side.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        write_json(path.with_name(path.name + ".manifest.json"), doc)
 
     def emit(self, out: Path, schema: str, points, summary: str, comments=()) -> None:
         """Write ``<out>/<schema>.csv`` (a row per point, from its attributes
@@ -236,8 +236,7 @@ def _prepared(opts: Options) -> runner.Prepared:
 
 # ---- commands ----
 
-def cmd_gen(args) -> int:
-    opts = Options(args, "gen")
+def cmd_gen(opts: Options) -> int:
     task = opts.get("task")
     seed = opts.get("seed")
     out = opts.outdir()
@@ -258,8 +257,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    opts = Options(args, "train")
+def cmd_train(opts: Options) -> int:
     ds = tasks.load_dataset(opts.path("data"))
     out = Path(opts.require("out"))
     dist = opts.get("dist", "gaussian")
@@ -277,8 +275,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_compile(args) -> int:
-    opts = Options(args, "compile")
+def cmd_compile(opts: Options) -> int:
     model = modelkit.load_model(opts.path("model"))
     out = Path(opts.require("out"))
     mode = opts.get("mode", "logarithmic")
@@ -293,8 +290,7 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def cmd_sim(args) -> int:
-    opts = Options(args, "sim")
+def cmd_sim(opts: Options) -> int:
     prep = _prepared(opts)
     image = machine.load_image(opts.path("image"))
     modelkit.check_layout(prep.model, image)
@@ -316,8 +312,7 @@ def cmd_sim(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    opts = Options(args, "sweep")
+def cmd_sweep(opts: Options) -> int:
     kind = opts.require("kind")
     opts.refuse({"cycles": ("budget",), "bits": ("budget", "width")}.get(kind, ()),
                 f"--kind {kind}")
@@ -339,8 +334,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_energy(args) -> int:
-    opts = Options(args, "energy")
+def cmd_energy(opts: Options) -> int:
     prep = _prepared(opts)
     budgets = _numbers(opts.get("grid", "10,50,100,255"), int)
     trials = opts.get("trials", 10)
@@ -364,18 +358,15 @@ def _manifest_status(csv_path: Path, embedded: str, content: str) -> str:
     if not side.exists():
         return "missing-manifest"
     try:
-        doc = parse_json(read_text(side), side)
-    except (FormatError, OSError):  # not UTF-8 JSON, or not a readable file
-        return "bad-manifest"
-    if not isinstance(doc, dict):
+        doc = read_versioned(read_text(side), side, 1, "manifest", dict)
+    except (FormatError, OSError):  # not a version-1 JSON object, or not a readable file
         return "bad-manifest"
     if doc.get("hash") != embedded:
         return "hash-mismatch"
     return "ok" if doc.get("content_sha256", content) == content else "content-mismatch"
 
 
-def cmd_report(args) -> int:
-    opts = Options(args, "report")
+def cmd_report(opts: Options) -> int:
     run_dir = Path(opts.require("run"))
     out = opts.outdir()
     if not run_dir.is_dir():
@@ -390,10 +381,10 @@ def cmd_report(args) -> int:
             head = None
         content = _sha256_file(csv_path)
         if head is not None:
-            toks = head[0].split() if head else []
-            if len(toks) < 2 or toks[0] != "#" or not toks[1].startswith("bayesim"):
+            header = parse_header(head[0] if head else "")
+            if header is None:
                 continue
-            fields = dict(tok.partition("=")[::2] for tok in toks[2:])
+            fields = header[1]
             row.schema = fields.get("schema", fields.get("kind", "?"))
             row.manifest = fields.get("manifest", "")
             n_rows = sum(1 for ln in head if ln and not ln.startswith("#"))
@@ -449,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(Options(args, args.command))
     except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

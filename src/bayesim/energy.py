@@ -10,12 +10,11 @@ not as a claim about any fabricated part.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, asdict, fields
 
-from .errors import ConfigError, FormatError, parse_json, read_text
+from .errors import ConfigError, FormatError, read_text, read_versioned, write_json
 
 EVENT_KINDS = (
     "mem_read_bits",
@@ -79,22 +78,15 @@ def example_cost_table() -> CostTable:
 
 
 def save_cost_table(path, table: CostTable) -> None:
-    doc = {"version": 1, "unit": "J", "costs": asdict(table)}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"version": 1, "unit": "J", "costs": asdict(table)})
 
 
 def load_cost_table(path) -> CostTable:
-    doc = parse_json(read_text(path), path)
-    if not isinstance(doc, dict) or doc.get("version") != 1 or "costs" not in doc:
-        raise FormatError(f"{path}: not a version-1 cost table")
-    if doc.get("unit") != "J":  # a pJ table read as joules prices 10**12 too high
-        raise FormatError(f"{path}: cost unit must be \"J\", got {doc.get('unit')!r}")
-    try:
+    def build(doc):
+        if doc.get("unit") != "J":  # a pJ table read as joules prices 10**12 too high
+            raise FormatError(f"{path}: cost unit must be \"J\", got {doc.get('unit')!r}")
         return CostTable(**doc["costs"])
-    except (TypeError, OverflowError) as exc:
-        raise FormatError(f"{path}: bad cost table fields ({exc})") from exc
+    return read_versioned(read_text(path), path, 1, "cost table", build)
 
 
 def count_events(

@@ -1,5 +1,6 @@
-"""Error types shared across the simulator, and the text and JSON readers
-every loader goes through.
+"""Error types shared across the simulator, and the file conventions every
+loader and writer goes through: text and JSON readers, the one JSON
+layout, versioned documents and ``# bayesim-<tag>`` header lines.
 
 Validation-type errors (bad arguments, malformed files, mismatched shapes)
 all derive from ValidationError so the CLI can map them to exit code 2.
@@ -7,6 +8,7 @@ Anything else escaping to the CLI is a runtime failure (exit code 1).
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -60,3 +62,39 @@ def parse_json(text: str, source):
         raise FormatError(f"{source}:{exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise FormatError(f"{source}: JSON nested too deeply") from exc
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as every JSON artifact is written: indent 2, sorted keys,
+    a final newline, and numpy arrays and scalars as plain lists and numbers."""
+    Path(path).write_text(json_text(doc))
+
+
+def json_text(doc) -> str:
+    """The text `write_json` writes."""
+    return json.dumps(doc, indent=2, sort_keys=True, default=lambda v: v.tolist()) + "\n"
+
+
+def read_versioned(text: str, source, version: int, what: str, build):
+    """``build(doc)`` of the JSON object in ``text``, which must hold
+    ``"version": version``.  A builder's KeyError, TypeError, ValueError or
+    OverflowError becomes a FormatError naming ``source``; a ValidationError
+    passes unchanged."""
+    doc = parse_json(text, source)
+    if not isinstance(doc, dict) or doc.get("version") != version:
+        raise FormatError(f"{source}: not a version-{version} {what}")
+    try:
+        return build(doc)
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{source}: bad {what} ({exc})") from exc
+
+
+def parse_header(line: str):
+    """``(name, fields)`` of a ``# bayesim-<tag> key=value ...`` header line,
+    the fields as text; None for any other line."""
+    toks = line.split()
+    if len(toks) < 2 or toks[0] != "#" or not toks[1].startswith("bayesim"):
+        return None
+    return toks[1], dict(tok.partition("=")[::2] for tok in toks[2:])

@@ -11,15 +11,14 @@ machines are judged against.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import logprob, stochastic
-from .errors import (ConfigError, DomainError, FormatError, TrainingError, ValidationError,
-                     check_int, parse_json, read_text)
+from .errors import (ConfigError, DomainError, TrainingError, check_int, json_text, read_text,
+                     read_versioned, write_json)
 from .machine import KINDS as CODE_KINDS, MODES, MemoryImage, check_addresses, walk
 
 KINDS = ("gaussian", "lognormal")
@@ -352,47 +351,29 @@ def oracle_filter(model: BayesModel, obs_seq) -> list:
     return walk(_posterior(model, weights, steps).winner, start=n)
 
 
+def _model_doc(model: BayesModel) -> dict:
+    return {"version": _MODEL_VERSION, "prior": _prior(model.classes), **asdict(model)}
+
+
 def model_to_json(model: BayesModel) -> str:
-    doc = {
-        "version": _MODEL_VERSION,
-        "classes": model.classes,
-        "features": model.features,
-        "bins": list(model.bins),
-        "likelihood": [t.tolist() for t in model.likelihood],
-        "prior": _prior(model.classes).tolist(),
-        "transition": None if model.transition is None else model.transition.tolist(),
-        "bin_edges": [e.tolist() for e in model.bin_edges],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json_text(_model_doc(model))
 
 
-def model_from_json(text: str, source: str = "<model>") -> BayesModel:
-    """The model in ``text``; its prior must be uniform, as a machine's is."""
-    doc = parse_json(text, source)
-    if not isinstance(doc, dict) or doc.get("version") != _MODEL_VERSION:
-        raise FormatError(f"{source}: not a version-{_MODEL_VERSION} model file")
-    try:
-        model = BayesModel(
-            classes=doc["classes"],
-            features=doc["features"],
-            bins=tuple(doc["bins"]),
-            likelihood=doc["likelihood"],
-            transition=doc["transition"],
-            bin_edges=doc["bin_edges"],
-        )
-        p = np.asarray(doc["prior"], dtype=float)
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{source}: bad model fields ({exc})") from exc
+def _model_from_doc(doc: dict) -> BayesModel:
+    model = BayesModel(**{f.name: doc[f.name] for f in fields(BayesModel)})
+    p = np.asarray(doc["prior"], dtype=float)
     if p.shape != (model.classes,) or not (np.all(p == p[0]) and 0 < p[0] < np.inf):
         raise ConfigError(f"prior must be {model.classes} equal positive weights")
     return model
 
 
+def model_from_json(text: str, source: str = "<model>") -> BayesModel:
+    """The model in ``text``; its prior must be uniform, as a machine's is."""
+    return read_versioned(text, source, _MODEL_VERSION, "model file", _model_from_doc)
+
+
 def save_model(path, model: BayesModel) -> None:
-    with open(path, "w") as fh:
-        fh.write(model_to_json(model))
+    write_json(path, _model_doc(model))
 
 
 def load_model(path) -> BayesModel:

@@ -37,6 +37,7 @@ STRATEGIES = ("conventional", "power_conscious")
 WIDTHS = (8, 16)  # linear code widths
 LAW_MAX_ROWS = 12  # a law has 2**rows masks; more rows run cycle by cycle
 MAX_BUDGET = 1 << 53  # a power-conscious stop cycle is a float64, exact up to here
+KERNEL_MAX_DRAWS = 1 << 28  # column draws one cycle-kernel call may hold at once
 
 
 def quantize_linear_array(p: np.ndarray, k: int = 8) -> np.ndarray:
@@ -204,11 +205,15 @@ def run_stochastic(
 def sample(run: RunPlan, rng, budget: int, strategy: str) -> tuple:
     """(counters, winner, cycles) of every presentation of ``run``, drawn from
     the Generator ``rng`` as `run_stochastic` describes.  The caller checks the
-    image kind, the budget and the strategy."""
+    image kind, the budget and the strategy; a cycle-kernel run of more than
+    `KERNEL_MAX_DRAWS` draws raises ConfigError before any draw."""
     codes, width = run.codes, run.image.width
     n, rows, cols = codes.shape
     if strategy == "power_conscious" and rows <= LAW_MAX_ROWS:
         return decide(run, rng.random((n, 3)), budget)
+    if n * budget * cols > KERNEL_MAX_DRAWS:
+        raise ConfigError(f"cycle budget {budget} over {n} presentations needs {n * budget * cols}"
+                          f" draws, more than the cycle kernel's {KERNEL_MAX_DRAWS}")
     dtype = np.uint8 if width == 8 else np.uint16
     # one draw per column per cycle, seen by every row of the column
     draws = rng.integers(0, 1 << width, size=(n, budget, 1, cols), dtype=dtype)

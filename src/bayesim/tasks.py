@@ -5,7 +5,7 @@ Two task families mirror the hardware experiments: a sequential
 solved with the recursive filter) and an i.i.d. "gesture_like" task
 (class-conditional gaussian features, solved with plain naive Bayes).
 Raw-signal CSV rows can be reduced to those features here: single-bin
-spectral power via the Goertzel recurrence for EEG bands, mean square
+spectral power from one DFT bin for EEG bands, mean square
 power for EMG, and simple time-domain statistics for accelerometer
 traces.
 """
@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import modelkit
-from .errors import DomainError, FormatError, check_int, parse_json, read_text
+from .errors import (DomainError, FormatError, check_int, parse_header, read_text, read_versioned,
+                     write_json)
 from .machine import walk
 
 _DATASET_VERSION = 1
@@ -39,7 +39,7 @@ GESTURE_FEATURE_NAMES = (
 
 def psd_at(signal, fs: float, f0: float) -> float:
     """Normalized single-bin spectral power |X_k|^2 / N^2 at the DFT bin
-    nearest f0, computed with the Goertzel recurrence (rectangular window).
+    nearest f0 (rectangular window), X_k computed directly as one dot product.
 
     A unit-amplitude sine sitting exactly on a bin yields 0.25.
     """
@@ -52,11 +52,8 @@ def psd_at(signal, fs: float, f0: float) -> float:
     if not 0.0 < f0 < fs / 2.0:
         raise DomainError(f"target frequency {f0} outside (0, fs/2)")
     k = int(math.floor(n * f0 / fs + 0.5))
-    coeff = 2.0 * math.cos(2.0 * math.pi * k / n)
-    q1 = q2 = 0.0
-    for v in x:
-        q1, q2 = v + coeff * q1 - q2, q1
-    return (q1 * q1 + q2 * q2 - coeff * q1 * q2) / (n * n)
+    xk = x @ np.exp(-2j * math.pi / n * (k * np.arange(n) % n))  # k * t mod n: exact phases
+    return (xk.real * xk.real + xk.imag * xk.imag) / (n * n)
 
 
 def signal_power(signal) -> float:
@@ -162,8 +159,10 @@ class SyntheticTaskSpec:
         sc = np.asarray(self.scales, dtype=float)
         if loc.shape != (self.classes, self.features) or sc.shape != loc.shape:
             raise DomainError("locations/scales must be (classes, features)")
-        if np.any(sc <= 0):
-            raise DomainError("scales must be positive")
+        if not np.all(np.isfinite(loc)):
+            raise DomainError("locations must be finite")
+        if not np.all((sc > 0) & (sc < np.inf)):  # also refuses NaN
+            raise DomainError("scales must be positive and finite")
         object.__setattr__(self, "locations", tuple(map(tuple, loc.tolist())))
         object.__setattr__(self, "scales", tuple(map(tuple, sc.tolist())))
         if self.kind == "sleep_like":
@@ -275,41 +274,14 @@ def generate(spec: SyntheticTaskSpec):
 # ---- task spec and dataset files ----
 
 def save_task_spec(path, spec: SyntheticTaskSpec) -> None:
-    doc = {
-        "version": _SPEC_VERSION,
-        "kind": spec.kind,
-        "classes": spec.classes,
-        "features": spec.features,
-        "locations": [list(r) for r in spec.locations],
-        "scales": [list(r) for r in spec.scales],
-        "transition": None if spec.transition is None else [list(r) for r in spec.transition],
-        "train_size": spec.train_size,
-        "test_size": spec.test_size,
-        "seed": spec.seed,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"version": _SPEC_VERSION, **asdict(spec)})
 
 
 def load_task_spec(path) -> SyntheticTaskSpec:
-    doc = parse_json(read_text(path), path)
-    if not isinstance(doc, dict) or doc.get("version") != _SPEC_VERSION:
-        raise FormatError(f"{path}: not a version-{_SPEC_VERSION} task spec")
-    try:
-        return SyntheticTaskSpec(
-            kind=doc["kind"],
-            classes=doc["classes"],
-            features=doc["features"],
-            locations=doc["locations"],
-            scales=doc["scales"],
-            transition=doc["transition"],
-            train_size=doc["train_size"],
-            test_size=doc["test_size"],
-            seed=doc.get("seed", 0),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{path}: bad task spec ({exc})") from exc
+    """The spec in a `save_task_spec` file; a missing seed is 0."""
+    names = [f.name for f in fields(SyntheticTaskSpec)]
+    return read_versioned(read_text(path), path, _SPEC_VERSION, "task spec",
+                          lambda doc: SyntheticTaskSpec(**{k: doc[k] for k in names if k in doc}))
 
 
 def save_dataset(path, ds: Dataset, manifest: str | None = None) -> None:
@@ -321,19 +293,6 @@ def save_dataset(path, ds: Dataset, manifest: str | None = None) -> None:
         w = csv.writer(fh)
         for row, label in zip(ds.features, ds.labels):
             w.writerow([int(label)] + [repr(float(v)) for v in row])
-
-
-def _parse_header(line: str, path) -> dict:
-    parts = line.strip().split()
-    if len(parts) < 2 or parts[0] != "#" or parts[1] != "bayesim-dataset":
-        raise FormatError(f"{path}:1: missing dataset header")
-    fields = {}
-    for tok in parts[2:]:
-        key, _, val = tok.partition("=")
-        fields[key] = val
-    if fields.get("version") != str(_DATASET_VERSION):
-        raise FormatError(f"{path}:1: unsupported dataset version {fields.get('version')}")
-    return fields
 
 
 def _header_number(header: dict, key: str, path, conv):
@@ -356,7 +315,11 @@ def load_dataset(path) -> Dataset:
     and the features of every row are checked here: malformed text, a
     negative label or a non-finite feature raises FormatError."""
     fh = io.StringIO(read_text(path), newline="")
-    header = _parse_header(fh.readline(), path)
+    name, header = parse_header(fh.readline()) or (None, {})
+    if name != "bayesim-dataset":
+        raise FormatError(f"{path}:1: missing dataset header")
+    if header.get("version") != str(_DATASET_VERSION):
+        raise FormatError(f"{path}:1: unsupported dataset version {header.get('version')}")
     kind = header.get("kind", "features")
     if kind == "features":
         want = _header_number(header, "columns", path, int)

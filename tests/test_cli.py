@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -292,6 +293,11 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     pj_cost = tmp_path / "pj.json"  # picojoules must not be read as joules
     energy.save_cost_table(pj_cost, energy.example_cost_table())
     pj_cost.write_text(pj_cost.read_text().replace('"J"', '"pJ"'))
+    spec = json.loads((tmp_path / "sl" / "spec.json").read_text())
+    nan_scale = tmp_path / "nanscale.json"  # gen wrote it, train refused its rows
+    nan_scale.write_text(json.dumps({**spec, "scales": [[math.nan] * 3] * 4}))
+    inf_loc = tmp_path / "infloc.json"
+    inf_loc.write_text(json.dumps({**spec, "locations": [[math.inf] * 3] * 4}))
     skewed = tmp_path / "skewed.json"  # a prior no compiled image can hold
     skewed.write_text(json.dumps({**doc, "prior": [0.97, 0.01, 0.01, 0.01]}))
     cases = [
@@ -303,6 +309,8 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
         ["gen", "--spec", junk, "--out", tmp_path / "g"],
         ["gen", "--spec", bad_spec, "--out", tmp_path / "g"],
         ["gen", "--spec", off_row, "--out", tmp_path / "g"],
+        ["gen", "--spec", nan_scale, "--out", tmp_path / "g"],
+        ["gen", "--spec", inf_loc, "--out", tmp_path / "g"],
         ["--config", junk, "gen", "--task", "gesture_like", "--out", tmp_path / "g"],
         ["--config", bad_seed, "gen", "--task", "gesture_like", "--out", tmp_path / "g"],
         ["--config", bad_budget, "sim", "--model", model, "--image", lin,
@@ -321,6 +329,8 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
          "--data", out / "test.csv", "--out", tmp_path / "g"],
         ["energy", "--model", model, "--data", out / "test.csv", "--cost", pj_cost,
          "--grid", 8, "--trials", 1, "--out", tmp_path / "g"],
+        ["sim", "--model", model, "--image", lin, "--data", out / "test.csv",  # petabytes
+         "--budget", 10**12, "--out", tmp_path / "g"],
         ["sim", "--model", model, "--image", lin, "--data", out / "test.csv",  # 2**53 + 1
          "--budget", 9007199254740993, "--strategy", "power_conscious", "--out", tmp_path / "g"],
         ["train", "--data", out / "train.csv", "--alpha", 0.5, "--out", tmp_path / "x.json"],

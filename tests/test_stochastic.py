@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import bayesim
-from bayesim import stochastic
+from bayesim import machine, stochastic
 from bayesim.errors import ConfigError, DomainError
 from bayesim.machine import MemoryImage
 
@@ -184,6 +184,29 @@ def test_run_refuses_a_budget_that_is_not_an_int(budget):
     img = linear_image([np.full((2, 4), 128, dtype=np.uint16)])
     with pytest.raises(ConfigError, match="cycle budget must be an integer"):
         bayesim.run_stochastic(img, [[0]], budget)
+
+
+@pytest.mark.parametrize("strategy, rows", [("conventional", 2), ("power_conscious", 13)])
+def test_cycle_kernel_refuses_a_block_too_big_before_drawing(strategy, rows):
+    # budget 10**12 asked numpy for petabytes and escaped as a MemoryError
+    img = linear_image([np.full((rows, 16), 128, dtype=np.uint16)] * 3)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="cycle budget 1000000000000 over 2 presentations"):
+        stochastic.run_stochastic(img, [[0, 1, 2], [3, 2, 1]], 10**12, strategy, seed=rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ConfigError, match="cycle budget 1000000000000 over 1 presentations"):
+        machine.run_filter(img, [[1, 2]] * 5, machine.MachineConfig(10**12, strategy), seed=rng)
+    assert rng.bit_generator.state == state
+
+
+def test_cycle_kernel_limit_counts_column_draws(monkeypatch):
+    img = linear_image([np.full((2, 4), 128, dtype=np.uint16)] * 3)
+    obs = [[0, 1, 2], [3, 2, 1]]
+    monkeypatch.setattr(stochastic, "KERNEL_MAX_DRAWS", 2 * 8 * 3)
+    assert stochastic.run_stochastic(img, obs, 8).cycles.tolist() == [8, 8]
+    with pytest.raises(ConfigError, match="needs 54 draws, more than the cycle kernel's 48"):
+        stochastic.run_stochastic(img, obs, 9)
 
 
 def test_counters_bounded_by_cycles():

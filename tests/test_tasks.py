@@ -357,6 +357,22 @@ def test_task_spec_integer_fields_checked(field, tmp_path):
             tasks.load_task_spec(path)
 
 
+@pytest.mark.parametrize("field, value", [("scales", math.nan), ("scales", math.inf),
+                                          ("locations", math.inf), ("locations", math.nan)])
+def test_task_spec_refuses_non_finite_parameters(field, value, tmp_path):
+    # a NaN scale or an infinite location generated a dataset train refuses
+    spec = tasks.sleep_like_spec(seed=5, train_size=8, test_size=4)
+    table = [list(r) for r in getattr(spec, field)]
+    table[1][2] = value
+    with pytest.raises(DomainError, match=field):
+        dataclasses.replace(spec, **{field: table})
+    path = tmp_path / "spec.json"
+    tasks.save_task_spec(path, spec)
+    path.write_text(json.dumps({**json.loads(path.read_text()), field: table}))
+    with pytest.raises(DomainError, match=field):
+        tasks.load_task_spec(path)
+
+
 def test_task_spec_rejects_negative_seed():
     with pytest.raises(DomainError, match="seed"):
         tasks.gesture_like_spec(seed=-1)
