@@ -77,11 +77,12 @@ def json_text(doc) -> str:
 
 def read_versioned(text: str, source, version: int, what: str, build):
     """``build(doc)`` of the JSON object in ``text``, which must hold
-    ``"version": version``.  A builder's KeyError, TypeError, ValueError or
-    OverflowError becomes a FormatError naming ``source``; a ValidationError
-    passes unchanged."""
+    ``"version": version`` as a JSON integer (not ``true`` or ``1.0``).  A
+    builder's KeyError, TypeError, ValueError or OverflowError becomes a
+    FormatError naming ``source``; a ValidationError passes unchanged."""
     doc = parse_json(text, source)
-    if not isinstance(doc, dict) or doc.get("version") != version:
+    found = doc.get("version") if isinstance(doc, dict) else None
+    if type(found) is not int or found != version:
         raise FormatError(f"{source}: not a version-{version} {what}")
     try:
         return build(doc)

@@ -348,18 +348,22 @@ def run_filter(image: MemoryImage, feature_addresses,
     classes), afterwards by the previous step's winner.  ``feature_addresses``
     is a (steps, columns-1) table of observation addresses for the remaining
     columns, or its `filter_plan` (one of another image object, or a batch's
-    `stochastic.plan`, is refused).  A power-conscious run whose pair law fits
-    `stochastic.LAW_MAX_ROWS` rows and `PAIR_LAW_MAX` entries `decide`s every
-    (step, previous winner) pair with its step's (stop, mask, tie) uniforms and
-    `walk`s the winners.  Every other run steps, building only the pair it
+    `stochastic.plan`, is refused).  A linear run whose pair law fits
+    `stochastic.LAW_MAX_ROWS` rows and `PAIR_LAW_MAX` entries draws every
+    (step, previous winner) pair from that law and `walk`s the winners, both
+    strategies from one stream seeded by ``seed`` (an int or a Generator): a
+    power-conscious run `decide`s each pair with its step's (stop, mask, tie)
+    uniforms; a conventional run draws one tie uniform per step, then one
+    integer that seeds the Generator of its `stochastic.tally`, one
+    multinomial per pair.  Every other run steps, building only the pair it
     reads: a log image picks step t's winner from the plain-int sums of its
     feature codes and ``transition[v]``, the first raw minimum winning (row 0
     if that is TOP or more: every row saturates), then gathers the score table
     of every step's pair in one add and clamps it once as `_log_scores` does,
-    ignoring ``seed`` and ``config``; a linear image writes ``transition[v]``
-    into column 0 of step t in one copy of the plan's codes per pass and draws
-    it by `stochastic.sample` from one stream seeded by ``seed`` (an int or a
-    Generator), as one `infer_stochastic` call per step would.  Returns one
+    ignoring ``seed`` and ``config``; a linear image (above the caps) writes
+    ``transition[v]`` into column 0 of step t in one copy of the plan's codes
+    per pass and draws it by `stochastic.sample` from the stream of ``seed``,
+    as one `infer_stochastic` call per step would.  Returns one
     InferenceResult with one presentation per step.
     """
     if type(feature_addresses) is stochastic.RunPlan:
@@ -371,11 +375,18 @@ def run_filter(image: MemoryImage, feature_addresses,
     rows, steps = image.rows, len(plan.codes)
     a = rows + 1
     budget, strategy = config.cycle_budget, config.strategy
-    if (image.kind == "linear" and strategy == "power_conscious"
-            and rows <= stochastic.LAW_MAX_ROWS and steps * a << rows <= PAIR_LAW_MAX):
+    if (image.kind == "linear" and rows <= stochastic.LAW_MAX_ROWS
+            and steps * a << rows <= PAIR_LAW_MAX):
         rng = np.random.default_rng(seed)
-        uniforms = np.repeat(rng.random((steps, 3)), a, axis=0)  # as steps' (1, 3) draws
-        counters, winners, cycles = stochastic.decide(plan, uniforms, budget)
+        if strategy == "power_conscious":
+            uniforms = np.repeat(rng.random((steps, 3)), a, axis=0)  # as steps' (1, 3) draws
+            counters, winners, cycles = stochastic.decide(plan, uniforms, budget)
+        else:
+            ties = np.repeat(rng.random(steps), a)  # one per step, shared by its pairs
+            # the multinomials read a variable share of their own stream, seeded by
+            # one draw, so a pass reads a fixed share of ``seed``'s
+            law_rng = np.random.default_rng(rng.integers(1 << 64, dtype=np.uint64))
+            counters, winners, cycles = stochastic.tally(plan, ties, law_rng, budget)
         winner = np.array(walk(winners.reshape(steps, a), rows))
         pair = np.arange(steps) * a + np.concatenate(([rows], winner[:-1]))
         scores, cycles = counters[pair], cycles[pair]

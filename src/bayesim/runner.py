@@ -143,7 +143,14 @@ def eval_stochastic(prep: Prepared, image: machine.MemoryImage,
 
 
 def eval_oracle(prep: Prepared) -> float:
-    """Exact float-model accuracy, the reference ceiling for both machines."""
+    """Exact float-model accuracy of the test split: `modelkit.oracle_infer`'s
+    winners for naive models, `modelkit.oracle_filter`'s for filter models.
+
+    For a naive model these are the model's exact MAP decisions, which both
+    machines approximate.  For a filter the oracle is not a ceiling: it feeds
+    back hard decisions as the machines do, so a machine whose early decisions
+    differ can follow a better path (the seed-12 and seed-40 sleep log filters
+    beat it)."""
     if prep.filtered:
         winners = modelkit.oracle_filter(prep.model, prep.test_obs)
     else:

@@ -10,17 +10,25 @@ machine call.
 
 Two run strategies, both breaking ties by a uniform pick among the tied rows:
 
-* ``conventional``   run exactly ``budget`` cycles cycle by cycle, winner
-  is the row with the highest counter.
+* ``conventional``   run exactly ``budget`` cycles, winner is the row with
+  the highest counter.
 * ``power_conscious`` stop at the first cycle in which any row fires and
   pick among the rows that fired; if nothing fires within the budget,
-  fall back to a tie over all rows.  Cycles are independent, so up to
-  `LAW_MAX_ROWS` rows a run is sampled from the exact per-cycle law of the
-  fired rows (`mask_law`) instead of cycle by cycle.  Runs over one
-  presentation set can share one `plan`: its latched codes and this law.
+  fall back to a tie over all rows.
 
 Every cycle draws one uniform per column: all rows of a column see the
-same draw, as one RNG per column would in hardware.
+same draw, as one RNG per column would in hardware.  `sample`'s cycle
+kernel draws them so, cycle by cycle, as an (N, budget, C) block of integers
+of the codes' width and counts each row's fires over contiguous cycles.
+Cycles are independent, so up to `LAW_MAX_ROWS` rows a run can instead be
+drawn from the exact per-cycle law of the fired rows (`mask_law`; a product
+of per-row rates would be wrong, since the rows of a column share its
+draw): `decide` draws a power-conscious run's stop cycle and fired mask,
+and `tally` a conventional run's counters as one multinomial over the masks.
+Batches run power-conscious from the law and conventional through the
+kernel; filters within `machine.run_filter`'s caps run both strategies from
+the law of their (step, previous winner) pairs.  Runs over one presentation
+set can share one `plan`: its latched codes and this law.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ STRATEGIES = ("conventional", "power_conscious")
 WIDTHS = (8, 16)  # linear code widths
 LAW_MAX_ROWS = 12  # a law has 2**rows masks; more rows run cycle by cycle
 MAX_BUDGET = 1 << 53  # a power-conscious stop cycle is a float64, exact up to here
-KERNEL_MAX_DRAWS = 1 << 28  # column draws one cycle-kernel call may hold at once
+KERNEL_MAX_DRAWS = 1 << 28  # entries of one cycle-kernel array: N * budget * max(C, R)
 
 
 def quantize_linear_array(p: np.ndarray, k: int = 8) -> np.ndarray:
@@ -93,6 +101,12 @@ def mask_law(codes, width: int) -> np.ndarray:
     return np.maximum(law, 0.0, out=law)  # rounding must not leave -1e-17
 
 
+def mask_bits(rows: int) -> np.ndarray:
+    """The row bits (2**rows, rows) of every fire mask: entry [m, r] is 1 when
+    mask m fires row r."""
+    return (np.arange(1 << rows)[:, np.newaxis] >> np.arange(rows)) & 1
+
+
 @dataclass(frozen=True, eq=False)
 class RunPlan:
     """The codes (N, R, C) of N presentations latched once from ``image``: a
@@ -115,7 +129,7 @@ class RunPlan:
         its row bits and candidate count; and, flat at ``mask * rows + pick``,
         the winner of each tie pick (mask 0 ties every row)."""
         rows = self.codes.shape[1]
-        bits = (np.arange(1 << rows)[:, np.newaxis] >> np.arange(rows)) & 1
+        bits = mask_bits(rows)
         k = bits.sum(axis=1)
         k[0] = rows
         q = np.ascontiguousarray(self.cum_law[:, -1])
@@ -149,6 +163,27 @@ def decide(run: RunPlan, uniforms: np.ndarray, budget: int) -> tuple:
     mask *= bits.shape[1]
     mask += pick
     return counters, winners.take(mask), np.where(stopped, stop, budget).astype(np.int64)
+
+
+def tally(run: RunPlan, ties: np.ndarray, rng, budget: int) -> tuple:
+    """(counters, winner, cycles) of conventional runs of ``run``: one
+    multinomial(budget, law) per run over its masks, drawn from the Generator
+    ``rng``, gives how many cycles fired each mask, so the counters are those
+    counts times the masks' row bits; ``ties`` holds one [0, 1) uniform per run
+    that breaks its tie among the highest counters."""
+    cum = run.cum_law
+    # per run: P(no row fires), then each non-empty mask's share of the cumulative law
+    law = np.column_stack((1 - cum[:, -1], np.diff(cum, axis=1, prepend=0.0)))
+    counters = rng.multinomial(budget, law) @ mask_bits(run.codes.shape[1])
+    winner = _pick(counters == counters.max(axis=1, keepdims=True), ties)
+    return counters, winner, np.full(len(cum), budget, dtype=np.int64)
+
+
+def _pick(candidates: np.ndarray, ties: np.ndarray) -> np.ndarray:
+    """Each row's winner among its k candidate rows: candidate int(tie * k),
+    counted in row order (a uniform below 1 times k truncates below k)."""
+    pick = (ties * candidates.sum(axis=1)).astype(np.int64)
+    return (candidates.cumsum(axis=1) > pick[:, np.newaxis]).argmax(axis=1)
 
 
 def plan(image, obs) -> RunPlan:
@@ -205,16 +240,20 @@ def run_stochastic(
 def sample(run: RunPlan, rng, budget: int, strategy: str) -> tuple:
     """(counters, winner, cycles) of every presentation of ``run``, drawn from
     the Generator ``rng`` as `run_stochastic` describes.  The caller checks the
-    image kind, the budget and the strategy; a cycle-kernel run of more than
-    `KERNEL_MAX_DRAWS` draws raises ConfigError before any draw."""
-    codes, width = run.codes, run.image.width
-    n, rows, cols = codes.shape
+    image kind, the budget and the strategy; a cycle-kernel run whose draws
+    (N, budget, C) or fire arrays (N, budget, R) would hold more than
+    `KERNEL_MAX_DRAWS` entries raises ConfigError before any draw."""
+    n, rows, cols = run.codes.shape
+    width = run.image.width
     if strategy == "power_conscious" and rows <= LAW_MAX_ROWS:
         return decide(run, rng.random((n, 3)), budget)
-    if n * budget * cols > KERNEL_MAX_DRAWS:
-        raise ConfigError(f"cycle budget {budget} over {n} presentations needs {n * budget * cols}"
-                          f" draws, more than the cycle kernel's {KERNEL_MAX_DRAWS}")
+    size = n * budget * max(cols, rows)
+    if size > KERNEL_MAX_DRAWS:
+        raise ConfigError(f"cycle budget {budget} over {n} presentations of {rows} rows and "
+                          f"{cols} columns needs arrays of {size} entries, more than the "
+                          f"cycle kernel's {KERNEL_MAX_DRAWS}")
     dtype = np.uint8 if width == 8 else np.uint16
+    codes = run.codes.astype(dtype)  # the draws' dtype: no compare below casts a column
     # one draw per column per cycle, seen by every row of the column
     draws = rng.integers(0, 1 << width, size=(n, budget, 1, cols), dtype=dtype)
     ties = rng.random(n)
@@ -225,7 +264,8 @@ def sample(run: RunPlan, rng, budget: int, strategy: str) -> tuple:
         np.less(draws[..., c], codes[:, np.newaxis, :, c], out=col)
         fire &= col
     if strategy == "conventional":
-        counters = fire.sum(axis=1, dtype=np.int64)
+        # each row's fires over contiguous cycles: one transposed copy, summed on its last axis
+        counters = fire.transpose(0, 2, 1).copy().sum(axis=2, dtype=np.int64)
         cycles = np.full(n, budget)
         candidates = counters == counters.max(axis=1, keepdims=True)
     else:
@@ -236,7 +276,4 @@ def sample(run: RunPlan, rng, budget: int, strategy: str) -> tuple:
         cycles = np.where(stopped, first + 1, budget).astype(np.int64)
         counters = fire[np.arange(n), first].astype(np.int64) * stopped[:, np.newaxis]
         candidates = counters.astype(bool) | ~stopped[:, np.newaxis]
-    k = candidates.sum(axis=1)
-    pick = (ties * k).astype(np.int64)  # a uniform below 1 times k truncates below k
-    winner = (candidates.cumsum(axis=1) > pick[:, np.newaxis]).argmax(axis=1)
-    return counters, winner, cycles
+    return counters, _pick(candidates, ties), cycles

@@ -14,9 +14,12 @@ split, stop-cycle law and tie-breaks to their exact laws.  Conventional
 runs, and power-conscious runs above the law's row cap, equal a
 cycle-by-cycle reference draw for draw; power-conscious runs sampled from
 the mask law are compared with that reference by chi-square tests, and
-with a per-presentation reference of the law sampler bit for bit.  A call
-from a `stochastic.plan`, or a filter from a `machine.filter_plan`, equals
-the call that latches for itself.
+with a per-presentation reference of the law sampler bit for bit.  A
+conventional filter within the caps, drawn from its pair law, equals a
+per-pair multinomial reference bit for bit and is compared with the
+cycle-by-cycle reference by chi-square tests.  A call from a
+`stochastic.plan`, or a filter from a `machine.filter_plan`, equals the call
+that latches for itself.
 """
 
 import tracemalloc
@@ -522,18 +525,27 @@ def filter_runs(draw, modes=machine.MODES, rows=None):
 def test_filter_totals_equal_per_step_totals(run):
     img, cfg, feats, seed = run
     res = machine.run_filter(img, feats, config=cfg, seed=seed)
+    # a conventional linear run within the caps is drawn from its pair law, not
+    # from the per-step stream: its steps follow its own winners, and only what
+    # the stream cannot move compares
+    law = img.kind == "linear" and cfg.strategy == "conventional"
     # the same steps one call at a time, on the same stream, from the unknown state
     rng, prev, steps = np.random.default_rng(seed), img.rows, []
-    for step in feats:
+    for t, step in enumerate(feats):
         if img.kind == "log":
             steps.append(machine.infer_logarithmic(img, [[prev, *step]]))
         else:
             steps.append(machine.infer_stochastic(img, [[prev, *step]], cfg, seed=rng))
-        prev = steps[-1].winner[0]
+        prev = res.winner[t] if law else steps[-1].winner[0]
     assert res.scores.shape == (len(feats), img.rows)
     assert res.winner.shape == res.cycles.shape == (len(feats),)
-    assert np.array_equal(res.scores, np.concatenate([r.scores for r in steps]))
-    assert res.winner.tolist() == np.concatenate([r.winner for r in steps]).tolist()
+    if law:
+        won = res.scores[np.arange(len(feats)), res.winner]
+        assert np.array_equal(won, res.scores.max(axis=1))
+        assert np.all((res.scores >= 0) & (res.scores <= cfg.cycle_budget))
+    else:
+        assert np.array_equal(res.scores, np.concatenate([r.scores for r in steps]))
+        assert res.winner.tolist() == np.concatenate([r.winner for r in steps]).tolist()
     assert res.cycles.tolist() == np.concatenate([r.cycles for r in steps]).tolist()
     assert res.cycles_used == sum(r.cycles_used for r in steps)
     assert np.array_equal(event_fields(res.event_counts),
@@ -559,12 +571,54 @@ def test_filter_above_row_cap_steps(run):
     assert_steps_one_call_at_a_time(res, img, cfg, feats, seed)
 
 
+def conventional_filter_reference(img, feats, budget, seed):
+    """A conventional linear filter within the caps one pair at a time: one tie
+    uniform per step, then one draw that seeds the multinomials, one
+    multinomial(budget, law) per (step, column-0 address) pair in step-major
+    order from that pair's own mask law, the tie pick among its highest
+    counters, and a walk from the unknown state.  Returns (counters, winner)
+    per step."""
+    rng = np.random.default_rng(seed)
+    ties = rng.random(len(feats)).tolist()
+    counts = np.random.default_rng(rng.integers(1 << 64, dtype=np.uint64))
+    rows = img.rows
+    bits = [[(m >> r) & 1 for r in range(rows)] for m in range(1 << rows)]
+    table = []
+    for tie, step in zip(ties, feats):
+        row = []
+        for v in range(rows + 1):
+            cum = np.cumsum(stochastic.mask_law(img.latch([[v, *step]]), img.width)[0, 1:])
+            law = np.concatenate(([1 - cum[-1]], np.diff(cum, prepend=0.0)))
+            fired = counts.multinomial(budget, law).tolist()
+            counters = [sum(k * b[r] for k, b in zip(fired, bits)) for r in range(rows)]
+            cand = [r for r in range(rows) if counters[r] == max(counters)]
+            row.append((counters, cand[int(tie * len(cand))]))
+        table.append(row)
+    out, prev = [], rows
+    for row in table:
+        out.append(row[prev])
+        prev = out[-1][1]
+    return out
+
+
+@SETTINGS
+@given(filter_runs(modes=("stochastic",)), st.sampled_from([None, 1 << 12, 1 << 40]))
+def test_conventional_filter_equals_per_pair_reference(run, budget):
+    img, cfg, feats, seed = run
+    cfg = MachineConfig(budget or cfg.cycle_budget, "conventional")
+    res = machine.run_filter(img, feats, cfg, seed)
+    counters, winner = zip(*conventional_filter_reference(img, feats, cfg.cycle_budget, seed))
+    for got, want in ((res.scores, counters), (res.winner, winner),
+                      (res.cycles, [cfg.cycle_budget] * len(feats))):
+        assert got.dtype == np.int64 and got.tobytes() == np.array(want, np.int64).tobytes()
+
+
 @SETTINGS
 @given(filter_runs())
 def test_filter_plan_call_equals_plain_call(run):
     img, cfg, feats, seed = run
     plan = machine.filter_plan(img, feats)
-    # conventional first: the pair law is built by the first power-conscious call
+    # the pair law is built by the first linear call and reused by the others
     for strategy in ("conventional", "power_conscious", "power_conscious"):
         c = MachineConfig(cfg.cycle_budget, strategy)
         assert_same_result(machine.run_filter(img, plan, c, seed),
@@ -601,6 +655,15 @@ def test_filter_plan_bounds_its_pair_law(monkeypatch):
     assert "cum_law" not in vars(plan)  # no law is built for the pairs
     assert laws == [(30, 2, 2)] + [(1, 2, 2)] * len(feats)  # one law per step
     assert_steps_one_call_at_a_time(res, img, cfg, feats, 4)
+    # a conventional run builds the one pair law within the cap and none above it,
+    # where every step draws cycle by cycle
+    conv, laws[:] = MachineConfig(20, "conventional"), []
+    res = machine.run_filter(img, plan, conv, seed=4)
+    assert "cum_law" not in vars(plan) and laws == []
+    assert_steps_one_call_at_a_time(res, img, conv, feats, 4)
+    monkeypatch.setattr(machine, "PAIR_LAW_MAX", entries)
+    machine.run_filter(img, feats, conv, seed=4)
+    assert laws == [(30, 2, 2)]
 
 
 def pair_codes(plan):
@@ -702,7 +765,7 @@ def test_empty_filter_sequence_is_refused(mode, kind):
 
 # upper 0.1% points of the chi-square law by degrees of freedom
 CHI2_999 = {1: 10.828, 2: 13.816, 3: 16.266, 4: 18.467, 5: 20.515, 6: 22.458, 7: 24.322,
-            8: 26.124, 9: 27.877}
+            8: 26.124, 9: 27.877, 10: 29.588, 11: 31.264}
 TRIALS = 20_000
 
 
@@ -830,3 +893,30 @@ def test_power_conscious_winner_split_matches_cycle_reference(columns):
     stat, df = two_sample_chi_square(np.bincount(res.winner, minlength=img.rows),
                                      np.bincount(ref_winner, minlength=img.rows))
     assert stat < CHI2_999[df]
+
+
+def test_conventional_filter_matches_cycle_reference():
+    # two rows; column 0 is addressed by the previous winner (2 at step 0, the
+    # unknown state) and every step sees feature value 0, so a step's law
+    # depends on its previous winner alone
+    img = lin([[[128, 64, 100], [64, 160, 100]], [[200], [150]]])
+    budget, rows = 2, img.rows
+    res = machine.run_filter(img, same_presentation(img)[:, 1:],
+                             MachineConfig(budget, "conventional"), seed=808)
+    assert np.all(res.cycles == budget)
+    prev = np.concatenate(([rows], res.winner[:-1]))
+
+    def joint(scores, winner):
+        # bins: both counters, times the winner
+        key = (scores @ ((budget + 1) ** np.arange(rows)[::-1])) * rows + winner
+        return np.bincount(key, minlength=(budget + 1) ** rows * rows)
+
+    for v in range(rows):  # the unknown state leads step 0 only
+        at = prev == v
+        assert at.sum() > TRIALS // 4
+        ref = cycle_reference(img, np.tile([v, 0], (int(at.sum()), 1)), budget,
+                              "conventional", seed=909 + v)
+        scores, _, winner, _ = zip(*ref)
+        stat, df = two_sample_chi_square(joint(res.scores[at], res.winner[at]),
+                                         joint(np.array(scores), np.array(winner)))
+        assert stat < CHI2_999[df]

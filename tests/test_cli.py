@@ -299,7 +299,8 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     inf_loc = tmp_path / "infloc.json"
     inf_loc.write_text(json.dumps({**spec, "locations": [[math.inf] * 3] * 4}))
     skewed = tmp_path / "skewed.json"  # a prior no compiled image can hold
-    skewed.write_text(json.dumps({**doc, "prior": [0.97, 0.01, 0.01, 0.01]}))
+    doc = json.loads(model.read_text())
+    skewed.write_text(json.dumps({**doc, "prior": [0.97] + [0.01] * (doc["classes"] - 1)}))
     cases = [
         ["compile", "--model", junk, "--out", img],
         ["compile", "--model", huge, "--out", img],
@@ -334,14 +335,16 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
         ["sim", "--model", model, "--image", lin, "--data", out / "test.csv",  # 2**53 + 1
          "--budget", 9007199254740993, "--strategy", "power_conscious", "--out", tmp_path / "g"],
         ["train", "--data", out / "train.csv", "--alpha", 0.5, "--out", tmp_path / "x.json"],
-        ["compile", "--model", skewed, "--out", img],
-        ["sim", "--model", skewed, "--image", log, "--data", out / "test.csv",
-         "--out", tmp_path / "g"],
     ]
     capsys.readouterr()
     for argv in cases:
         assert run(*argv) == 2, argv
         assert capsys.readouterr().err.startswith("error:"), argv
+    for argv in (["compile", "--model", skewed, "--out", img],
+                 ["sim", "--model", skewed, "--image", log, "--data", out / "test.csv",
+                  "--out", tmp_path / "g"]):
+        assert run(*argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: prior must be"), argv
     assert run("--config", bad_budget, "sim", "--model", model, "--image", lin,
                "--data", out / "test.csv", "--out", tmp_path / "g") == 2
     assert "--budget must be an integer, got 'abc'" in capsys.readouterr().err

@@ -102,6 +102,17 @@ def test_non_utf8_file_is_format_error(name, tmp_path):
         LOADERS[name](path)
 
 
+@pytest.mark.parametrize("version", [True, 1.0, 2, "1"])
+@pytest.mark.parametrize("name", ["model", "spec", "cost"])
+def test_versioned_json_needs_the_integer_version(name, version, tmp_path):
+    doc = json.loads(sample_files(tmp_path)[name])
+    assert doc["version"] == 1
+    path = tmp_path / "versioned.json"
+    path.write_text(json.dumps({**doc, "version": version}))
+    with pytest.raises(FormatError, match="not a version-1"):
+        LOADERS[name](path)
+
+
 @pytest.mark.parametrize("header", ["columns=abc", "", "columns=-1", "columns=1e400"])
 def test_dataset_header_numbers_checked(header, tmp_path):
     path = tmp_path / "d.csv"

@@ -150,25 +150,44 @@ def test_sweep_latches_once_and_builds_the_law_only_for_power_conscious(
     assert (len(latches), len(laws)) == (len(strategies) + 1 + 2 * 2 * 3, law_calls + 1 + 2 * 3)
 
 
-@pytest.mark.parametrize("strategies, law_calls", [(("conventional",), 0),
-                                                    (stochastic.STRATEGIES, 1)])
-def test_filter_sweep_builds_one_pair_law_only_for_power_conscious(
-        monkeypatch, strategies, law_calls):
+@pytest.mark.parametrize("strategies", [("conventional",), stochastic.STRATEGIES])
+def test_filter_sweep_builds_one_pair_law_per_plan(monkeypatch, strategies):
     monkeypatch.setenv("BAYESIM_THREADS", "1")
     prep = runner.prepare(tasks.sleep_like_spec(seed=8, train_size=400, test_size=30))
     _, lin = runner.images_for_model(prep)
     laws = count_calls(monkeypatch, stochastic, "mask_law")
+    # trials_point given no plan builds one, whose pair law serves either strategy
     for strategy in strategies:
         runner.trials_point(prep, lin[8], machine.MachineConfig(4, strategy), 3, (5,))
     # one law over every (step, previous winner or unknown state) pair
     pair_law = [30 * (lin[8].rows + 1)]
-    assert [codes.shape[0] for codes, *_ in laws] == pair_law * law_calls
+    assert [codes.shape[0] for codes, *_ in laws] == pair_law * len(strategies)
     pts = runner.sweep_cycles(prep, lin[8], budgets=[4, 8], trials=3, seed=5)
-    assert [codes.shape[0] for codes, *_ in laws] == pair_law * (law_calls + 1)
-    # without a plan every power-conscious pass builds its own pair law
+    assert [codes.shape[0] for codes, *_ in laws] == pair_law * (len(strategies) + 1)
+    # without a plan every pass builds its own pair law
     monkeypatch.setattr(runner, "split_plan", lambda *args: None)
     assert runner.sweep_cycles(prep, lin[8], budgets=[4, 8], trials=3, seed=5) == pts
-    assert len(laws) == law_calls + 1 + 2 * 3
+    assert len(laws) == len(strategies) + 1 + 2 * 2 * 3
+
+
+def test_filter_ber_sweep_keeps_common_random_numbers(monkeypatch):
+    monkeypatch.setenv("BAYESIM_THREADS", "1")
+    prep = runner.prepare(tasks.sleep_like_spec(seed=8, train_size=400, test_size=30))
+    log_img, lin = runner.images_for_model(prep)
+    cfg = machine.MachineConfig(8, "conventional")
+    # every ber level draws the same runs, so two error-free levels agree
+    pts = runner.sweep_ber(prep, log_img, lin[8], cfg, bers=(0.0, 0.0), trials=3, seed=5)
+    stoch = [p for p in pts if p.machine == "stochastic"]
+    assert len(stoch) == 2 and stoch[0] == stoch[1] and stoch[0].std_acc > 0
+    # which holds at any ber only if a pass reads a fixed share of its stream,
+    # whatever codes the corruption left
+    corrupted = machine.inject_errors(lin[8], 0.2, seed=3)
+    ends = []
+    for image in (lin[8], corrupted):
+        rng = np.random.default_rng(11)
+        runner.eval_stochastic(prep, image, cfg, rng)
+        ends.append(rng.bit_generator.state)
+    assert ends[0] == ends[1]
 
 
 def test_sweep_plan_pickles_with_its_law(monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,9 @@ def test_cycle_kernel_refuses_a_block_too_big_before_drawing(strategy, rows):
     with pytest.raises(ConfigError, match="cycle budget 1000000000000 over 2 presentations"):
         stochastic.run_stochastic(img, [[0, 1, 2], [3, 2, 1]], 10**12, strategy, seed=rng)
     assert rng.bit_generator.state == state
+    # a filter steps through the cycle kernel above LAW_MAX_ROWS; within the caps
+    # both strategies are drawn from the pair law, whatever the budget
+    img = linear_image([np.full((13, 16), 128, dtype=np.uint16)] * 3)
     with pytest.raises(ConfigError, match="cycle budget 1000000000000 over 1 presentations"):
         machine.run_filter(img, [[1, 2]] * 5, machine.MachineConfig(10**12, strategy), seed=rng)
     assert rng.bit_generator.state == state
@@ -205,8 +210,26 @@ def test_cycle_kernel_limit_counts_column_draws(monkeypatch):
     obs = [[0, 1, 2], [3, 2, 1]]
     monkeypatch.setattr(stochastic, "KERNEL_MAX_DRAWS", 2 * 8 * 3)
     assert stochastic.run_stochastic(img, obs, 8).cycles.tolist() == [8, 8]
-    with pytest.raises(ConfigError, match="needs 54 draws, more than the cycle kernel's 48"):
+    with pytest.raises(ConfigError, match="needs arrays of 54 entries, more than the cycle "
+                                          "kernel's 48"):
         stochastic.run_stochastic(img, obs, 9)
+
+
+@pytest.mark.parametrize("strategy", stochastic.STRATEGIES)
+def test_cycle_kernel_limit_counts_fire_rows(strategy):
+    # 64 rows over one column: the draws (N, budget, C) fit the limit, while each
+    # (N, budget, R) fire array would hold 2**34 bools, 16 GiB
+    img = linear_image([np.full((64, 1), 128, dtype=np.uint16)])
+    rng = np.random.default_rng(3)
+    start = rng.bit_generator.state
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"needs arrays of {2**34} entries"):
+            stochastic.run_stochastic(img, [[0]], 2**28, strategy, seed=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and rng.bit_generator.state == start  # refused before any draw
 
 
 def test_counters_bounded_by_cycles():
