@@ -23,37 +23,20 @@ from __future__ import annotations
 import operator
 import struct
 import zlib
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import energy, logprob, stochastic
-from .errors import ConfigError, DomainError, FormatError, check_int
-from .stochastic import InferenceResult
+from .errors import ConfigError, DomainError, FormatError
+from .stochastic import InferenceResult, MachineConfig
 
 MODES = ("logarithmic", "stochastic")
 KINDS = ("log", "linear")  # code family stored in an image; a MODES[i] machine reads KINDS[i]
-PAIR_LAW_MAX = 1 << 21  # law entries a filter's pair law may hold; a longer filter steps
+PAIR_LAW_MAX = 1 << 21  # law entries of one part of a filter's pair law
 
 _MAGIC = b"BIMG"
 _VERSION = 1
-
-
-@dataclass(frozen=True)
-class MachineConfig:
-    """Run parameters of a stochastic machine.  Rows, columns, values per
-    column, code width and code family are fixed when the memory is
-    compiled, so they are read from the `MemoryImage`."""
-
-    cycle_budget: int = 255
-    strategy: str = "conventional"
-
-    def __post_init__(self):
-        if check_int("cycle_budget", self.cycle_budget, 1) > stochastic.MAX_BUDGET:
-            raise ConfigError(f"cycle_budget must be <= 2**53, got {self.cycle_budget}")
-        if self.strategy not in stochastic.STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
 
 
 def _integer_array(values, what: str) -> np.ndarray:
@@ -257,10 +240,7 @@ def infer_logarithmic(image: MemoryImage, obs) -> InferenceResult:
     if image.kind != "log":
         raise ConfigError("logarithmic inference needs a log-code image")
     scores, winner = _log_scores(image.latch(obs).sum(axis=-1, dtype=np.int64))
-    n = len(winner)
-    counts = energy.count_events("logarithmic", image.rows, image.columns, image.width,
-                                 presentations=n)
-    return InferenceResult(scores, winner, np.ones(n, dtype=np.int64), counts)
+    return InferenceResult.of(image, scores, winner, np.ones(len(winner), dtype=np.int64))
 
 
 def infer_stochastic(image: MemoryImage, obs, config: MachineConfig, seed=0) -> InferenceResult:
@@ -348,23 +328,26 @@ def run_filter(image: MemoryImage, feature_addresses,
     classes), afterwards by the previous step's winner.  ``feature_addresses``
     is a (steps, columns-1) table of observation addresses for the remaining
     columns, or its `filter_plan` (one of another image object, or a batch's
-    `stochastic.plan`, is refused).  A linear run whose pair law fits
-    `stochastic.LAW_MAX_ROWS` rows and `PAIR_LAW_MAX` entries draws every
-    (step, previous winner) pair from that law and `walk`s the winners, both
-    strategies from one stream seeded by ``seed`` (an int or a Generator): a
+    `stochastic.plan`, is refused).  A linear run of at most
+    `stochastic.LAW_MAX_ROWS` rows, at any length, draws every (step, previous
+    winner) pair from the pair law and `walk`s the winners, both strategies
+    from one stream seeded by ``seed`` (an int or a Generator): a
     power-conscious run `decide`s each pair with its step's (stop, mask, tie)
     uniforms; a conventional run draws one tie uniform per step, then one
-    integer that seeds the Generator of its `stochastic.tally`, one
-    multinomial per pair.  Every other run steps, building only the pair it
-    reads: a log image picks step t's winner from the plain-int sums of its
-    feature codes and ``transition[v]``, the first raw minimum winning (row 0
-    if that is TOP or more: every row saturates), then gathers the score table
-    of every step's pair in one add and clamps it once as `_log_scores` does,
-    ignoring ``seed`` and ``config``; a linear image (above the caps) writes
-    ``transition[v]`` into column 0 of step t in one copy of the plan's codes
-    per pass and draws it by `stochastic.sample` from the stream of ``seed``,
-    as one `infer_stochastic` call per step would.  Returns one
-    InferenceResult with one presentation per step.
+    integer that seeds the Generator of its `stochastic.tally`, one multinomial
+    per pair.  All are drawn up front; the law is built for parts of
+    consecutive steps of at most `PAIR_LAW_MAX` entries (the plan, which keeps
+    it, if it fits), each walked on from the last winner of the one before, so
+    no result depends on the part size.  Every other run steps: a log image
+    picks step t's winner from the plain-int sums of its feature codes and
+    ``transition[v]``, the first raw minimum winning (row 0 if that is TOP or
+    more: every row saturates), then gathers the score table of every step's
+    pair in one add and clamps it once as `_log_scores` does, ignoring ``seed``
+    and ``config``; a linear image of more rows writes ``transition[v]`` into
+    column 0 of step t in one copy of the plan's codes per pass and draws it by
+    `stochastic.sample` from the stream of ``seed``, as one `infer_stochastic`
+    call per step would.  Returns one InferenceResult with one presentation per
+    step.
     """
     if type(feature_addresses) is stochastic.RunPlan:
         raise ConfigError("a batch plan is not a filter plan: build one with filter_plan")
@@ -375,25 +358,30 @@ def run_filter(image: MemoryImage, feature_addresses,
     rows, steps = image.rows, len(plan.codes)
     a = rows + 1
     budget, strategy = config.cycle_budget, config.strategy
-    if (image.kind == "linear" and rows <= stochastic.LAW_MAX_ROWS
-            and steps * a << rows <= PAIR_LAW_MAX):
+    scores = np.empty((steps, rows), dtype=np.int64)
+    cycles = np.ones(steps, dtype=np.int64)
+    path = [rows]  # the unknown state, then every step's winner
+    if image.kind == "linear" and rows <= stochastic.LAW_MAX_ROWS:
         rng = np.random.default_rng(seed)
         if strategy == "power_conscious":
-            uniforms = np.repeat(rng.random((steps, 3)), a, axis=0)  # as steps' (1, 3) draws
-            counters, winners, cycles = stochastic.decide(plan, uniforms, budget)
+            draws = rng.random((steps, 3))  # as steps' (1, 3) draws
+            run = partial(stochastic.decide, budget=budget)
         else:
-            ties = np.repeat(rng.random(steps), a)  # one per step, shared by its pairs
+            draws = rng.random(steps)  # one tie per step, shared by its pairs
             # the multinomials read a variable share of their own stream, seeded by
             # one draw, so a pass reads a fixed share of ``seed``'s
             law_rng = np.random.default_rng(rng.integers(1 << 64, dtype=np.uint64))
-            counters, winners, cycles = stochastic.tally(plan, ties, law_rng, budget)
-        winner = np.array(walk(winners.reshape(steps, a), rows))
-        pair = np.arange(steps) * a + np.concatenate(([rows], winner[:-1]))
-        scores, cycles = counters[pair], cycles[pair]
+            run = partial(stochastic.tally, rng=law_rng, budget=budget)
+        size = max(1, PAIR_LAW_MAX // (a << rows))  # steps of one part's law
+        for first in range(0, steps, size):
+            part = plan if size >= steps else FilterPlan(image, plan.codes[first:first + size])
+            counters, winners, used = run(part, np.repeat(draws[first:first + size], a, axis=0))
+            n = len(part.codes)
+            path += walk(winners.reshape(n, a), path[-1])
+            pair = np.arange(n) * a + path[-n - 1:-1]
+            scores[first:first + n], cycles[first:first + n] = counters[pair], used[pair]
     else:
-        scores = np.empty((steps, rows), dtype=np.int64)
-        cycles = np.ones(steps, dtype=np.int64)
-        codes, transition, prev, path = plan.codes, plan.transition, rows, []
+        codes, transition, prev = plan.codes, plan.transition, rows
         if image.kind == "log":
             features = codes[..., 1:].sum(axis=-1, dtype=np.int64)
             prior = transition.tolist()
@@ -402,7 +390,7 @@ def run_filter(image: MemoryImage, feature_addresses,
                 low = min(row)  # index() finds the first: ties go to the lowest row
                 prev = row.index(low) if low < logprob.TOP else 0  # all saturate: row 0
                 path.append(prev)
-            np.add(features, transition[[rows] + path[:-1]], out=scores)
+            np.add(features, transition[path[:-1]], out=scores)
             np.minimum(scores, logprob.TOP, out=scores)  # _log_scores' saturation, once
         else:
             rng, codes = np.random.default_rng(seed), codes.copy()  # column 0 is rewritten
@@ -411,7 +399,4 @@ def run_filter(image: MemoryImage, feature_addresses,
                 one = stochastic.RunPlan(image, codes[t:t + 1])
                 (scores[t],), (prev,), (cycles[t],) = stochastic.sample(one, rng, budget, strategy)
                 path.append(prev)
-        winner = np.array(path, dtype=np.int64)
-    counts = energy.count_events(image.mode, rows, image.columns, image.width,
-                                 cycles=int(cycles.sum()), presentations=steps)
-    return InferenceResult(scores, winner, cycles, counts)
+    return InferenceResult.of(image, scores, np.array(path[1:], dtype=np.int64), cycles)

@@ -26,8 +26,8 @@ of per-row rates would be wrong, since the rows of a column share its
 draw): `decide` draws a power-conscious run's stop cycle and fired mask,
 and `tally` a conventional run's counters as one multinomial over the masks.
 Batches run power-conscious from the law and conventional through the
-kernel; filters within `machine.run_filter`'s caps run both strategies from
-the law of their (step, previous winner) pairs.  Runs over one presentation
+kernel; filters within `LAW_MAX_ROWS` rows, at any length, run both
+strategies from the law of their (step, previous winner) pairs.  Runs over one presentation
 set can share one `plan`: its latched codes and this law.
 """
 
@@ -63,6 +63,21 @@ def quantize_linear_array(p: np.ndarray, k: int = 8) -> np.ndarray:
     return np.minimum(v, (1 << k) - 1).astype(np.uint16)
 
 
+@dataclass(frozen=True)
+class MachineConfig:
+    """Run parameters of a stochastic machine, and the one check of a run's budget
+    and strategy; the geometry and codes are read from the `machine.MemoryImage`."""
+
+    cycle_budget: int = 255
+    strategy: str = "conventional"
+
+    def __post_init__(self):
+        if not 1 <= check_int("cycle budget", self.cycle_budget) <= MAX_BUDGET:
+            raise ConfigError(f"cycle budget must be in [1, 2**53], got {self.cycle_budget}")
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"unknown strategy {self.strategy!r}")
+
+
 @dataclass
 class InferenceResult:
     """One machine call's inferences of N presentations (a batch, or a
@@ -74,6 +89,13 @@ class InferenceResult:
     winner: np.ndarray
     cycles: np.ndarray
     event_counts: energy.EventCounts
+
+    @classmethod
+    def of(cls, image, scores, winner, cycles) -> "InferenceResult":
+        """One machine call's result on ``image``, priced by one `energy.count_events` call."""
+        counts = energy.count_events(image.mode, image.rows, image.columns, image.width,
+                                     cycles=int(cycles.sum()), presentations=len(winner))
+        return cls(scores, winner, cycles, counts)
 
     @property
     def cycles_used(self) -> int:
@@ -219,10 +241,7 @@ def run_stochastic(
     """
     if image.kind != "linear":
         raise ConfigError("stochastic run needs a linear-code image")
-    if not 1 <= check_int("cycle budget", budget) <= MAX_BUDGET:
-        raise ConfigError(f"cycle budget must be in [1, 2**53], got {budget}")
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}")
+    MachineConfig(budget, strategy)  # the one check of a budget and a strategy
     if rng_mode != "column_shared":
         raise ConfigError(f"unknown rng mode {rng_mode!r}")
     run = obs if isinstance(obs, RunPlan) else plan(image, obs)
@@ -230,11 +249,7 @@ def run_stochastic(
         raise ConfigError("plan was not built for this image")
     if type(run) is not RunPlan:
         raise ConfigError("a filter plan is not a batch plan: run it with machine.run_filter")
-    counters, winner, cycles = sample(run, np.random.default_rng(seed), budget, strategy)
-    n, rows, cols = run.codes.shape
-    counts = energy.count_events("stochastic", rows, cols, image.width, cycles=int(cycles.sum()),
-                                 presentations=n)
-    return InferenceResult(counters, winner, cycles, counts)
+    return InferenceResult.of(image, *sample(run, np.random.default_rng(seed), budget, strategy))
 
 
 def sample(run: RunPlan, rng, budget: int, strategy: str) -> tuple:

@@ -15,9 +15,11 @@ runs, and power-conscious runs above the law's row cap, equal a
 cycle-by-cycle reference draw for draw; power-conscious runs sampled from
 the mask law are compared with that reference by chi-square tests, and
 with a per-presentation reference of the law sampler bit for bit.  A
-conventional filter within the caps, drawn from its pair law, equals a
-per-pair multinomial reference bit for bit and is compared with the
-cycle-by-cycle reference by chi-square tests.  A call from a
+conventional filter within `LAW_MAX_ROWS` rows, drawn from its pair law,
+equals a per-pair multinomial reference bit for bit and is compared with the
+cycle-by-cycle reference by chi-square tests; built over parts of at most
+`PAIR_LAW_MAX` entries, that law gives the filter of the whole law byte for
+byte.  A call from a
 `stochastic.plan`, or a filter from a `machine.filter_plan`, equals the call
 that latches for itself.
 """
@@ -633,11 +635,14 @@ def test_filter_plan_call_equals_plain_call(run):
             stochastic.run_stochastic(img, plan, cfg.cycle_budget, cfg.strategy)
 
 
-def test_filter_plan_bounds_its_pair_law(monkeypatch):
-    rng = np.random.default_rng(9)
-    img = lin([rng.integers(0, 256, (2, 4)), rng.integers(0, 256, (2, 3))])
-    feats, cfg = rng.integers(0, 3, (10, 1)), MachineConfig(20, "power_conscious")
-    entries = len(feats) * 3 * 4  # (steps, rows + 1 addresses, 2**rows masks)
+def assert_same_bytes(a, b):
+    for x, y in ((a.scores, b.scores), (a.winner, b.winner), (a.cycles, b.cycles)):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert a.event_counts == b.event_counts
+
+
+def count_laws(monkeypatch):
+    """The (pairs, R, C) shape of every mask law built from now on."""
     inner, laws = stochastic.mask_law, []
 
     def counted(codes, *rest):
@@ -645,25 +650,59 @@ def test_filter_plan_bounds_its_pair_law(monkeypatch):
         return inner(codes, *rest)
 
     monkeypatch.setattr(stochastic, "mask_law", counted)
-    monkeypatch.setattr(machine, "PAIR_LAW_MAX", entries)
-    machine.run_filter(img, feats, cfg, seed=4)
-    assert laws == [(30, 2, 2)]  # one law over the pairs
-    monkeypatch.setattr(machine, "PAIR_LAW_MAX", entries - 1)
-    plan = machine.filter_plan(img, feats)
-    assert plan.codes.shape == (10, 2, 2)
-    res = machine.run_filter(img, plan, cfg, seed=4)
-    assert "cum_law" not in vars(plan)  # no law is built for the pairs
-    assert laws == [(30, 2, 2)] + [(1, 2, 2)] * len(feats)  # one law per step
-    assert_steps_one_call_at_a_time(res, img, cfg, feats, 4)
-    # a conventional run builds the one pair law within the cap and none above it,
-    # where every step draws cycle by cycle
-    conv, laws[:] = MachineConfig(20, "conventional"), []
-    res = machine.run_filter(img, plan, conv, seed=4)
-    assert "cum_law" not in vars(plan) and laws == []
-    assert_steps_one_call_at_a_time(res, img, conv, feats, 4)
-    monkeypatch.setattr(machine, "PAIR_LAW_MAX", entries)
-    machine.run_filter(img, feats, conv, seed=4)
-    assert laws == [(30, 2, 2)]
+    return laws
+
+
+def test_filter_plan_bounds_its_pair_law(monkeypatch):
+    rng = np.random.default_rng(9)
+    img = lin([rng.integers(0, 256, (2, 4)), rng.integers(0, 256, (2, 3))])
+    feats = rng.integers(0, 3, (10, 1))
+    entries = len(feats) * 3 * 4  # (steps, rows + 1 addresses, 2**rows masks)
+    laws = count_laws(monkeypatch)
+    for strategy in stochastic.STRATEGIES:
+        cfg = MachineConfig(20, strategy)
+        monkeypatch.setattr(machine, "PAIR_LAW_MAX", entries)
+        plan, laws[:] = machine.filter_plan(img, feats), []
+        whole = machine.run_filter(img, plan, cfg, seed=4)
+        assert laws == [(30, 2, 2)] and "cum_law" in vars(plan)  # one law, kept by the plan
+        # below the whole law, each part's law covers at most the cap and the plan keeps none
+        monkeypatch.setattr(machine, "PAIR_LAW_MAX", entries - 1)
+        plan, laws[:] = machine.filter_plan(img, feats), []
+        assert_same_bytes(machine.run_filter(img, plan, cfg, seed=4), whole)
+        assert laws == [(27, 2, 2), (3, 2, 2)] and "cum_law" not in vars(plan)
+
+
+def refuse_sample(*args):
+    raise AssertionError("a filter within LAW_MAX_ROWS rows reached the cycle kernel")
+
+
+@SETTINGS
+@given(filter_runs(modes=("stochastic",)), st.data())
+def test_filter_parts_equal_one_law(run, data):
+    img, cfg, feats, seed = run
+    cap = data.draw(st.integers(1, 4 * (img.rows + 1) << img.rows))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stochastic, "sample", refuse_sample)
+        whole = machine.run_filter(img, feats, cfg, seed)
+        patch.setattr(machine, "PAIR_LAW_MAX", cap)
+        assert_same_bytes(machine.run_filter(img, feats, cfg, seed), whole)
+
+
+def test_sleep_filter_above_one_law_runs_in_parts(monkeypatch):
+    prep = runner.prepare(tasks.sleep_like_spec(seed=7))
+    _, linear = runner.images_for_model(prep, widths=(16,))
+    img, feats = linear[16], np.tile(prep.test_obs, (45, 1))  # 27,000 steps
+    laws, masks = count_laws(monkeypatch), 1 << img.rows
+    monkeypatch.setattr(stochastic, "sample", refuse_sample)
+    for strategy in stochastic.STRATEGIES:
+        cfg, laws[:] = MachineConfig(16, strategy), []
+        res = machine.run_filter(img, machine.filter_plan(img, feats), cfg, seed=7)
+        assert len(laws) == 2 and all(n * masks <= machine.PAIR_LAW_MAX for n, *_ in laws)
+        with monkeypatch.context() as one:
+            one.setattr(machine, "PAIR_LAW_MAX", len(feats) * (img.rows + 1) * masks)
+            laws[:] = []
+            assert_same_bytes(machine.run_filter(img, feats, cfg, seed=7), res)
+            assert laws == [(len(feats) * (img.rows + 1), img.rows, img.columns)]
 
 
 def pair_codes(plan):

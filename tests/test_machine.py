@@ -38,13 +38,13 @@ def test_config_rejects_bad_fields():
     with pytest.raises(ConfigError):
         MachineConfig(cycle_budget=0)
     for budget in (2.5, True, "8"):  # 2.5 and True were accepted, then failed in the sampler
-        with pytest.raises(ConfigError, match="cycle_budget must be an integer"):
+        with pytest.raises(ConfigError, match="cycle budget must be an integer"):
             MachineConfig(cycle_budget=budget)
     with pytest.raises(ConfigError):
         MachineConfig(strategy="fastest")
     assert [f.name for f in dataclasses.fields(MachineConfig)] == ["cycle_budget", "strategy"]
     # a power-conscious stop cycle is a float64: budgets are exact up to 2**53, refused above
-    with pytest.raises(ConfigError, match="cycle_budget must be <= 2"):
+    with pytest.raises(ConfigError, match="cycle budget must be in"):
         MachineConfig(cycle_budget=2**53 + 1)
     quiet = lin_image([np.zeros((2, 1), dtype=np.uint16)])  # no row ever fires
     with pytest.raises(ConfigError, match="cycle budget must be in"):
