@@ -39,7 +39,6 @@ from .tasks import (
     gesture_features,
     gesture_like_spec,
     psd_at,
-    select_features,
     signal_power,
     sleep_like_spec,
 )

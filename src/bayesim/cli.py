@@ -49,7 +49,7 @@ def _sha256_file(path) -> str:
 # ---- options ----
 
 # dropped from the manifest: they say where files are, not what went in
-_LOCATION_PARAMS = ("out", "run", "model", "data", "image", "spec", "cost", "config")
+_LOCATION_PARAMS = ("out", "run", "model", "data", "image", "spec", "cost")
 
 
 def _load_config(path) -> dict:
@@ -87,7 +87,7 @@ class _Option(NamedTuple):
 
 _OPTIONS = {
     "task": _Option("str", allowed=("sleep_like", "gesture_like")),
-    "spec": _Option("str", help="task spec JSON (overrides --task)"),
+    "spec": _Option("str", help="task spec JSON"),
     **dict.fromkeys(("data", "model", "image"), _Option("str")),
     "cost": _Option("str", help="cost table JSON (default: bundled example)"),
     "run": _Option("str", help="directory with emitted CSVs"),
@@ -237,17 +237,17 @@ def _prepared(opts: Options) -> runner.Prepared:
 # ---- commands ----
 
 def cmd_gen(opts: Options) -> int:
-    task = opts.get("task")
     seed = opts.get("seed")
-    out = opts.outdir()
     if opts.get("spec") is not None:
+        opts.refuse(("task",), "gen --spec")
         spec = tasks.load_task_spec(opts.path("spec"))
         spec = spec if seed is None else replace(spec, seed=seed)
-    elif task is not None:
+    elif (task := opts.get("task")) is not None:
         make = tasks.sleep_like_spec if task == "sleep_like" else tasks.gesture_like_spec
         spec = make(seed=0 if seed is None else seed)
     else:
         raise ConfigError("gen needs --task sleep_like|gesture_like or --spec FILE")
+    out = opts.outdir()
     train, test = tasks.generate(spec)
     tasks.save_task_spec(out / "spec.json", spec)
     for name, ds in (("train.csv", train), ("test.csv", test)):
@@ -296,16 +296,15 @@ def cmd_sim(opts: Options) -> int:
     modelkit.check_layout(prep.model, image)
     if image.kind == "log":  # one deterministic pass: no cycles, strategy or draws
         opts.refuse(("budget", "strategy", "trials", "seed"), "a logarithmic image")
-    budget = opts.get("budget", 255)
-    strategy = opts.get("strategy", "conventional")
-    trials = opts.get("trials", 10)
-    seed = opts.get("seed", 0)
+    else:
+        cfg = machine.MachineConfig(cycle_budget=opts.get("budget", 255),
+                                    strategy=opts.get("strategy", "conventional"))
+        trials, seed = opts.get("trials", 10), opts.get("seed", 0)
     out = opts.outdir()
     if image.kind == "log":
         acc = runner.eval_log(prep, image)
         mode, point = "logarithmic", runner.CyclesPoint(image.width, "-", 1, acc, 0.0, 1, 1.0)
     else:
-        cfg = machine.MachineConfig(cycle_budget=budget, strategy=strategy)
         mode, point = "stochastic", runner.trials_point(prep, image, cfg, trials, (seed, 0))
     opts.emit(out, "sim", [SimpleNamespace(mode=mode, **vars(point))],
               f"sim: acc={point.mean_acc:.4f}")
@@ -319,16 +318,16 @@ def cmd_sweep(opts: Options) -> int:
     prep = _prepared(opts)
     trials = opts.get("trials", 10)
     seed = opts.get("seed", 0)
-    width = opts.get("width", 8)
+    widths = (8, 16) if kind == "bits" else (opts.get("width", 8),)
     out = opts.outdir()
     if kind == "ber":
         bers = _numbers(opts.get("grid", "0,1e-4,1e-2"), float)
         cfg = machine.MachineConfig(cycle_budget=opts.get("budget", 255))
-        log_img, lin = runner.images_for_model(prep, widths=(width,))
-        points = runner.sweep_ber(prep, log_img, lin[width], cfg, bers, trials, seed)
+        log_img, lin = runner.images_for_model(prep, widths=widths)
+        points = runner.sweep_ber(prep, log_img, lin[widths[0]], cfg, bers, trials, seed)
     else:  # a budget sweep: cycles on one width, bits on 8 and 16
         budgets = _numbers(opts.get("grid", "10,50,100,255"), int)
-        _, lin = runner.images_for_model(prep, widths=(8, 16) if kind == "bits" else (width,))
+        _, lin = runner.images_for_model(prep, widths=widths)
         points = runner.sweep_bits(prep, lin, budgets, trials, seed)
     opts.emit(out, f"sweep_{kind}", points, f"sweep {kind}: {len(points)} points")
     return 0

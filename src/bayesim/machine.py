@@ -127,22 +127,8 @@ class MemoryImage:
     def latch(self, obs) -> np.ndarray:
         """Read the codes addressed by ``obs``, a batch (N, C) of address
         vectors checked by `check_addresses`: the latched codes (N, rows, C)."""
-        return np.ascontiguousarray(self.gather(check_addresses(obs, self._sizes)))
-
-    def gather(self, addr) -> np.ndarray:
-        """The codes, (..., rows, C), of int64 addresses that `check_addresses`
-        has already passed against this image's values per column.  Unchecked, a
-        bad address reads another column's codes or raises IndexError."""
-        return self._codes[addr + self._offsets].swapaxes(-1, -2)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MemoryImage)
-            and self.kind == other.kind
-            and self.width == other.width
-            and self.values_per_column == other.values_per_column
-            and all(np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks))
-        )
+        addr = check_addresses(obs, self._sizes)
+        return np.ascontiguousarray(self._codes[addr + self._offsets].swapaxes(-1, -2))
 
     def _body(self) -> bytes:
         head = struct.pack(

@@ -1,4 +1,4 @@
-"""Feature extraction, feature selection, and synthetic task generators.
+"""Feature extraction, synthetic task generators, and their file formats.
 
 Two task families mirror the hardware experiments: a sequential
 "sleep_like" task (hidden Markov states, lognormal band-power features,
@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import modelkit
 from .errors import (DomainError, FormatError, check_int, parse_header, read_text, read_versioned,
                      write_json)
 from .machine import walk
@@ -92,37 +91,6 @@ def gesture_features(accel, dt: float) -> np.ndarray:
         a.max(axis=0),
         [mag.var(), mag.mean(), jerk.mean(), jerk.max()],
     ])
-
-
-# ---- feature selection ----
-
-def select_features(features, labels, classes: int, budget: int = 6,
-                    bins: int = 64, kind: str = "gaussian") -> list:
-    """Greedy forward selection maximizing training-set oracle accuracy.
-
-    Each round retrains a naive-Bayes model on the already-selected
-    features plus one candidate and keeps the candidate with the best
-    exact-posterior accuracy on the same training set.  Ties go to the
-    lowest feature index.  Returns the selected indices in pick order.
-    """
-    X = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=np.int64)
-    if budget < 1:
-        raise DomainError("budget must be >= 1")
-    selected: list[int] = []
-    remaining = list(range(X.shape[1]))
-    while remaining and len(selected) < budget:
-        best_ix, best_acc = None, -1.0
-        for cand in remaining:
-            cols = selected + [cand]
-            model = modelkit.train_model(X[:, cols], y, classes, bins, kind=kind)
-            obs = modelkit.bin_observations(model, X[:, cols])
-            acc = np.sum(modelkit.oracle_infer(model, obs).winner == y) / len(y)
-            if acc > best_acc:
-                best_ix, best_acc = cand, acc
-        selected.append(best_ix)
-        remaining.remove(best_ix)
-    return selected
 
 
 # ---- synthetic tasks ----

@@ -96,10 +96,14 @@ def test_gen_deterministic(tmp_path):
     assert (a / "test.csv").read_bytes() == (b / "test.csv").read_bytes()
 
 
-def test_gen_spec_file_round(tmp_path):
+def test_gen_spec_file_round(tmp_path, capsys):
     out = tmp_path / "r"
     assert run("gen", "--task", "gesture_like", "--seed", 9, "--out", out) == 0
     out2 = tmp_path / "r2"
+    capsys.readouterr()
+    assert run("gen", "--spec", out / "spec.json", "--task", "sleep_like", "--out", out2) == 2
+    assert capsys.readouterr().err == "error: --task is not used by gen --spec\n"
+    assert not out2.exists()
     assert run("gen", "--spec", out / "spec.json", "--out", out2) == 0
     # same data; only the embedded manifest hash reflects the different flags
     strip = lambda p: p.read_text().splitlines()[1:]
@@ -541,6 +545,54 @@ def test_manifest_hash_location_independent(tmp_path):
     hb = json.loads((b / "train.csv.manifest.json").read_text())["hash"]
     assert ha == hb
     assert (a / "train.csv").read_bytes() == (b / "train.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def gesture_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("gesture")
+    assert run("gen", "--task", "gesture_like", "--seed", 7, "--out", d) == 0
+    assert run("train", "--data", d / "train.csv", "--bins", 8, "--out", d / "m.json") == 0
+    for mode, name in (("logarithmic", "log.img"), ("stochastic", "lin.img")):
+        assert run("compile", "--model", d / "m.json", "--mode", mode, "--out", d / name) == 0
+    return d
+
+
+_SCORE = "--model {d}/m.json --data {d}/test.csv --out {o}"
+_SAMPLE = "--trials 1 --seed 2"
+
+
+# a command line ({d}: the gesture files, {o}: a fresh directory), the file
+# whose sidecar it writes, and the options it reads, which are all its
+# manifest may record
+@pytest.mark.parametrize("argv,written,params", [
+    pytest.param("gen --task gesture_like --seed 3 --out {o}", "train.csv", {"task", "seed"},
+                 id="gen-preset"),
+    pytest.param("gen --spec {d}/spec.json --out {o}", "train.csv", {"seed"}, id="gen-spec"),
+    pytest.param("train --data {d}/train.csv --bins 8 --out {o}/m.json", "m.json",
+                 {"dist", "bins", "filter"}, id="train"),
+    pytest.param("train --data {d}/train.csv --filter --alpha 2 --out {o}/m.json", "m.json",
+                 {"dist", "bins", "filter", "alpha"}, id="train-filter"),
+    pytest.param("compile --model {d}/m.json --mode stochastic --out {o}/lin.img", "lin.img",
+                 {"mode", "width", "text"}, id="compile"),
+    pytest.param("sim --image {d}/log.img " + _SCORE, "sim.csv", set(), id="sim-log"),
+    pytest.param("sim --image {d}/lin.img --budget 8 " + _SCORE + " " + _SAMPLE, "sim.csv",
+                 {"budget", "strategy", "trials", "seed"}, id="sim-linear"),
+    pytest.param("sweep --kind cycles --grid 4 " + _SCORE + " " + _SAMPLE, "sweep_cycles.csv",
+                 {"kind", "grid", "width", "trials", "seed"}, id="sweep-cycles"),
+    pytest.param("sweep --kind ber --grid 0 --budget 4 " + _SCORE + " " + _SAMPLE,
+                 "sweep_ber.csv", {"kind", "grid", "budget", "width", "trials", "seed"},
+                 id="sweep-ber"),
+    pytest.param("sweep --kind bits --grid 4 " + _SCORE + " " + _SAMPLE, "sweep_bits.csv",
+                 {"kind", "grid", "trials", "seed"}, id="sweep-bits"),
+    pytest.param("energy --grid 4 " + _SCORE + " " + _SAMPLE, "energy.csv",
+                 {"grid", "width", "trials", "seed"}, id="energy"),
+    pytest.param("report --run {d} --out {o}", "report.csv", set(), id="report"),
+])
+def test_manifest_records_only_the_options_read(gesture_files, tmp_path, argv, written, params):
+    argv = argv.format(d=gesture_files, o=tmp_path).split()
+    assert run(*argv) == 0
+    side = json.loads((tmp_path / (written + ".manifest.json")).read_text())
+    assert set(side["params"]) == params
 
 
 def test_module_runs_as_child_from_any_directory(tmp_path):

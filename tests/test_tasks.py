@@ -122,37 +122,6 @@ def test_gesture_input_checks():
         tasks.gesture_features(np.zeros((4, 3)), dt=0.0)
 
 
-# ---- feature selection ----
-
-def test_select_features_finds_the_separator():
-    rng = np.random.default_rng(5)
-    n = 120
-    y = np.repeat([0, 1], n // 2)
-    X = rng.normal(size=(n, 4))
-    X[:, 2] = y * 6.0 + rng.normal(scale=0.3, size=n)  # clean separator
-    picks = tasks.select_features(X, y, classes=2, budget=2, bins=16)
-    assert picks[0] == 2
-
-
-def test_select_features_tie_prefers_lower_index():
-    rng = np.random.default_rng(6)
-    n = 80
-    y = np.repeat([0, 1], n // 2)
-    sep = y * 5.0 + rng.normal(scale=0.2, size=n)
-    X = np.column_stack([sep, sep.copy(), rng.normal(size=n)])
-    picks = tasks.select_features(X, y, classes=2, budget=1, bins=16)
-    assert picks == [0]
-
-
-def test_select_features_total_on_noise():
-    rng = np.random.default_rng(7)
-    X = rng.normal(size=(60, 5))
-    y = rng.integers(0, 2, size=60)
-    picks = tasks.select_features(X, y, classes=2, budget=3, bins=8)
-    assert len(picks) == 3
-    assert len(set(picks)) == 3
-
-
 # ---- synthetic generation ----
 
 def test_spec_validation():
