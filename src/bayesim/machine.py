@@ -33,7 +33,6 @@ from .stochastic import InferenceResult, MachineConfig
 
 MODES = ("logarithmic", "stochastic")
 KINDS = ("log", "linear")  # code family stored in an image; a MODES[i] machine reads KINDS[i]
-PAIR_LAW_MAX = 1 << 21  # law entries of one part of a filter's pair law
 
 _MAGIC = b"BIMG"
 _VERSION = 1
@@ -273,6 +272,8 @@ class FilterPlan(stochastic.RunPlan):
     winner) pair exist only while the pair law is built and inside the step
     being run; a batch's `stochastic.plan` is not one."""
 
+    law_rows = property(lambda self: self.image.rows + 1)  # a (step, previous winner) pair each
+
     @property
     def transition(self) -> np.ndarray:
         return self.image.blocks[0][:, :self.image.rows + 1].T
@@ -321,19 +322,17 @@ def run_filter(image: MemoryImage, feature_addresses,
     power-conscious run `decide`s each pair with its step's (stop, mask, tie)
     uniforms; a conventional run draws one tie uniform per step, then one
     integer that seeds the Generator of its `stochastic.tally`, one multinomial
-    per pair.  All are drawn up front; the law is built for parts of
-    consecutive steps of at most `PAIR_LAW_MAX` entries (the plan, which keeps
-    it, if it fits), each walked on from the last winner of the one before, so
-    no result depends on the part size.  Every other run steps: a log image
-    picks step t's winner from the plain-int sums of its feature codes and
-    ``transition[v]``, the first raw minimum winning (row 0 if that is TOP or
-    more: every row saturates), then gathers the score table of every step's
-    pair in one add and clamps it once as `_log_scores` does, ignoring ``seed``
-    and ``config``; a linear image of more rows writes ``transition[v]`` into
+    per pair.  All are drawn up front; each of the plan's `RunPlan.parts` is
+    walked on from the last winner of the one before, so no result depends on
+    the part size.  Every other run steps: a log image picks step t's winner
+    from the plain-int sums of its feature codes and ``transition[v]``, the
+    first raw minimum winning (row 0 if that is TOP or more: every row
+    saturates), then gathers the score table of every step's pair in one add
+    and clamps it once as `_log_scores` does, ignoring ``seed`` and
+    ``config``; a linear image of more rows writes ``transition[v]`` into
     column 0 of step t in one copy of the plan's codes per pass and draws it by
     `stochastic.sample` from the stream of ``seed``, as one `infer_stochastic`
-    call per step would.  Returns one InferenceResult with one presentation per
-    step.
+    call per step would.  Returns one InferenceResult, a presentation a step.
     """
     if type(feature_addresses) is stochastic.RunPlan:
         raise ConfigError("a batch plan is not a filter plan: build one with filter_plan")
@@ -341,8 +340,7 @@ def run_filter(image: MemoryImage, feature_addresses,
             else filter_plan(image, feature_addresses))
     if plan.image is not image:
         raise ConfigError("plan was not built for this image")
-    rows, steps = image.rows, len(plan.codes)
-    a = rows + 1
+    rows, steps, a = image.rows, len(plan.codes), plan.law_rows
     budget, strategy = config.cycle_budget, config.strategy
     scores = np.empty((steps, rows), dtype=np.int64)
     cycles = np.ones(steps, dtype=np.int64)
@@ -358,11 +356,9 @@ def run_filter(image: MemoryImage, feature_addresses,
             # one draw, so a pass reads a fixed share of ``seed``'s
             law_rng = np.random.default_rng(rng.integers(1 << 64, dtype=np.uint64))
             run = partial(stochastic.tally, rng=law_rng, budget=budget)
-        size = max(1, PAIR_LAW_MAX // (a << rows))  # steps of one part's law
-        for first in range(0, steps, size):
-            part = plan if size >= steps else FilterPlan(image, plan.codes[first:first + size])
-            counters, winners, used = run(part, np.repeat(draws[first:first + size], a, axis=0))
+        for first, part in plan.parts():
             n = len(part.codes)
+            counters, winners, used = run(part, np.repeat(draws[first:first + n], a, axis=0))
             path += walk(winners.reshape(n, a), path[-1])
             pair = np.arange(n) * a + path[-n - 1:-1]
             scores[first:first + n], cycles[first:first + n] = counters[pair], used[pair]

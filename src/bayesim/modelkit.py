@@ -24,6 +24,7 @@ from .machine import KINDS as CODE_KINDS, MODES, MemoryImage, check_addresses, w
 KINDS = ("gaussian", "lognormal")
 SPAN = 4.0  # a feature's bin grid covers its pooled mean +- SPAN pooled stds
 FLOOR = logprob.MIN_PROB  # smallest likelihood tabulated: the top log code
+TABLE_MAX = 1 << 22  # entries of the (classes, total bins) density table train_model builds
 
 _MODEL_VERSION = 1
 
@@ -169,7 +170,8 @@ def train_model(
     a pooled fit over the whole feature column.  Each class table is that
     class's density on the shared grid; a whole column is then rescaled by
     its single largest value, which keeps every entry in (0, 1] without
-    disturbing the posterior ordering.
+    disturbing the posterior ordering.  Tables of more than `TABLE_MAX`
+    entries in all are refused before any is built.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or np.ndim(labels) != 1 or X.shape[0] != len(labels):
@@ -190,6 +192,9 @@ def train_model(
     if counts.min() < 2:
         r = int(np.argmax(counts < 2))
         raise TrainingError(f"class {r} has {counts[r]} samples, need >= 2")
+    if classes * sum(bins) > TABLE_MAX:
+        raise TrainingError(f"{classes} classes over {sum(bins)} bins need a density table "
+                            f"of {classes * sum(bins)} entries, more than {TABLE_MAX}")
 
     # (features, samples) in the fitting domain; the pooled fit floors every
     # scale, the class fits included, at 1e-6 of the feature's whole range

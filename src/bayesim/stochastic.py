@@ -25,10 +25,10 @@ drawn from the exact per-cycle law of the fired rows (`mask_law`; a product
 of per-row rates would be wrong, since the rows of a column share its
 draw): `decide` draws a power-conscious run's stop cycle and fired mask,
 and `tally` a conventional run's counters as one multinomial over the masks.
-Batches run power-conscious from the law and conventional through the
-kernel; filters within `LAW_MAX_ROWS` rows, at any length, run both
-strategies from the law of their (step, previous winner) pairs.  Runs over one presentation
-set can share one `plan`: its latched codes and this law.
+Batches run power-conscious from the law and conventional through the kernel;
+filters within `LAW_MAX_ROWS` rows run both from their (step, previous winner)
+pairs' law.  Runs over one presentation set can share one `plan`: its codes and
+this law, built in `RunPlan.parts` of at most `LAW_MAX` entries (kept if one part).
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .errors import ConfigError, DomainError, check_int
 STRATEGIES = ("conventional", "power_conscious")
 WIDTHS = (8, 16)  # linear code widths
 LAW_MAX_ROWS = 12  # a law has 2**rows masks; more rows run cycle by cycle
+LAW_MAX = 1 << 22  # entries of one law: (law rows) * 2**rows
 MAX_BUDGET = 1 << 53  # a power-conscious stop cycle is a float64, exact up to here
 KERNEL_MAX_DRAWS = 1 << 28  # entries of one cycle-kernel array: N * budget * max(C, R)
 
@@ -134,10 +135,21 @@ class RunPlan:
     """The codes (N, R, C) of N presentations latched once from ``image``: a
     batch's `plan`, or the steps of a `machine.filter_plan`.  ``cum_law``, the
     cumulative law of the non-empty masks (None above `LAW_MAX_ROWS`), is built
-    on first use; a filter plan's is over its (step, previous winner) pairs."""
+    on first use, ``law_rows`` rows of it per row of codes; runs cut it in `parts`."""
 
     image: object
     codes: np.ndarray
+    law_rows = 1
+
+    @property
+    def part_rows(self) -> int:  # rows of codes whose law holds at most LAW_MAX entries
+        return max(1, LAW_MAX // (self.law_rows << self.codes.shape[1]))
+
+    def parts(self):
+        """(first, plan) of consecutive `part_rows` rows of codes: the plan, which
+        keeps its law, if it is one part, else new plans of its type made in turn."""
+        for first in range(0, n := len(self.codes), size := self.part_rows):
+            yield first, self if size >= n else type(self)(self.image, self.codes[first:first + size])
 
     @cached_property
     def cum_law(self) -> np.ndarray | None:
@@ -261,7 +273,11 @@ def sample(run: RunPlan, rng, budget: int, strategy: str) -> tuple:
     n, rows, cols = run.codes.shape
     width = run.image.width
     if strategy == "power_conscious" and rows <= LAW_MAX_ROWS:
-        return decide(run, rng.random((n, 3)), budget)
+        uniforms = rng.random((n, 3))
+        if n <= run.part_rows:  # one part: the plan itself, without a generator
+            return decide(run, uniforms, budget)
+        return tuple(map(np.concatenate, zip(*(decide(part, uniforms[i:i + len(part.codes)], budget)
+                                               for i, part in run.parts()))))
     size = n * budget * max(cols, rows)
     if size > KERNEL_MAX_DRAWS:
         raise ConfigError(f"cycle budget {budget} over {n} presentations of {rows} rows and "

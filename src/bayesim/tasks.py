@@ -24,6 +24,7 @@ from .errors import (DomainError, FormatError, check_int, parse_header, read_tex
 from .machine import walk
 
 _DATASET_VERSION = 1
+SPLIT_MAX = 1 << 22  # feature values of one generated split: rows * features
 _SPEC_VERSION = 1
 
 SLEEP_FEATURE_NAMES = ("eeg_delta_1p5hz", "eeg_alpha_9p35hz", "emg_power")
@@ -103,7 +104,8 @@ class SyntheticTaskSpec:
     for sleep_like they live in the log domain (emissions are lognormal)
     and ``transition`` drives the hidden state chain.  ``train_size`` and
     ``test_size`` count chain steps for sleep_like and samples per class
-    for gesture_like.
+    for gesture_like; a split of more than `SPLIT_MAX` feature values is
+    refused.
     """
 
     kind: str
@@ -146,6 +148,12 @@ class SyntheticTaskSpec:
             raise DomainError("gesture_like takes no transition matrix")
         if self.train_size < 1 or self.test_size < 1:
             raise DomainError("train_size and test_size must be >= 1")
+        # feature values per unit of size: one row a step, or one row per class a sample
+        per = self.features * (self.classes if self.kind == "gesture_like" else 1)
+        for name, size in (("train_size", self.train_size), ("test_size", self.test_size)):
+            if size * per > SPLIT_MAX:
+                raise DomainError(f"{name} {size} generates {size * per} feature values, "
+                                  f"more than {SPLIT_MAX}")
 
 
 def _uniform_offdiag(classes: int, stay: float) -> np.ndarray:

@@ -18,10 +18,10 @@ with a per-presentation reference of the law sampler bit for bit.  A
 conventional filter within `LAW_MAX_ROWS` rows, drawn from its pair law,
 equals a per-pair multinomial reference bit for bit and is compared with the
 cycle-by-cycle reference by chi-square tests; built over parts of at most
-`PAIR_LAW_MAX` entries, that law gives the filter of the whole law byte for
-byte.  A call from a
-`stochastic.plan`, or a filter from a `machine.filter_plan`, equals the call
-that latches for itself.
+`stochastic.LAW_MAX` entries, that law gives the filter of the whole law byte
+for byte, and a power-conscious batch's the batch of its whole law.  A call
+from a `stochastic.plan`, or a filter from a `machine.filter_plan`, equals the
+call that latches for itself.
 """
 
 import tracemalloc
@@ -661,12 +661,12 @@ def test_filter_plan_bounds_its_pair_law(monkeypatch):
     laws = count_laws(monkeypatch)
     for strategy in stochastic.STRATEGIES:
         cfg = MachineConfig(20, strategy)
-        monkeypatch.setattr(machine, "PAIR_LAW_MAX", entries)
+        monkeypatch.setattr(stochastic, "LAW_MAX", entries)
         plan, laws[:] = machine.filter_plan(img, feats), []
         whole = machine.run_filter(img, plan, cfg, seed=4)
         assert laws == [(30, 2, 2)] and "cum_law" in vars(plan)  # one law, kept by the plan
         # below the whole law, each part's law covers at most the cap and the plan keeps none
-        monkeypatch.setattr(machine, "PAIR_LAW_MAX", entries - 1)
+        monkeypatch.setattr(stochastic, "LAW_MAX", entries - 1)
         plan, laws[:] = machine.filter_plan(img, feats), []
         assert_same_bytes(machine.run_filter(img, plan, cfg, seed=4), whole)
         assert laws == [(27, 2, 2), (3, 2, 2)] and "cum_law" not in vars(plan)
@@ -684,22 +684,59 @@ def test_filter_parts_equal_one_law(run, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stochastic, "sample", refuse_sample)
         whole = machine.run_filter(img, feats, cfg, seed)
-        patch.setattr(machine, "PAIR_LAW_MAX", cap)
+        patch.setattr(stochastic, "LAW_MAX", cap)
         assert_same_bytes(machine.run_filter(img, feats, cfg, seed), whole)
+
+
+@SETTINGS
+@given(st.data())
+def test_batch_parts_equal_one_law(data):
+    rows = data.draw(st.integers(1, stochastic.LAW_MAX_ROWS))
+    img, obs, opts = data.draw(sampler_runs(("power_conscious",), rows))
+    cap = data.draw(st.integers(1, 4 * len(obs) << rows))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stochastic, "KERNEL_MAX_DRAWS", -1)  # a cycle-kernel run raises
+        whole = stochastic.run_stochastic(img, obs, **opts)
+        patch.setattr(stochastic, "LAW_MAX", cap)
+        laws, run = count_laws(patch), stochastic.plan(img, obs)
+        assert_same_bytes(stochastic.run_stochastic(img, run, **opts), whole)
+    # consecutive parts, each of at most the cap's entries, or of one presentation;
+    # only a plan that is one part keeps its law
+    size = max(1, cap >> rows)
+    assert [n for n, *_ in laws] == [min(size, len(obs) - i) for i in range(0, len(obs), size)]
+    assert all(n << rows <= cap for n, *_ in laws if n > 1)
+    assert ("cum_law" in vars(run)) == (size >= len(obs))
+
+
+def test_batch_law_peak_does_not_grow_with_presentations(monkeypatch):
+    # 12 rows: a whole law would take 32 KiB a presentation; in parts of 64
+    # presentations (2 MiB a law) only the results grow with N
+    monkeypatch.setattr(stochastic, "LAW_MAX", 1 << 18)
+    img = lin([np.random.default_rng(c).integers(0, 256, (12, 8)) for c in range(4)])
+    peaks = []
+    for n in (256, 4096):
+        run = stochastic.plan(img, np.random.default_rng(n).integers(0, 8, (n, 4)))
+        tracemalloc.start()
+        try:
+            stochastic.run_stochastic(img, run, 50, "power_conscious", seed=n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
 
 
 def test_sleep_filter_above_one_law_runs_in_parts(monkeypatch):
     prep = runner.prepare(tasks.sleep_like_spec(seed=7))
     _, linear = runner.images_for_model(prep, widths=(16,))
-    img, feats = linear[16], np.tile(prep.test_obs, (45, 1))  # 27,000 steps
+    img, feats = linear[16], np.tile(prep.test_obs, (90, 1))  # 54,000 steps
     laws, masks = count_laws(monkeypatch), 1 << img.rows
     monkeypatch.setattr(stochastic, "sample", refuse_sample)
     for strategy in stochastic.STRATEGIES:
         cfg, laws[:] = MachineConfig(16, strategy), []
         res = machine.run_filter(img, machine.filter_plan(img, feats), cfg, seed=7)
-        assert len(laws) == 2 and all(n * masks <= machine.PAIR_LAW_MAX for n, *_ in laws)
+        assert len(laws) == 2 and all(n * masks <= stochastic.LAW_MAX for n, *_ in laws)
         with monkeypatch.context() as one:
-            one.setattr(machine, "PAIR_LAW_MAX", len(feats) * (img.rows + 1) * masks)
+            one.setattr(stochastic, "LAW_MAX", len(feats) * (img.rows + 1) * masks)
             laws[:] = []
             assert_same_bytes(machine.run_filter(img, feats, cfg, seed=7), res)
             assert laws == [(len(feats) * (img.rows + 1), img.rows, img.columns)]

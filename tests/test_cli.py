@@ -375,6 +375,28 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     assert errs == ["error: --seed must be an integer, got 'abc'"] * 2
 
 
+def test_oversized_sizes_exit_two_before_allocating(tmp_path, capsys):
+    # each would need terabytes; each is refused from its sizes alone
+    out = tmp_path / "g"
+    assert run("gen", "--task", "gesture_like", "--seed", 7, "--out", out) == 0
+    doc = json.loads((out / "spec.json").read_text())
+    model = tmp_path / "m.json"
+    cases = [(["train", "--data", out / "train.csv", "--bins", 10**12, "--out", model],
+              f"4 classes over {6 * 10**12} bins need a density table of {24 * 10**12} "
+              "entries, more than 4194304")]
+    for name in ("train_size", "test_size"):
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps({**doc, name: 10**12}))
+        cases.append((["gen", "--spec", spec, "--out", tmp_path / name],
+                      f"{name} {10**12} generates {24 * 10**12} feature values, more than 4194304"))
+    capsys.readouterr()
+    for argv, message in cases:
+        assert run(*argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
+    assert not model.exists()
+    assert not any((tmp_path / name / "train.csv").exists() for name in ("train_size", "test_size"))
+
+
 def test_compile_refuses_a_float_class_count(tmp_path, capsys):
     out = tmp_path / "sl"
     assert run("gen", "--task", "sleep_like", "--seed", 3, "--out", out) == 0

@@ -58,6 +58,10 @@ def test_fit_errors():
         one_class_model([1.0], 2)
     with pytest.raises(TrainingError, match="strictly positive"):
         one_class_model([1.0, -2.0], 2, kind="lognormal")
+    # refused from the sizes alone, before the 10**12-bin grid is built
+    with pytest.raises(TrainingError, match=r"1 classes over 1000000000000 bins need a density "
+                                            r"table of 1000000000000 entries, more than 4194304"):
+        one_class_model([1.0, 2.0], 10**12)
 
 
 # ---- train_model's grid, density, floor and edges ----

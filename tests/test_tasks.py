@@ -326,6 +326,17 @@ def test_task_spec_integer_fields_checked(field, tmp_path):
             tasks.load_task_spec(path)
 
 
+def test_task_spec_refuses_a_split_above_split_max():
+    # a sleep step is one row of 3 features; a gesture sample per class, 4 rows of 6
+    for make, per in ((tasks.sleep_like_spec, 3), (tasks.gesture_like_spec, 24)):
+        most = tasks.SPLIT_MAX // per
+        make(train_size=most, test_size=most)  # a spec only: nothing is generated
+        for name in ("train_size", "test_size"):
+            with pytest.raises(DomainError, match=f"{name} {most + 1} generates "
+                                                  f"{(most + 1) * per} feature values"):
+                make(**{name: most + 1})
+
+
 @pytest.mark.parametrize("field, value", [("scales", math.nan), ("scales", math.inf),
                                           ("locations", math.inf), ("locations", math.nan)])
 def test_task_spec_refuses_non_finite_parameters(field, value, tmp_path):
