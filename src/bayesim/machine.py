@@ -71,7 +71,9 @@ class MemoryImage:
     ``blocks[c]`` is an (rows, V[c]) view of the stored integer codes of
     column c; ``kind`` says how to read them ("log" or "linear") and
     ``width`` how many bits each code has.  Bool, float, string or object
-    blocks raise ConfigError, as addresses of those dtypes do.
+    blocks raise ConfigError, as addresses of those dtypes do, and so does a
+    linear image of more than `stochastic.LAW_MAX_ROWS` rows: every stochastic
+    run draws from a law of 2**rows masks.
     """
 
     def __init__(self, blocks, width: int, kind: str):
@@ -91,6 +93,9 @@ class MemoryImage:
                 raise ConfigError(f"column {c}: block must be a 2-d (rows, values) table")
             if arr.shape[0] != arrs[0].shape[0]:
                 raise ConfigError(f"column {c}: row count {arr.shape[0]} != {arrs[0].shape[0]}")
+        if kind == "linear" and len(arrs[0]) > stochastic.LAW_MAX_ROWS:
+            raise ConfigError(f"a linear image holds at most LAW_MAX_ROWS = "
+                              f"{stochastic.LAW_MAX_ROWS} rows, got {len(arrs[0])}")
         sizes = [a.shape[1] for a in arrs]
         table = np.concatenate(arrs, axis=1)
         bad = (table < 0) | (table > top)
@@ -279,7 +284,7 @@ class FilterPlan(stochastic.RunPlan):
         return self.image.blocks[0][:, :self.image.rows + 1].T
 
     @cached_property
-    def cum_law(self) -> np.ndarray | None:
+    def cum_law(self) -> np.ndarray:
         """The law of every (step, previous winner) pair, step-major, from the
         pair codes (steps * (rows + 1), R, C), which are dropped once it is
         built."""
@@ -315,24 +320,21 @@ def run_filter(image: MemoryImage, feature_addresses,
     classes), afterwards by the previous step's winner.  ``feature_addresses``
     is a (steps, columns-1) table of observation addresses for the remaining
     columns, or its `filter_plan` (one of another image object, or a batch's
-    `stochastic.plan`, is refused).  A linear run of at most
-    `stochastic.LAW_MAX_ROWS` rows, at any length, draws every (step, previous
-    winner) pair from the pair law and `walk`s the winners, both strategies
-    from one stream seeded by ``seed`` (an int or a Generator): a
-    power-conscious run `decide`s each pair with its step's (stop, mask, tie)
-    uniforms; a conventional run draws one tie uniform per step, then one
-    integer that seeds the Generator of its `stochastic.tally`, one multinomial
-    per pair.  All are drawn up front; each of the plan's `RunPlan.parts` is
-    walked on from the last winner of the one before, so no result depends on
-    the part size.  Every other run steps: a log image picks step t's winner
-    from the plain-int sums of its feature codes and ``transition[v]``, the
-    first raw minimum winning (row 0 if that is TOP or more: every row
-    saturates), then gathers the score table of every step's pair in one add
-    and clamps it once as `_log_scores` does, ignoring ``seed`` and
-    ``config``; a linear image of more rows writes ``transition[v]`` into
-    column 0 of step t in one copy of the plan's codes per pass and draws it by
-    `stochastic.sample` from the stream of ``seed``, as one `infer_stochastic`
-    call per step would.  Returns one InferenceResult, a presentation a step.
+    `stochastic.plan`, is refused).  A linear run, at any length, draws every
+    (step, previous winner) pair from the pair law and `walk`s the winners,
+    both strategies from one stream seeded by ``seed`` (an int or a
+    Generator): a power-conscious run `decide`s each pair with its step's
+    (stop, mask, tie) uniforms; a conventional run draws one tie uniform per
+    step, then one integer that seeds the Generator of its `stochastic.tally`,
+    one multinomial per pair.  All are drawn up front; each of the plan's
+    `RunPlan.parts` is walked on from the last winner of the one before, so
+    no result depends on the part size.  A log run steps: it picks step t's
+    winner from the plain-int sums of its feature codes and
+    ``transition[v]``, the first raw minimum winning (row 0 if that is TOP or
+    more: every row saturates), then gathers the score table of every step's
+    pair in one add and clamps it once as `_log_scores` does, ignoring
+    ``seed`` and ``config``.  Returns one InferenceResult, a presentation a
+    step.
     """
     if type(feature_addresses) is stochastic.RunPlan:
         raise ConfigError("a batch plan is not a filter plan: build one with filter_plan")
@@ -345,7 +347,7 @@ def run_filter(image: MemoryImage, feature_addresses,
     scores = np.empty((steps, rows), dtype=np.int64)
     cycles = np.ones(steps, dtype=np.int64)
     path = [rows]  # the unknown state, then every step's winner
-    if image.kind == "linear" and rows <= stochastic.LAW_MAX_ROWS:
+    if image.kind == "linear":
         rng = np.random.default_rng(seed)
         if strategy == "power_conscious":
             draws = rng.random((steps, 3))  # as steps' (1, 3) draws
@@ -363,22 +365,14 @@ def run_filter(image: MemoryImage, feature_addresses,
             pair = np.arange(n) * a + path[-n - 1:-1]
             scores[first:first + n], cycles[first:first + n] = counters[pair], used[pair]
     else:
-        codes, transition, prev = plan.codes, plan.transition, rows
-        if image.kind == "log":
-            features = codes[..., 1:].sum(axis=-1, dtype=np.int64)
-            prior = transition.tolist()
-            for feature in features.tolist():
-                row = list(map(operator.add, feature, prior[prev]))
-                low = min(row)  # index() finds the first: ties go to the lowest row
-                prev = row.index(low) if low < logprob.TOP else 0  # all saturate: row 0
-                path.append(prev)
-            np.add(features, transition[path[:-1]], out=scores)
-            np.minimum(scores, logprob.TOP, out=scores)  # _log_scores' saturation, once
-        else:
-            rng, codes = np.random.default_rng(seed), codes.copy()  # column 0 is rewritten
-            for t in range(steps):
-                codes[t, :, 0] = transition[prev]
-                one = stochastic.RunPlan(image, codes[t:t + 1])
-                (scores[t],), (prev,), (cycles[t],) = stochastic.sample(one, rng, budget, strategy)
-                path.append(prev)
+        features = plan.codes[..., 1:].sum(axis=-1, dtype=np.int64)
+        transition, prev = plan.transition, rows
+        prior = transition.tolist()
+        for feature in features.tolist():
+            row = list(map(operator.add, feature, prior[prev]))
+            low = min(row)  # index() finds the first: ties go to the lowest row
+            prev = row.index(low) if low < logprob.TOP else 0  # all saturate: row 0
+            path.append(prev)
+        np.add(features, transition[path[:-1]], out=scores)
+        np.minimum(scores, logprob.TOP, out=scores)  # _log_scores' saturation, once
     return InferenceResult.of(image, scores, np.array(path[1:], dtype=np.int64), cycles)

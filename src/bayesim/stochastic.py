@@ -17,18 +17,20 @@ Two run strategies, both breaking ties by a uniform pick among the tied rows:
   fall back to a tie over all rows.
 
 Every cycle draws one uniform per column: all rows of a column see the
-same draw, as one RNG per column would in hardware.  `sample`'s cycle
-kernel draws them so, cycle by cycle, as an (N, budget, C) block of integers
-of the codes' width and counts each row's fires over contiguous cycles.
-Cycles are independent, so up to `LAW_MAX_ROWS` rows a run can instead be
-drawn from the exact per-cycle law of the fired rows (`mask_law`; a product
-of per-row rates would be wrong, since the rows of a column share its
-draw): `decide` draws a power-conscious run's stop cycle and fired mask,
-and `tally` a conventional run's counters as one multinomial over the masks.
-Batches run power-conscious from the law and conventional through the kernel;
-filters within `LAW_MAX_ROWS` rows run both from their (step, previous winner)
-pairs' law.  Runs over one presentation set can share one `plan`: its codes and
-this law, built in `RunPlan.parts` of at most `LAW_MAX` entries (kept if one part).
+same draw, as one RNG per column would in hardware.  Cycles are
+independent, so a run is drawn from the exact per-cycle law of the fired
+rows (`mask_law`; a product of per-row rates would be wrong, since the
+rows of a column share its draw): `decide` draws a power-conscious run's
+stop cycle and fired mask, and `tally` a conventional run's counters as
+one multinomial over the masks.  A law has 2**rows masks, so a linear
+image holds at most `LAW_MAX_ROWS` rows (`machine.MemoryImage` refuses
+more).  Batches run power-conscious from the law and conventional through
+`sample`'s cycle kernel, which draws the uniforms cycle by cycle as an
+(N, budget, C) block of integers of the codes' width and counts each row's
+fires over contiguous cycles; filters run both strategies from their
+(step, previous winner) pairs' law.  Runs over one presentation set can
+share one `plan`: its codes and this law, built in `RunPlan.parts` of at
+most `LAW_MAX` entries (kept if one part).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import ConfigError, DomainError, check_int
 
 STRATEGIES = ("conventional", "power_conscious")
 WIDTHS = (8, 16)  # linear code widths
-LAW_MAX_ROWS = 12  # a law has 2**rows masks; more rows run cycle by cycle
+LAW_MAX_ROWS = 12  # a law has 2**rows masks; a linear image holds at most this many rows
 LAW_MAX = 1 << 22  # entries of one law: (law rows) * 2**rows
 MAX_BUDGET = 1 << 53  # a power-conscious stop cycle is a float64, exact up to here
 KERNEL_MAX_DRAWS = 1 << 28  # entries of one cycle-kernel array: N * budget * max(C, R)
@@ -134,8 +136,8 @@ def mask_bits(rows: int) -> np.ndarray:
 class RunPlan:
     """The codes (N, R, C) of N presentations latched once from ``image``: a
     batch's `plan`, or the steps of a `machine.filter_plan`.  ``cum_law``, the
-    cumulative law of the non-empty masks (None above `LAW_MAX_ROWS`), is built
-    on first use, ``law_rows`` rows of it per row of codes; runs cut it in `parts`."""
+    cumulative law of the non-empty masks, is built on first use, ``law_rows``
+    rows of it per row of codes; runs cut it in `parts`."""
 
     image: object
     codes: np.ndarray
@@ -152,9 +154,8 @@ class RunPlan:
             yield first, self if size >= n else type(self)(self.image, self.codes[first:first + size])
 
     @cached_property
-    def cum_law(self) -> np.ndarray | None:
-        if self.codes.shape[1] <= LAW_MAX_ROWS:
-            return np.cumsum(mask_law(self.codes, self.image.width)[:, 1:], axis=1)
+    def cum_law(self) -> np.ndarray:
+        return np.cumsum(mask_law(self.codes, self.image.width)[:, 1:], axis=1)
 
     @cached_property
     def outcomes(self) -> tuple:
@@ -246,8 +247,7 @@ def run_stochastic(
     order, one integer in [0, 2**width) each, then one uniform per
     presentation that breaks its ties.  A power-conscious call draws one
     float64 uniform triple (stop, mask, tie) per presentation and `decide`s
-    them; above `LAW_MAX_ROWS` rows it draws as a conventional call and
-    stops at the first fire.  A power-conscious presentation stopped early
+    them.  A power-conscious presentation stopped early
     exactly when any of its scores is non-zero; a conventional one never
     stops early.  ``rng_mode`` accepts only ``"column_shared"``.
     """
@@ -267,12 +267,12 @@ def run_stochastic(
 def sample(run: RunPlan, rng, budget: int, strategy: str) -> tuple:
     """(counters, winner, cycles) of every presentation of ``run``, drawn from
     the Generator ``rng`` as `run_stochastic` describes.  The caller checks the
-    image kind, the budget and the strategy; a cycle-kernel run whose draws
+    image kind, the budget and the strategy; a conventional run whose draws
     (N, budget, C) or fire arrays (N, budget, R) would hold more than
     `KERNEL_MAX_DRAWS` entries raises ConfigError before any draw."""
     n, rows, cols = run.codes.shape
     width = run.image.width
-    if strategy == "power_conscious" and rows <= LAW_MAX_ROWS:
+    if strategy == "power_conscious":
         uniforms = rng.random((n, 3))
         if n <= run.part_rows:  # one part: the plan itself, without a generator
             return decide(run, uniforms, budget)
@@ -294,17 +294,6 @@ def sample(run: RunPlan, rng, budget: int, strategy: str) -> tuple:
     for c in range(1, cols):
         np.less(draws[..., c], codes[:, np.newaxis, :, c], out=col)
         fire &= col
-    if strategy == "conventional":
-        # each row's fires over contiguous cycles: one transposed copy, summed on its last axis
-        counters = fire.transpose(0, 2, 1).copy().sum(axis=2, dtype=np.int64)
-        cycles = np.full(n, budget)
-        candidates = counters == counters.max(axis=1, keepdims=True)
-    else:
-        # no row fires before the first fire cycle, so the counters are
-        # that cycle's fire pattern; with no fire at all every row ties
-        any_fire = fire.any(axis=2)
-        stopped, first = any_fire.any(axis=1), any_fire.argmax(axis=1)
-        cycles = np.where(stopped, first + 1, budget).astype(np.int64)
-        counters = fire[np.arange(n), first].astype(np.int64) * stopped[:, np.newaxis]
-        candidates = counters.astype(bool) | ~stopped[:, np.newaxis]
-    return counters, _pick(candidates, ties), cycles
+    # each row's fires over contiguous cycles: one transposed copy, summed on its last axis
+    counters = fire.transpose(0, 2, 1).copy().sum(axis=2, dtype=np.int64)
+    return counters, _pick(counters == counters.max(axis=1, keepdims=True), ties), np.full(n, budget)

@@ -11,12 +11,11 @@ its per-step calls.  The stochastic sampler draws a whole batch at once:
 properties pin its counters, stop cycles, winners and totals, and
 chi-square tests on one batch of identical presentations pin its winner
 split, stop-cycle law and tie-breaks to their exact laws.  Conventional
-runs, and power-conscious runs above the law's row cap, equal a
-cycle-by-cycle reference draw for draw; power-conscious runs sampled from
-the mask law are compared with that reference by chi-square tests, and
-with a per-presentation reference of the law sampler bit for bit.  A
-conventional filter within `LAW_MAX_ROWS` rows, drawn from its pair law,
-equals a per-pair multinomial reference bit for bit and is compared with the
+runs equal a cycle-by-cycle reference draw for draw; power-conscious runs,
+sampled from the mask law, are compared with that reference by chi-square
+tests, and with a per-presentation reference of the law sampler bit for
+bit, up to `LAW_MAX_ROWS` rows.  A conventional filter, drawn from its pair
+law, equals a per-pair multinomial reference bit for bit and is compared with the
 cycle-by-cycle reference by chi-square tests; built over parts of at most
 `stochastic.LAW_MAX` entries, that law gives the filter of the whole law byte
 for byte, and a power-conscious batch's the batch of its whole law.  A call
@@ -323,12 +322,6 @@ def test_sampler_equals_cycle_reference(run):
     assert_equals_cycle_reference(*run)
 
 
-@SETTINGS
-@given(sampler_runs(strategies=("power_conscious",), rows=stochastic.LAW_MAX_ROWS + 1))
-def test_power_conscious_above_row_cap_equals_cycle_reference(run):
-    assert_equals_cycle_reference(*run)
-
-
 def power_conscious_reference(img, obs, budget, strategy="power_conscious", seed=0,
                               triples=None):
     """The law sampler one presentation at a time: one (stop, mask, tie)
@@ -432,7 +425,7 @@ def assert_same_result(a, b):
 
 
 @SETTINGS
-@given(st.one_of(sampler_runs(), sampler_runs(rows=stochastic.LAW_MAX_ROWS + 1)), st.booleans())
+@given(st.one_of(sampler_runs(), sampler_runs(rows=stochastic.LAW_MAX_ROWS)), st.booleans())
 def test_plan_call_equals_plain_call(run, single):
     img, obs, opts = run
     obs = obs[:1] if single else obs
@@ -523,13 +516,13 @@ def filter_runs(draw, modes=machine.MODES, rows=None):
 
 
 @SETTINGS
-@given(filter_runs())
+@given(st.one_of(filter_runs(), filter_runs(modes=("stochastic",), rows=stochastic.LAW_MAX_ROWS)))
 def test_filter_totals_equal_per_step_totals(run):
     img, cfg, feats, seed = run
     res = machine.run_filter(img, feats, config=cfg, seed=seed)
-    # a conventional linear run within the caps is drawn from its pair law, not
-    # from the per-step stream: its steps follow its own winners, and only what
-    # the stream cannot move compares
+    # a conventional linear run is drawn from its pair law, not from the
+    # per-step stream: its steps follow its own winners, and only what the
+    # stream cannot move compares
     law = img.kind == "linear" and cfg.strategy == "conventional"
     # the same steps one call at a time, on the same stream, from the unknown state
     rng, prev, steps = np.random.default_rng(seed), img.rows, []
@@ -554,27 +547,25 @@ def test_filter_totals_equal_per_step_totals(run):
                           sum(event_fields(r.event_counts) for r in steps))
 
 
-def assert_steps_one_call_at_a_time(res, img, cfg, feats, seed):
-    rng, prev = np.random.default_rng(seed), img.rows
+@SETTINGS
+@given(filter_runs(modes=("logarithmic",), rows=stochastic.LAW_MAX_ROWS + 1))
+def test_filter_above_row_cap_steps(run):
+    # above the row cap only a log image can be built, and its filter steps
+    # one call at a time: each step is the log call on the winner before it
+    img, cfg, feats, seed = run
+    res = machine.run_filter(img, machine.filter_plan(img, feats), config=cfg, seed=seed)
+    prev = img.rows
     for t, step in enumerate(feats):
-        one = machine.infer_stochastic(img, [[prev, *step]], cfg, seed=rng)
+        one = machine.infer_logarithmic(img, [[prev, *step]])
         assert (res.winner[t], res.cycles[t]) == (one.winner[0], one.cycles[0])
         assert np.array_equal(res.scores[t], one.scores[0])
         prev = one.winner[0]
-
-
-@SETTINGS
-@given(filter_runs(modes=("stochastic",), rows=stochastic.LAW_MAX_ROWS + 1))
-def test_filter_above_row_cap_steps(run):
-    img, cfg, feats, seed = run
-    plan = machine.filter_plan(img, feats)
-    res = machine.run_filter(img, plan, config=cfg, seed=seed)
-    assert "cum_law" not in vars(plan)  # no law is built: every step draws cycle by cycle
-    assert_steps_one_call_at_a_time(res, img, cfg, feats, seed)
+    with pytest.raises(ConfigError, match="LAW_MAX_ROWS"):
+        MemoryImage([np.zeros((img.rows, 3), dtype=np.uint16)], 8, "linear")
 
 
 def conventional_filter_reference(img, feats, budget, seed):
-    """A conventional linear filter within the caps one pair at a time: one tie
+    """A conventional linear filter one pair at a time: one tie
     uniform per step, then one draw that seeds the multinomials, one
     multinomial(budget, law) per (step, column-0 address) pair in step-major
     order from that pair's own mask law, the tie pick among its highest
@@ -673,7 +664,7 @@ def test_filter_plan_bounds_its_pair_law(monkeypatch):
 
 
 def refuse_sample(*args):
-    raise AssertionError("a filter within LAW_MAX_ROWS rows reached the cycle kernel")
+    raise AssertionError("a filter reached the cycle kernel")
 
 
 @SETTINGS

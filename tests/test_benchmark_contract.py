@@ -9,20 +9,27 @@ and pins the calls the benchmark rebinds: its gesture rounds time every
 budget from the config passed third.  The CLI workload reads power-conscious
 mean cycles back out of ``energy.csv`` by inverting the affine energy model,
 and one full cycle of log_faults slots, and one gesture_mc slot, keep their
-recorded outputs digests.
+recorded outputs digests.  Every ``BENCH_*.json`` record at the repository
+root names its workloads and gives each gated end-to-end metric a value and
+its unit, on both sides of the change it records.
 """
 
 import argparse
 import inspect
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bayesim import cli, energy, machine, runner, stochastic, tasks
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "benchmark"
+# numpy promises no Generator stream across feature releases (NEP 19): the
+# digests below were recorded on numpy 2.4
+NUMPY_PINNED = f"digest recorded on numpy 2.4.6; this is numpy {np.__version__}"
 
 
 def test_layer_probe_gives_every_layer_metric_a_value(monkeypatch):
@@ -110,7 +117,8 @@ def test_log_faults_cycle_keeps_its_outputs(monkeypatch):
     size = workloads.SIZES["log_faults"]["full"]
     state = workloads.faults_prepare(size)
     cycle = [workloads.faults_round(state, 7, size, slot).stats for slot in range(size["slots"])]
-    assert run.digest(cycle) == "1ec86518f8b1e549c2ca3c1e17f66bd50b4672b45c5d636993fb7bb56495322a"
+    assert (run.digest(cycle)
+            == "1ec86518f8b1e549c2ca3c1e17f66bd50b4672b45c5d636993fb7bb56495322a"), NUMPY_PINNED
 
 
 def test_gesture_mc_slot_keeps_its_outputs(monkeypatch):
@@ -125,4 +133,29 @@ def test_gesture_mc_slot_keeps_its_outputs(monkeypatch):
     size = workloads.SIZES["gesture_mc"]["full"]
     state = workloads.gesture_prepare(size)
     cycle = [workloads.gesture_round(state, 7, size, slot).stats for slot in range(size["slots"])]
-    assert run.digest(cycle) == "4bfaefa08a353e3bba8ead18eb9d4859bd786da4fa4808df5ea13c552a73e19b"
+    assert (run.digest(cycle)
+            == "4bfaefa08a353e3bba8ead18eb9d4859bd786da4fa4808df5ea13c552a73e19b"), NUMPY_PINNED
+
+
+def test_bench_records_give_every_gated_metric():
+    # the records are read by the next change, not judged: only their shape is
+    # checked, never a timing, so this cannot flake
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = {w["name"] for w in contract["workloads"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        doc = json.loads(path.read_text())
+        assert doc["workloads"] and set(doc["workloads"]) <= names, path.name
+        for side in ("parent", "change"):
+            record = doc[side]
+            assert type(record["tier1_passed"]) is int and type(record["src_lines"]) is int
+            assert sorted(record["runs"]) == sorted(doc["workloads"]), (path.name, side)
+            for workload, runs in record["runs"].items():
+                assert runs, (path.name, side, workload)
+                for res in runs:
+                    assert res["workload"] == workload
+                    for metric in contract["end_to_end"]:
+                        got = res["end_to_end"][metric["name"]]
+                        assert got["unit"] == metric["unit"], (path.name, metric["name"])
+                        assert type(got["value"]) in (int, float) and math.isfinite(got["value"])

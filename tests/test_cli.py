@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from bayesim import cli, energy
+from bayesim import cli, energy, stochastic, tasks
 from child_env import child_env
 
 
@@ -109,6 +109,33 @@ def test_gen_spec_file_round(tmp_path, capsys):
     strip = lambda p: p.read_text().splitlines()[1:]
     assert strip(out / "train.csv") == strip(out2 / "train.csv")
     assert strip(out / "test.csv") == strip(out2 / "test.csv")
+
+
+def test_pipeline_above_law_rows(tmp_path, capsys):
+    # a 13-class filter task: its stochastic image would need a law of 2**13
+    # masks, so compile refuses it naming the bound; the log machine runs it
+    classes = stochastic.LAW_MAX_ROWS + 1
+    chain = np.full((classes, classes), 0.1 / (classes - 1))
+    np.fill_diagonal(chain, 0.9)
+    spec = tasks.SyntheticTaskSpec(
+        kind="sleep_like", classes=classes, features=2,
+        locations=tuple(map(tuple, np.arange(2 * classes).reshape(classes, 2) / 4)),
+        scales=tuple(map(tuple, np.full((classes, 2), 0.5))),
+        transition=tuple(map(tuple, chain)), train_size=400, test_size=60, seed=3)
+    tasks.save_task_spec(tmp_path / "spec.json", spec)
+    out = tmp_path / "r"
+    assert run("gen", "--spec", tmp_path / "spec.json", "--out", out) == 0
+    model = out / "model.json"
+    assert run("train", "--data", out / "train.csv", "--bins", 8, "--out", model) == 0
+    capsys.readouterr()
+    assert run("compile", "--model", model, "--mode", "stochastic", "--out", out / "lin.img") == 2
+    assert f"at most LAW_MAX_ROWS = {stochastic.LAW_MAX_ROWS} rows" in capsys.readouterr().err
+    assert not (out / "lin.img").exists()
+    assert run("compile", "--model", model, "--mode", "logarithmic", "--out", out / "log.img") == 0
+    assert run("sim", "--model", model, "--image", out / "log.img",
+               "--data", out / "test.csv", "--out", out) == 0
+    sim = read_rows(out / "sim.csv")
+    assert len(sim) == 1 and sim[0]["mode"] == "logarithmic"
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -34,6 +34,39 @@ def test_image_rejects_wide_log():
         MemoryImage.from_bytes(bytes(raw))
 
 
+def test_linear_image_above_law_rows_is_refused(tmp_path):
+    # a stochastic run draws from a law of 2**rows masks: a linear image of
+    # more than LAW_MAX_ROWS rows is refused where it is built, compiled and
+    # loaded, while a log image of any row count still runs
+    rows = stochastic.LAW_MAX_ROWS + 1
+    bound = f"at most LAW_MAX_ROWS = {stochastic.LAW_MAX_ROWS} rows, got {rows}"
+    with pytest.raises(ConfigError, match=bound):
+        lin_image([np.zeros((rows, 3), dtype=np.uint16)])
+    rng = np.random.default_rng(4)
+    model = modelkit.BayesModel(classes=rows, features=1, bins=(3,),
+                                likelihood=[rng.uniform(0.05, 1.0, (rows, 3))],
+                                transition=np.full((rows, rows), 1 / rows),
+                                bin_edges=[np.arange(4.0)])
+    for width in (8, 16):
+        with pytest.raises(ConfigError, match=bound):
+            modelkit.compile_model(model, "stochastic", width)
+    log = modelkit.compile_model(model, "logarithmic")
+    machine.save_image(tmp_path / "log.img", log)
+    loaded = machine.load_image(tmp_path / "log.img")
+    assert loaded.to_bytes() == log.to_bytes() and loaded.rows == rows
+    # the same file relabelled as linear, its checksum made valid again
+    raw = bytearray(log.to_bytes())
+    raw[6] = machine.KINDS.index("linear")  # the kind byte after magic and version
+    raw[-4:] = struct.pack("<I", zlib.crc32(raw[:-4]) & 0xFFFFFFFF)
+    (tmp_path / "lin.img").write_bytes(bytes(raw))
+    with pytest.raises(ConfigError, match=bound):
+        machine.load_image(tmp_path / "lin.img")
+    res = machine.infer_logarithmic(loaded, [[rows, 0], [2, 1]])
+    assert res.scores.shape == (2, rows)
+    res = machine.run_filter(loaded, [[0], [1], [2]])
+    assert res.scores.shape == (3, rows) and np.all(res.winner < rows)
+
+
 def test_config_rejects_bad_fields():
     with pytest.raises(ConfigError):
         MachineConfig(cycle_budget=0)

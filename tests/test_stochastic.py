@@ -188,21 +188,25 @@ def test_run_refuses_a_budget_that_is_not_an_int(budget):
         bayesim.run_stochastic(img, [[0]], budget)
 
 
-@pytest.mark.parametrize("strategy, rows", [("conventional", 2), ("power_conscious", 13)])
-def test_cycle_kernel_refuses_a_block_too_big_before_drawing(strategy, rows):
+def test_cycle_kernel_refuses_a_block_too_big_before_drawing():
     # budget 10**12 asked numpy for petabytes and escaped as a MemoryError
-    img = linear_image([np.full((rows, 16), 128, dtype=np.uint16)] * 3)
+    img = linear_image([np.full((2, 16), 128, dtype=np.uint16)] * 3)
     rng = np.random.default_rng(5)
     state = rng.bit_generator.state
     with pytest.raises(ConfigError, match="cycle budget 1000000000000 over 2 presentations"):
-        stochastic.run_stochastic(img, [[0, 1, 2], [3, 2, 1]], 10**12, strategy, seed=rng)
+        stochastic.run_stochastic(img, [[0, 1, 2], [3, 2, 1]], 10**12, seed=rng)
     assert rng.bit_generator.state == state
-    # a filter steps through the cycle kernel above LAW_MAX_ROWS; within the caps
-    # both strategies are drawn from the pair law, whatever the budget
-    img = linear_image([np.full((13, 16), 128, dtype=np.uint16)] * 3)
-    with pytest.raises(ConfigError, match="cycle budget 1000000000000 over 1 presentations"):
-        machine.run_filter(img, [[1, 2]] * 5, machine.MachineConfig(10**12, strategy), seed=rng)
-    assert rng.bit_generator.state == state
+
+
+def test_law_runs_take_a_budget_the_cycle_kernel_refuses():
+    # only a conventional batch reaches the cycle kernel: a power-conscious batch
+    # and a filter of either strategy are drawn from a law, whatever the budget
+    img = linear_image([np.full((2, 16), 128, dtype=np.uint16)] * 3)
+    res = stochastic.run_stochastic(img, [[0, 1, 2]], 10**12, "power_conscious", seed=5)
+    assert res.scores.tolist() == [[1, 1]]  # equal rows share every draw: they fire together
+    for strategy in stochastic.STRATEGIES:
+        res = machine.run_filter(img, [[1, 2]] * 5, machine.MachineConfig(10**12, strategy))
+        assert np.all((res.cycles == 10**12) == (strategy == "conventional"))
 
 
 def test_cycle_kernel_limit_counts_column_draws(monkeypatch):
@@ -215,17 +219,16 @@ def test_cycle_kernel_limit_counts_column_draws(monkeypatch):
         stochastic.run_stochastic(img, obs, 9)
 
 
-@pytest.mark.parametrize("strategy", stochastic.STRATEGIES)
-def test_cycle_kernel_limit_counts_fire_rows(strategy):
-    # 64 rows over one column: the draws (N, budget, C) fit the limit, while each
-    # (N, budget, R) fire array would hold 2**34 bools, 16 GiB
-    img = linear_image([np.full((64, 1), 128, dtype=np.uint16)])
+def test_cycle_kernel_limit_counts_fire_rows():
+    # 12 rows over one column: the draws (N, budget, C) of 2**25 entries fit the
+    # limit, while the (N, budget, R) fire array would hold 12 * 2**25 bools, 384 MiB
+    img = linear_image([np.full((stochastic.LAW_MAX_ROWS, 1), 128, dtype=np.uint16)])
     rng = np.random.default_rng(3)
     start = rng.bit_generator.state
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError, match=f"needs arrays of {2**34} entries"):
-            stochastic.run_stochastic(img, [[0]], 2**28, strategy, seed=rng)
+        with pytest.raises(ConfigError, match=f"needs arrays of {12 * 2**25} entries"):
+            stochastic.run_stochastic(img, [[0]], 2**25, seed=rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
